@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Optional
 from .ade_types import (ADEType, Component, act, cartan_gram,
                         disc_form_closed, enumerate_candidates,
                         gamma_generators)
-from .exact_linalg import rat_inverse, smith_normal_form
+from .exact_linalg import prime_factors, rat_inverse, smith_normal_form
 from .fqf import (FiniteQuadraticForm, FqfElement, RatVector, element_order,
                   eval_b, eval_q, group_order, span, subquotient)
 from .genus import exists_even_lattice
@@ -39,7 +39,7 @@ from .lattice_ops import GramLattice, overlattice, root_type, short_vectors
 FactorTuple = tuple[int, ...]
 
 #: Largest discriminant group over the candidate types; contexts for
-#: types within the Euler bound assert it.
+#: types within the Euler bound check it.
 MAX_DISC_ORDER = 6561
 
 
@@ -93,21 +93,12 @@ class _TypeContext:
         self.spec = gamma_generators(sigma)
         self.theta = tuple(_component_theta(comp)
                            for comp in self.spec.components)
-        primes = set()
-        for d in self.form.orders:
-            f = 2
-            while f * f <= d:
-                if d % f == 0:
-                    primes.add(f)
-                    while d % f == 0:
-                        d //= f
-                f += 1
-            if d > 1:
-                primes.add(d)
+        primes = {p for d in self.form.orders for p in prime_factors(d)}
         self.pranks = {p: sum(1 for d in self.form.orders if d % p == 0)
                        for p in primes}
-        if sigma.euler <= 24:
-            assert group_order(self.form) <= MAX_DISC_ORDER
+        if sigma.euler <= 24 and group_order(self.form) > MAX_DISC_ORDER:
+            raise RuntimeError(f"discriminant group of {sigma} exceeds "
+                               f"{MAX_DISC_ORDER}")
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +128,8 @@ def _dual_classes(comp: Component) -> tuple:
             if all(x.denominator == 1 for x in diff):
                 found = c
                 break
-        assert found is not None
+        if found is None:
+            raise RuntimeError("dual basis vector has no discriminant class")
         classes.append(found)
     return form, ginv, tuple(classes)
 
@@ -298,7 +290,8 @@ def _invariant_factors(form: FiniteQuadraticForm, v: FqfElement,
                 rels.append([a, b])
     _, diag, _ = smith_normal_form(rels)
     factors = tuple(d for d in (diag[0][0], diag[1][1]) if d > 1)
-    assert prod(factors) == len(span(form, gens))
+    if prod(factors) != len(span(form, gens)):
+        raise RuntimeError("invariant factors disagree with the span")
     return factors
 
 
@@ -326,7 +319,8 @@ def _accept(ctx: _TypeContext, v: FqfElement, w: FqfElement,
     if gens:
         lattice, index = overlattice(ctx.lattice,
                                      [_glue_lift(ctx, g) for g in gens])
-        assert index == len(sub)
+        if index != len(sub):
+            raise RuntimeError("overlattice index disagrees with the subgroup")
         glued = lattice.disc_form()[0]
     else:
         glued = ctx.form
@@ -425,7 +419,8 @@ def slow_check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:
     lattice, index = overlattice(ctx.lattice,
                                  [_glue_lift(ctx, g) for g in gens])
     expected = len(span(ctx.form, gens)) if gens else 1
-    assert index == expected
+    if index != expected:
+        raise RuntimeError("overlattice index disagrees with the subgroup")
     if root_type(lattice) != sigma:
         return None
     return ClassEntry(sigma, _invariant_factors(ctx.form, pair.v, pair.w))

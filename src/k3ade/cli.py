@@ -21,7 +21,7 @@ from . import refdata
 from .ade_types import (ADEType, RULESETS, closure, enumerate_candidates,
                         parse_type)
 from .classifier import classify_all, classify_type, verify_reference
-from .fqf import parse_form
+from .fqf import is_nondegenerate, parse_form
 from .genus import exists_even_lattice
 
 _CLI_RULESETS = {"trivial": "trivial", "2": "[2]", "3": "[3]",
@@ -112,6 +112,8 @@ def cmd_exists_lattice(args) -> int:
             raise ValueError("signature components must be nonnegative")
         with open(args.form) as fh:
             form = parse_form(fh.read())
+        if not is_nondegenerate(form):
+            raise ValueError("the form is degenerate")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -156,6 +156,23 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     return [row for row in rows[:pr]]
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division up to
+    the square root of what is left; [] for n in {-1, 0, 1}."""
+    n = abs(n)
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def legendre_symbol(u: int, p: int) -> int:
     """(u/p) for an odd prime p and u coprime to p."""
     if p % 2 == 0 or p < 3:

@@ -27,6 +27,7 @@ from .exact_linalg import (
     IntMatrix,
     hermite_normal_form,
     int_inverse,
+    prime_factors,
     rat_inverse,
     smith_normal_form,
 )
@@ -109,26 +110,29 @@ def discriminant_form(gram: IntMatrix) -> tuple[FiniteQuadraticForm, list[RatVec
         for j in range(n):
             if row[j] != gram[j][i]:
                 raise ValueError("Gram matrix must be symmetric")
-    try:
-        ginv = rat_inverse(gram)
-    except ValueError:
-        raise ValueError("Gram matrix must be nondegenerate") from None
-    u, d, _ = smith_normal_form(gram)
-    uinv = int_inverse(u)
+    _, d, v = smith_normal_form(gram)
+    if any(d[i][i] == 0 for i in range(n)):
+        raise ValueError("Gram matrix must be nondegenerate")
     # The map x -> Ux identifies L^vee/L, written in the dual basis, with
     # the standard quotient Z^n / diag(d) Z^n, so the generators are the
-    # columns of U^{-1} and their lifts are G^{-1} times those columns.
+    # columns of U^{-1}.  Since G^{-1} = V D^{-1} U, the lift of generator
+    # i is column i of V divided by d_i, and the values of the form are
+    # (V^T G V)_ij / (d_i d_j).
     cols = [i for i in range(n) if d[i][i] > 1]
-    dual_coords = [[uinv[r][i] for r in range(n)] for i in cols]
-    lifts = [[sum(ginv[r][k] * c[k] for k in range(n)) for r in range(n)]
-             for c in dual_coords]
+    vcols = [[v[r][i] for r in range(n)] for i in cols]
+    gv = [[sum(gram[r][k] * c[k] for k in range(n)) for r in range(n)]
+          for c in vcols]
+    lifts = [[Fraction(x, d[i][i]) for x in c] for i, c in zip(cols, vcols)]
     qdiag = []
     bmat = []
-    for i, ci in enumerate(dual_coords):
-        qdiag.append(sum(Fraction(x) * y for x, y in zip(ci, lifts[i])) % 2)
+    for a, i in enumerate(cols):
         row = []
-        for j, _ in enumerate(dual_coords):
-            row.append(sum(Fraction(x) * y for x, y in zip(ci, lifts[j])) % 1)
+        for b, j in enumerate(cols):
+            w = Fraction(sum(x * y for x, y in zip(vcols[a], gv[b])),
+                         d[i][i] * d[j][j])
+            row.append(w % 1)
+            if a == b:
+                qdiag.append(w % 2)
         bmat.append(tuple(row))
     form = FiniteQuadraticForm(
         tuple(d[i][i] for i in cols), tuple(qdiag), tuple(bmat))
@@ -152,7 +156,7 @@ def p_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
     The generator of the p-part of the cyclic group spanned by gamma_i is
     m_i * gamma_i where m_i is the prime-to-p part of d_i.
     """
-    if p < 2 or any(p % k == 0 for k in range(2, p)):
+    if prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     idx = []
     pord = []
@@ -220,6 +224,21 @@ def group_order(form: FiniteQuadraticForm) -> int:
 
 def exponent(form: FiniteQuadraticForm) -> int:
     return lcm(*form.orders) if form.orders else 1
+
+
+def is_nondegenerate(form: FiniteQuadraticForm) -> bool:
+    """Whether b has trivial radical.
+
+    x -> b(x, .) maps D to its dual, written on the generators as the
+    integer matrix N with N[i][j] = d_j b(gamma_i, gamma_j) modulo d_j.
+    The two groups have the same order, so the map is injective exactly
+    when it is onto, i.e. when the rows of N and of diag(orders) span Z^n.
+    """
+    n = len(form.orders)
+    rows = [[int(form.bmat[i][j] * d) for j, d in enumerate(form.orders)]
+            for i in range(n)]
+    hnf = hermite_normal_form(rows + _relation_rows(form))
+    return prod(hnf[i][i] for i in range(n)) == 1
 
 
 def element_order(form: FiniteQuadraticForm, x: Sequence[int]) -> int:
@@ -328,19 +347,10 @@ def reduced_generators(form: FiniteQuadraticForm) -> list[FqfElement]:
     """
     p = None
     for d in form.orders:
-        q = d
-        f = 2
-        while f * f <= q:
-            if q % f == 0:
-                break
-            f += 1
-        else:
-            f = q
+        primes = prime_factors(d)
         if p is None:
-            p = f
-        while q % p == 0:
-            q //= p
-        if q != 1:
+            p = primes[0]
+        if primes != [p]:
             raise ValueError("mixed-order input: not a p-group form")
     order = sorted(range(len(form.orders)),
                    key=lambda i: (-form.orders[i], i))
@@ -393,6 +403,13 @@ def _fmt(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _parse_fraction(token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
+
+
 def parse_form(text: str) -> FiniteQuadraticForm:
     """Parse the plain-text form format produced by dump_form."""
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
@@ -406,12 +423,12 @@ def parse_form(text: str) -> FiniteQuadraticForm:
     n = len(orders)
     if len(lines) != n + 2:
         raise ValueError(f"expected {n + 2} lines, got {len(lines)}")
-    qdiag = [Fraction(t) for t in lines[1]]
+    qdiag = [_parse_fraction(t) for t in lines[1]]
     if len(qdiag) != n:
         raise ValueError("wrong number of q values")
     bmat = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        row = [Fraction(t) for t in lines[2 + i]]
+        row = [_parse_fraction(t) for t in lines[2 + i]]
         if len(row) != n - i:
             raise ValueError(f"wrong number of b entries in row {i}")
         for j, x in enumerate(row):

@@ -10,24 +10,9 @@ r - s + sum_p excess_p = n mod 8.  No witness lattice is ever built.
 
 from __future__ import annotations
 
-from .exact_linalg import square_class
+from .exact_linalg import prime_factors, square_class
 from .fqf import FiniteQuadraticForm, group_order, p_part
 from .local_invariants import local_invariant_set
-
-
-def _prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def exists_even_lattice(r: int, s: int, q: FiniteQuadraticForm) -> bool:
@@ -43,7 +28,7 @@ def exists_even_lattice(r: int, s: int, q: FiniteQuadraticForm) -> bool:
     if n == 0:
         raise ValueError("rank must be positive")
     d = (-1) ** s * group_order(q)
-    primes = sorted(set([2] + _prime_factors(d)))
+    primes = sorted(set([2] + prime_factors(d)))
     sigmas = []
     for p in primes:
         delta = d

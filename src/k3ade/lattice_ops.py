@@ -9,7 +9,7 @@ the sublattice generated by the norm-2 vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import isqrt, lcm
 from typing import Sequence
 
 import numpy
@@ -92,7 +92,7 @@ def overlattice(lat: GramLattice,
     Each lift must lie in the dual lattice and the glue classes must be
     totally isotropic for the discriminant form.  Returns the
     overlattice on a new basis together with the index, which satisfies
-    det(L) = det(M) * index**2.  Evenness of the result is asserted, as
+    det(L) = det(M) * index**2.  Evenness of the result is checked, as
     it follows from isotropy.
     """
     n = lat.rank
@@ -119,7 +119,8 @@ def overlattice(lat: GramLattice,
     rows = [[scale * (i == j) for j in range(n)] for i in range(n)]
     rows += ivecs
     hnf = hermite_normal_form(rows)
-    assert len(hnf) == n, "overlattice basis must have full rank"
+    if len(hnf) != n:
+        raise RuntimeError("overlattice basis must have full rank")
 
     half = [[sum(hnf[i][k] * lat.gram[k][j] for k in range(n))
              for j in range(n)] for i in range(n)]
@@ -129,17 +130,21 @@ def overlattice(lat: GramLattice,
         row = []
         for j in range(n):
             g = sum(half[i][k] * hnf[j][k] for k in range(n))
-            assert g % sq == 0, "overlattice pairing must be integral"
+            if g % sq != 0:
+                raise RuntimeError("overlattice pairing must be integral")
             row.append(g // sq)
         new_gram.append(row)
     for i in range(n):
-        assert new_gram[i][i] % 2 == 0, "overlattice must be even"
+        if new_gram[i][i] % 2 != 0:
+            raise RuntimeError("overlattice must be even")
 
     over = GramLattice(new_gram)
     ratio = Fraction(lat.det, over.det)
-    assert ratio.denominator == 1 and ratio > 0
+    if ratio.denominator != 1 or ratio <= 0:
+        raise RuntimeError("det ratio must be a positive integer")
     index = isqrt(int(ratio))
-    assert index * index == int(ratio), "index must square to det ratio"
+    if index * index != ratio:
+        raise RuntimeError("index must square to det ratio")
     return over, index
 
 
@@ -170,26 +175,37 @@ def short_vectors(lat: GramLattice, norm_bound: int = 2,
     """
     q = _cholesky(lat)
     n = lat.rank
+    # Scale the descent to integers: with M the common denominator of the
+    # mixing coefficients and K that of the outer ones, the partial sum
+    # u_i = U_i / M and the cost of x_i is (K q_ii) (M x_i + U_i)^2 / (K M^2).
+    m = lcm(1, *(q[i][j].denominator for i in range(n)
+                 for j in range(i + 1, n)))
+    k = lcm(1, *(q[i][i].denominator for i in range(n)))
+    mix = [[int(m * q[i][j]) for j in range(n)] for i in range(n)]
+    outer = [int(k * q[i][i]) for i in range(n)]
     found: list[tuple[int, ...]] = []
     x = [0] * n
 
-    def descend(i: int, budget: Fraction) -> None:
+    def descend(i: int, budget: int) -> None:
         if i < 0:
             if any(x):
                 found.append(tuple(x))
             return
-        u = sum((q[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        xi = floor(-u)
+        row = mix[i]
+        u = sum(row[j] * x[j] for j in range(i + 1, n))
+        c = outer[i]
+        start = -u // m
+        xi = start
         while True:
-            used = q[i][i] * (xi + u) ** 2
+            used = c * (m * xi + u) ** 2
             if used > budget:
                 break
             x[i] = xi
             descend(i - 1, budget - used)
             xi -= 1
-        xi = floor(-u) + 1
+        xi = start + 1
         while True:
-            used = q[i][i] * (xi + u) ** 2
+            used = c * (m * xi + u) ** 2
             if used > budget:
                 break
             x[i] = xi
@@ -197,7 +213,7 @@ def short_vectors(lat: GramLattice, norm_bound: int = 2,
             xi += 1
         x[i] = 0
 
-    descend(n - 1, Fraction(norm_bound))
+    descend(n - 1, norm_bound * k * m * m)
     if not both_signs:
         neg = {tuple(-c for c in v) for v in found}
         found = [v for v in found if v not in neg or v > tuple(-c for c in v)]

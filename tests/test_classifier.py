@@ -115,7 +115,7 @@ class TestThetaTables:
     def test_e8(self):
         assert _component_theta(("E", 8)) == {}
 
-    @pytest.mark.parametrize("l", range(1, 10))
+    @pytest.mark.parametrize("l", range(1, 19))
     def test_a_series_law(self, l):
         # Coset k of A_l has minimum k(l+1-k)/(l+1), attained by the
         # C(l+1, k) vectors of the corresponding weight orbit.
@@ -126,6 +126,32 @@ class TestThetaTables:
                 assert table[(k,)] == (mu, comb(l + 1, k))
             else:
                 assert (k,) not in table
+
+
+def closed_coset_minima(comp):
+    """(minimum, count) of the nonzero cosets of an irreducible D or E
+    root lattice in its dual, by the closed forms of Conway-Sloane ch. 4
+    (the A series is checked class by class in TestThetaTables)."""
+    kind, n = comp
+    if kind == "D":
+        spinor = (Fraction(n, 4), 2 ** (n - 1))
+        return [(Fraction(1), 2 * n), spinor, spinor]
+    return {6: [(Fraction(4, 3), 27)] * 2, 7: [(Fraction(3, 2), 56)]}[n]
+
+
+class TestThetaClosedForms:
+    @pytest.mark.parametrize(
+        "comp", [("D", n) for n in range(4, 19)] + [("E", 6), ("E", 7)],
+        ids=lambda c: f"{c[0]}{c[1]}")
+    def test_minima_and_counts(self, comp):
+        table = _component_theta(comp)
+        expected = sorted(e for e in closed_coset_minima(comp)
+                          if e[0] <= 2)
+        assert sorted(table.values()) == expected
+        form, _ = disc_form_closed(parse_type(f"{comp[0]}{comp[1]}"))
+        for cls, (mu, _) in table.items():
+            assert any(cls)
+            assert mu % 2 == eval_q(form, cls)
 
 
 class TestOrbitReps:

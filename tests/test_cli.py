@@ -177,6 +177,22 @@ class TestExistsLattice:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_zero_denominator(self, capsys, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("2 2\n1/0 1/2\n1/2 0/1\n1/2\n")
+        code, _, err = run_cli(capsys, ["exists-lattice", "--signature",
+                                        "2,16", "--form", str(path)])
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_degenerate_form(self, capsys, tmp_path):
+        path = tmp_path / "degenerate.txt"
+        path.write_text("2 2\n0 0\n0 0\n0\n")
+        code, _, err = run_cli(capsys, ["exists-lattice", "--signature",
+                                        "2,16", "--form", str(path)])
+        assert code == 2
+        assert err.startswith("error:") and "degenerate" in err
+
 
 class TestTransform:
     @pytest.mark.parametrize("ruleset,count", [

@@ -1,13 +1,17 @@
+import random
 from fractions import Fraction as F
 from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3ade.exact_linalg import int_det
+from k3ade.exact_linalg import (int_det, int_inverse, rat_inverse,
+                                smith_normal_form)
 from k3ade.fqf import (
     TRIVIAL_FORM,
+    FiniteQuadraticForm,
     direct_sum,
     discriminant_form,
     dump_form,
@@ -18,6 +22,7 @@ from k3ade.fqf import (
     exponent,
     form_on_generators,
     group_order,
+    is_nondegenerate,
     isotropic_elements,
     make_form,
     orthogonal_complement,
@@ -127,6 +132,74 @@ class TestDiscriminantForm:
                 assert lhs == 2 * eval_b(form, x, y) % 2
 
 
+def reference_discriminant_form(gram):
+    """The discriminant form by the rational-inverse route: the
+    generators are the columns of U^{-1} in the dual basis (U from the
+    Smith form U G V = D) and their lifts are G^{-1} times them."""
+    n = len(gram)
+    ginv = rat_inverse(gram)
+    u, d, _ = smith_normal_form(gram)
+    uinv = int_inverse(u)
+    cols = [i for i in range(n) if d[i][i] > 1]
+    coords = [[uinv[r][i] for r in range(n)] for i in cols]
+    lifts = [[sum(ginv[r][k] * c[k] for k in range(n)) for r in range(n)]
+             for c in coords]
+
+    def pair(i, j):
+        return sum(F(x) * y for x, y in zip(coords[i], lifts[j]))
+
+    m = len(cols)
+    form = FiniteQuadraticForm(
+        tuple(d[i][i] for i in cols),
+        tuple(pair(i, i) % 2 for i in range(m)),
+        tuple(tuple(pair(i, j) % 1 for j in range(m)) for i in range(m)))
+    return form, lifts
+
+
+def random_even_gram(rng, kind, n):
+    """A seeded even symmetric n x n matrix: positive definite,
+    indefinite, or degenerate (of rank at most n - 1)."""
+    if kind == "degenerate":
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n - 1)]
+        return [[2 * sum(a[k][i] * a[k][j] for k in range(n - 1))
+                 for j in range(n)] for i in range(n)]
+    if kind == "definite":
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        return [[2 * sum(a[k][i] * a[k][j] for k in range(n))
+                 + 2 * (i == j) for j in range(n)] for i in range(n)]
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * rng.randint(-4, 4)
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = rng.randint(-5, 5)
+    return g
+
+
+class TestDiscriminantFormAgainstInverse:
+    @pytest.mark.parametrize("kind", ["definite", "indefinite"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_rational_inverse(self, kind, seed):
+        rng = random.Random(f"{kind}:{seed}")
+        checked = 0
+        while checked < 40:
+            gram = random_even_gram(rng, kind, rng.randint(1, 6))
+            if int_det(gram) == 0:
+                continue
+            assert discriminant_form(gram) == reference_discriminant_form(
+                gram)
+            checked += 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_degenerate_rejected_by_both(self, seed):
+        rng = random.Random(f"degenerate:{seed}")
+        for _ in range(20):
+            gram = random_even_gram(rng, "degenerate", rng.randint(1, 6))
+            with pytest.raises(ValueError, match="nondegenerate"):
+                discriminant_form(gram)
+            with pytest.raises(ValueError):
+                reference_discriminant_form(gram)
+
+
 class TestDirectSum:
     def test_trivial_is_neutral(self):
         form, _ = discriminant_form(A2)
@@ -185,6 +258,14 @@ class TestPPart:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             p_part(discriminant_form(A1)[0], 4)
+        for p in (-3, 0, 1, 9, 10000019 * 3):
+            with pytest.raises(ValueError, match="not prime"):
+                p_part(discriminant_form(A1)[0], p)
+
+    def test_large_prime(self):
+        p = 10000019
+        form = p_part(discriminant_form([[2 * p]])[0], p)
+        assert form.orders == (p,)
 
     @given(even_grams())
     @settings(max_examples=60, deadline=None)
@@ -350,3 +431,42 @@ class TestTextFormat:
     def test_round_trip_random(self, gram):
         form, _ = discriminant_form(gram)
         assert parse_form(dump_form(form)) == form
+
+
+class TestNondegenerate:
+    @pytest.mark.parametrize("gram", [A1, A2, A5, D4, U])
+    def test_discriminant_forms(self, gram):
+        assert is_nondegenerate(discriminant_form(gram)[0])
+
+    def test_trivial(self):
+        assert is_nondegenerate(TRIVIAL_FORM)
+
+    @pytest.mark.parametrize("text", [
+        "2 2\n0 0\n0 0\n0\n",           # b = 0
+        "2 4\n1/2 1/2\n1/2 0\n1/2\n",    # 2 * gamma_2 pairs to zero
+        "4\n1/2\n1/2\n",                 # 2 * gamma pairs to zero
+    ])
+    def test_degenerate(self, text):
+        assert not is_nondegenerate(parse_form(text))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_radical_by_search(self, seed):
+        rng = random.Random(f"radical:{seed}")
+        for _ in range(25):
+            orders = [rng.choice((2, 3, 4, 6))
+                      for _ in range(rng.randint(1, 3))]
+            n = len(orders)
+            qdiag = [F(rng.randrange(0, 2 * d, 1 if d % 2 == 0 else 2), d)
+                     for d in orders]
+            bmat = [[qdiag[i] % 1 if i == j else None for j in range(n)]
+                     for i in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    g = gcd(orders[i], orders[j])
+                    bmat[i][j] = bmat[j][i] = F(rng.randrange(g), g)
+            form = FiniteQuadraticForm(tuple(orders), tuple(qdiag),
+                                       tuple(tuple(r) for r in bmat))
+            gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            radical = [x for x in elements(form) if any(x) and all(
+                eval_b(form, x, g) == 0 for g in gens)]
+            assert is_nondegenerate(form) == (not radical)

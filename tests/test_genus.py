@@ -108,3 +108,12 @@ class TestExistsEvenLattice:
         r, s = signature(gram)
         assert exists_even_lattice(r + 8, s, form) is True
         assert exists_even_lattice(r, s + 8, form) is True
+
+
+class TestLargePrime:
+    def test_rank_one_lattice_of_large_prime_determinant(self):
+        # [[2p]] itself is the witness; deciding it must not take time
+        # linear in p (the prime 10000019 took a second by full trial
+        # division in the primality check).
+        form, _ = discriminant_form([[2 * 10000019]])
+        assert exists_even_lattice(1, 0, form) is True

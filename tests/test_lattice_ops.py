@@ -1,6 +1,7 @@
 """Tests for overlattice construction, short-vector enumeration, and
 root-type identification."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import floor, isqrt
@@ -220,6 +221,38 @@ class TestShortVectors:
     def test_sorted_deterministic(self):
         L = lat("D5")
         assert short_vectors(L) == sorted(short_vectors(L))
+
+
+def random_definite_gram(rng, n):
+    """A seeded positive-definite even Gram matrix of rank n on a skewed
+    basis: 2 A^T A + 2 I conjugated by a random unimodular matrix."""
+    a = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+    g = [[2 * sum(a[k][i] * a[k][j] for k in range(n)) + 2 * (i == j)
+          for j in range(n)] for i in range(n)]
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.choice((-1, 1))
+            p = [[p[r][k] + c * p[r][i] * (k == j) for k in range(n)]
+                 for r in range(n)]
+    return [[sum(p[r][i] * g[r][s] * p[s][j]
+                 for r in range(n) for s in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+class TestShortVectorsAgainstBox:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_lattices(self, seed):
+        rng = random.Random(f"short:{seed}")
+        for _ in range(15):
+            gram = random_definite_gram(rng, rng.randint(1, 4))
+            lat = GramLattice(gram)
+            for bound in (2, 5, 8):
+                box = box_roots(gram, bound)
+                assert short_vectors(lat, bound, both_signs=True) == box
+                assert short_vectors(lat, bound) == [
+                    v for v in box if v > tuple(-c for c in v)]
 
 
 class TestRootType:
