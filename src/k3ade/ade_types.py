@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Iterable
 
 from .exact_linalg import rat_inverse
@@ -241,6 +242,14 @@ def cartan_gram(sigma: ADEType) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
+def component_inverse(comp: Component) -> tuple[tuple[Fraction, ...], ...]:
+    """Inverse of the Cartan matrix of one component; its columns are
+    the dual basis vectors of the component lattice."""
+    inv = rat_inverse([list(row) for row in _component_gram(comp)])
+    return tuple(tuple(row) for row in inv)
+
+
+@lru_cache(maxsize=None)
 def _component_disc(comp: Component) -> tuple[FiniteQuadraticForm,
                                               tuple[tuple[Fraction, ...], ...]]:
     """Closed-form discriminant data of one component.
@@ -252,7 +261,7 @@ def _component_disc(comp: Component) -> tuple[FiniteQuadraticForm,
     E_6 and E_7 the dual of the last chain vertex, nothing for E_8.
     """
     kind, n = _check_component(comp)
-    inv = rat_inverse([list(row) for row in _component_gram(comp)])
+    inv = component_inverse(comp)
 
     def col(j: int) -> tuple[Fraction, ...]:
         return tuple(inv[i][j - 1] for i in range(n))
@@ -279,6 +288,12 @@ def _component_disc(comp: Component) -> tuple[FiniteQuadraticForm,
     else:
         form, lifts = TRIVIAL_FORM, ()
     return form, lifts
+
+
+def disc_order(sigma: ADEType) -> int:
+    """Order of the discriminant group of the root lattice of sigma."""
+    return prod(prod(_component_disc(comp)[0].orders)
+                for comp in sigma.components)
 
 
 def disc_form_closed(sigma: ADEType) -> tuple[FiniteQuadraticForm,

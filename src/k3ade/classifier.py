@@ -27,9 +27,9 @@ from math import prod
 from typing import Iterable, Iterator, Optional
 
 from .ade_types import (ADEType, Component, act, cartan_gram,
-                        disc_form_closed, enumerate_candidates,
-                        gamma_generators)
-from .exact_linalg import prime_factors, rat_inverse, smith_normal_form
+                        component_inverse, disc_form_closed, disc_order,
+                        enumerate_candidates, gamma_generators)
+from .exact_linalg import prime_factors, smith_normal_form
 from .fqf import (FiniteQuadraticForm, FqfElement, RatVector, element_order,
                   eval_b, eval_q, group_order, span, subquotient)
 from .genus import exists_even_lattice
@@ -64,8 +64,7 @@ class ClassEntry:
         for a, b in zip(self.group, self.group[1:]):
             if b % a != 0:
                 raise ValueError("invariant factors must form a chain")
-        disc = group_order(disc_form_closed(self.type)[0])
-        if disc % self.group_order ** 2 != 0:
+        if disc_order(self.type) % self.group_order ** 2 != 0:
             raise ValueError("squared group order must divide the "
                              "root lattice discriminant")
 
@@ -112,22 +111,28 @@ def _context(sigma: ADEType) -> _TypeContext:
 
 @lru_cache(maxsize=None)
 def _dual_classes(comp: Component) -> tuple:
-    """The single-component form together with the discriminant class
-    of each dual basis vector of the component lattice."""
-    single = ADEType((comp,))
-    form, lifts = disc_form_closed(single)
-    ginv = rat_inverse(cartan_gram(single))
+    """The single-component form and inverse Cartan matrix together
+    with the discriminant class of each dual basis vector of the
+    component lattice."""
+    form, lifts = disc_form_closed(ADEType((comp,)))
+    ginv = component_inverse(comp)
+    e = form.exp
     n = len(ginv)
+    # The exponent e kills L^vee / L, so e times a dual vector is an
+    # integer vector, and two dual vectors lie in the same class exactly
+    # when these agree modulo e.
+    scaled = [[x * e for x in row] for row in ginv]
+    if any(x.denominator != 1 for row in scaled for x in row):
+        raise RuntimeError("the exponent does not clear the dual basis")
+    scaled_lifts = [[int(x * e) for x in lift] for lift in lifts]
+    class_of = {}
+    for c in product(*(range(d) for d in form.orders)):
+        key = tuple(sum(ck * lift[i] for ck, lift in zip(c, scaled_lifts))
+                    % e for i in range(n))
+        class_of[key] = c
     classes = []
     for j in range(n):
-        found = None
-        for c in product(*(range(d) for d in form.orders)):
-            diff = (ginv[i][j] - sum((c[k] * lifts[k][i]
-                                      for k in range(len(c))), Fraction(0))
-                    for i in range(n))
-            if all(x.denominator == 1 for x in diff):
-                found = c
-                break
+        found = class_of.get(tuple(int(scaled[i][j]) % e for i in range(n)))
         if found is None:
             raise RuntimeError("dual basis vector has no discriminant class")
         classes.append(found)

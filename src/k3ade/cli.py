@@ -81,6 +81,10 @@ def cmd_classify(args) -> int:
         _emit_classified(sigma, groups, args.format)
         return 0
 
+    if not 1 <= args.max_rank <= 18:
+        print(f"error: --max-rank must be between 1 and 18, got "
+              f"{args.max_rank}", file=sys.stderr)
+        return 2
     types = enumerate_candidates(args.max_rank, args.max_euler)
     if args.format == "tsv":
         print("rank\ttype\tgroups")

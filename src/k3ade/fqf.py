@@ -10,14 +10,16 @@ q(x) = (x', x') mod 2Z for any rational lift x' of x.
 A form is stored as a presentation: independent generators gamma_i of
 order d_i (so D is the direct sum of the cyclic groups they span), the
 values q(gamma_i) in Q/2Z, and the full symmetric matrix b(gamma_i,
-gamma_j) in Q/Z.  Elements are integer coefficient tuples, canonical when
-reduced into 0 <= c_i < d_i.  All arithmetic is exact; values of q live in
-[0, 2) and values of b in [0, 1).
+gamma_j) in Q/Z.  Every value is a multiple of 1/E for the exponent
+E = lcm(d_i), so the form stores only integers: q(gamma_i) * E mod 2E
+and b(gamma_i, gamma_j) * E mod E.  Elements are integer coefficient
+tuples, canonical when reduced into 0 <= c_i < d_i.  Fractions appear
+only at the edge: the Fraction constructor, the qdiag/bmat views and
+eval_q/eval_b, which return q in [0, 2) and b in [0, 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -36,43 +38,128 @@ FqfElement = tuple[int, ...]
 RatVector = list[Fraction]
 
 
-@dataclass(frozen=True)
 class FiniteQuadraticForm:
     """A finite quadratic form presented on independent generators.
 
-    orders[i] is the order d_i >= 2 of the i-th generator, qdiag[i] is
-    q(gamma_i) in Q/2Z and bmat[i][j] is b(gamma_i, gamma_j) in Q/Z.
-    Equality is presentation equality.
+    orders[i] is the order d_i >= 2 of the i-th generator and exp is
+    E = lcm(orders).  The values are stored scaled by E, as integers:
+    qs[i] = q(gamma_i) * E mod 2E and bs[i][j] = b(gamma_i, gamma_j) * E
+    mod E.  qdiag and bmat give the same values as Fractions in [0, 2)
+    and [0, 1).  Equality is presentation equality.
+
+    FiniteQuadraticForm(orders, qdiag, bmat) takes Fraction (or int)
+    values; FiniteQuadraticForm.from_scaled(orders, qs, bs) takes the
+    scaled integers.  Both run the same checks and reject a malformed
+    presentation with ValueError.  Instances are immutable.
     """
 
-    orders: tuple[int, ...]
-    qdiag: tuple[Fraction, ...]
-    bmat: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("orders", "exp", "qs", "bs", "_hash")
 
-    def __post_init__(self):
-        n = len(self.orders)
-        if len(self.qdiag) != n or len(self.bmat) != n:
+    def __init__(self, orders: Sequence[int],
+                 qdiag: Sequence[Fraction | int],
+                 bmat: Sequence[Sequence[Fraction | int]]):
+        orders = tuple(orders)
+        e = lcm(*orders)
+        _set_presentation(
+            self, orders, e, tuple(_scale(q, e) for q in qdiag),
+            tuple(tuple(_scale(b, e) for b in row) for row in bmat))
+
+    @classmethod
+    def from_scaled(cls, orders: Sequence[int], qs: Sequence[int],
+                    bs: Sequence[Sequence[int]]) -> "FiniteQuadraticForm":
+        """The form with q(gamma_i) = qs[i] / E and b(gamma_i, gamma_j) =
+        bs[i][j] / E for E = lcm(orders)."""
+        form = object.__new__(cls)
+        orders = tuple(orders)
+        _set_presentation(form, orders, lcm(*orders), tuple(qs),
+                          tuple(tuple(row) for row in bs))
+        return form
+
+    @property
+    def qdiag(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(q, self.exp) for q in self.qs)
+
+    @property
+    def bmat(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(b, self.exp) for b in row)
+                     for row in self.bs)
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteQuadraticForm):
+            return NotImplemented
+        return (self.orders == other.orders and self.qs == other.qs
+                and self.bs == other.bs)
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteQuadraticForm is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FiniteQuadraticForm is immutable")
+
+    def __reduce__(self):
+        return (FiniteQuadraticForm.from_scaled, (self.orders, self.qs, self.bs))
+
+    def __repr__(self):
+        return (f"FiniteQuadraticForm.from_scaled({self.orders!r}, "
+                f"{self.qs!r}, {self.bs!r})")
+
+
+def _scale(x: Fraction | int, e: int) -> int:
+    """The rational value x as an integer at exponent e, i.e. x * e."""
+    v = Fraction(x) * e
+    if v.denominator != 1:
+        raise ValueError("value denominators must divide the exponent")
+    return v.numerator
+
+
+def _rescale(x: int, e: int, e2: int) -> int:
+    """A value scaled by e moved to exponent e2, i.e. x * e2 / e; raises
+    when that is not an integer."""
+    y, r = divmod(x * e2, e)
+    if r:
+        raise ValueError("value is not integral at the new exponent")
+    return y
+
+
+def _set_presentation(form: FiniteQuadraticForm, orders: tuple[int, ...],
+                      e: int, qs: tuple[int, ...],
+                      bs: tuple[tuple[int, ...], ...]) -> None:
+    """Validate a scaled presentation at exponent e = lcm(orders) and
+    store it in the new instance."""
+    n = len(orders)
+    if len(qs) != n or len(bs) != n:
+        raise ValueError("inconsistent presentation sizes")
+    if n and min(orders) < 2:
+        raise ValueError("generator orders must be at least 2")
+    two_e = 2 * e
+    for i, d in enumerate(orders):
+        qi = qs[i]
+        row = bs[i]
+        if len(row) != n:
             raise ValueError("inconsistent presentation sizes")
-        for i, d in enumerate(self.orders):
-            if d < 2:
-                raise ValueError("generator orders must be at least 2")
-            qi = self.qdiag[i]
-            if not 0 <= qi < 2:
-                raise ValueError("q values must be reduced into [0, 2)")
-            if len(self.bmat[i]) != n:
-                raise ValueError("inconsistent presentation sizes")
-            if self.bmat[i][i] != qi % 1:
-                raise ValueError("b(g, g) must be q(g) reduced mod Z")
-            if d * d * qi % 2 != 0:
-                raise ValueError("q(g) must be killed by the square of ord(g)")
-            for j in range(n):
-                bij = self.bmat[i][j]
-                if not 0 <= bij < 1:
-                    raise ValueError("b values must be reduced into [0, 1)")
-                if bij != self.bmat[j][i]:
-                    raise ValueError("b must be symmetric")
-                if d * bij % 1 != 0:
-                    raise ValueError("b(g, .) must be killed by ord(g)")
+        if not 0 <= qi < two_e:
+            raise ValueError("q values must be reduced into [0, 2)")
+        if row[i] != qi % e:
+            raise ValueError("b(g, g) must be q(g) reduced mod Z")
+        if d * d * qi % two_e:
+            raise ValueError("q(g) must be killed by the square of ord(g)")
+        for j, bij in enumerate(row):
+            if not 0 <= bij < e:
+                raise ValueError("b values must be reduced into [0, 1)")
+            if d * bij % e:
+                raise ValueError("b(g, .) must be killed by ord(g)")
+            # Rows before i have been checked for size already.
+            if j < i and bij != bs[j][i]:
+                raise ValueError("b must be symmetric")
+    setter = object.__setattr__
+    setter(form, "orders", orders)
+    setter(form, "exp", e)
+    setter(form, "qs", qs)
+    setter(form, "bs", bs)
+    setter(form, "_hash", hash((orders, qs, bs)))
 
 
 TRIVIAL_FORM = FiniteQuadraticForm((), (), ())
@@ -123,31 +210,33 @@ def discriminant_form(gram: IntMatrix) -> tuple[FiniteQuadraticForm, list[RatVec
     gv = [[sum(gram[r][k] * c[k] for k in range(n)) for r in range(n)]
           for c in vcols]
     lifts = [[Fraction(x, d[i][i]) for x in c] for i, c in zip(cols, vcols)]
-    qdiag = []
-    bmat = []
-    for a, i in enumerate(cols):
+    orders = tuple(d[i][i] for i in cols)
+    e = lcm(*orders)
+    qs = []
+    bs = []
+    for a, da in enumerate(orders):
         row = []
-        for b, j in enumerate(cols):
-            w = Fraction(sum(x * y for x, y in zip(vcols[a], gv[b])),
-                         d[i][i] * d[j][j])
-            row.append(w % 1)
+        for b, db in enumerate(orders):
+            w = _rescale(sum(x * y for x, y in zip(vcols[a], gv[b])),
+                         da * db, e)
+            row.append(w % e)
             if a == b:
-                qdiag.append(w % 2)
-        bmat.append(tuple(row))
-    form = FiniteQuadraticForm(
-        tuple(d[i][i] for i in cols), tuple(qdiag), tuple(bmat))
-    return form, lifts
+                qs.append(w % (2 * e))
+        bs.append(row)
+    return FiniteQuadraticForm.from_scaled(orders, qs, bs), lifts
 
 
 def direct_sum(q1: FiniteQuadraticForm,
                q2: FiniteQuadraticForm) -> FiniteQuadraticForm:
     """Orthogonal direct sum: concatenated generators, block-diagonal b."""
     n1, n2 = len(q1.orders), len(q2.orders)
-    zero = Fraction(0)
-    bmat = [tuple(q1.bmat[i]) + (zero,) * n2 for i in range(n1)]
-    bmat += [(zero,) * n1 + tuple(q2.bmat[i]) for i in range(n2)]
-    return FiniteQuadraticForm(
-        q1.orders + q2.orders, q1.qdiag + q2.qdiag, tuple(bmat))
+    e = lcm(q1.exp, q2.exp)
+    # Both exponents divide e, so the values move up by integer factors.
+    s1, s2 = e // q1.exp, e // q2.exp
+    qs = [q * s1 for q in q1.qs] + [q * s2 for q in q2.qs]
+    bs = [[b * s1 for b in row] + [0] * n2 for row in q1.bs]
+    bs += [[0] * n1 + [b * s2 for b in row] for row in q2.bs]
+    return FiniteQuadraticForm.from_scaled(q1.orders + q2.orders, qs, bs)
 
 
 def p_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
@@ -171,11 +260,15 @@ def p_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
         idx.append(i)
         pord.append(q)
         mult.append(d)
-    qdiag = tuple(form.qdiag[i] * m * m % 2 for i, m in zip(idx, mult))
-    bmat = tuple(
-        tuple(form.bmat[i][j] * mi * mj % 1 for j, mj in zip(idx, mult))
-        for i, mi in zip(idx, mult))
-    return FiniteQuadraticForm(tuple(pord), qdiag, bmat)
+    if not idx:
+        return TRIVIAL_FORM
+    e = form.exp
+    ep = lcm(*pord)
+    qs = [_rescale(m * m * form.qs[i], e, ep) % (2 * ep)
+          for i, m in zip(idx, mult)]
+    bs = [[_rescale(mi * mj * form.bs[i][j], e, ep) % ep
+           for j, mj in zip(idx, mult)] for i, mi in zip(idx, mult)]
+    return FiniteQuadraticForm.from_scaled(pord, qs, bs)
 
 
 def _reduce(form: FiniteQuadraticForm, x: Sequence[int]) -> FqfElement:
@@ -184,33 +277,37 @@ def _reduce(form: FiniteQuadraticForm, x: Sequence[int]) -> FqfElement:
     return tuple(c % d for c, d in zip(x, form.orders))
 
 
+def _q_scaled(form: FiniteQuadraticForm, x: FqfElement) -> int:
+    """q(x) * E mod 2E for a reduced element x."""
+    total = 0
+    for i, ci in enumerate(x):
+        if ci:
+            row = form.bs[i]
+            total += ci * (ci * form.qs[i] + 2 * sum(
+                row[j] * x[j] for j in range(i + 1, len(x))))
+    return total % (2 * form.exp)
+
+
+def _b_scaled(form: FiniteQuadraticForm, x: FqfElement,
+              y: FqfElement) -> int:
+    """b(x, y) * E mod E for reduced elements x and y."""
+    total = 0
+    for ci, row in zip(x, form.bs):
+        if ci:
+            total += ci * sum(b * c for b, c in zip(row, y))
+    return total % form.exp
+
+
 def eval_q(form: FiniteQuadraticForm, x: Sequence[int]) -> Fraction:
     """q(x) in Q/2Z, returned reduced into [0, 2)."""
-    x = _reduce(form, x)
-    total = Fraction(0)
-    for i, ci in enumerate(x):
-        if not ci:
-            continue
-        total += ci * ci * form.qdiag[i]
-        for j in range(i + 1, len(x)):
-            if x[j]:
-                total += 2 * ci * x[j] * form.bmat[i][j]
-    return total % 2
+    return Fraction(_q_scaled(form, _reduce(form, x)), form.exp)
 
 
 def eval_b(form: FiniteQuadraticForm, x: Sequence[int],
            y: Sequence[int]) -> Fraction:
     """b(x, y) in Q/Z, returned reduced into [0, 1)."""
-    x = _reduce(form, x)
-    y = _reduce(form, y)
-    total = Fraction(0)
-    for i, ci in enumerate(x):
-        if not ci:
-            continue
-        for j, cj in enumerate(y):
-            if cj:
-                total += ci * cj * form.bmat[i][j]
-    return total % 1
+    return Fraction(_b_scaled(form, _reduce(form, x), _reduce(form, y)),
+                    form.exp)
 
 
 def elements(form: FiniteQuadraticForm) -> Iterator[FqfElement]:
@@ -223,7 +320,7 @@ def group_order(form: FiniteQuadraticForm) -> int:
 
 
 def exponent(form: FiniteQuadraticForm) -> int:
-    return lcm(*form.orders) if form.orders else 1
+    return form.exp
 
 
 def is_nondegenerate(form: FiniteQuadraticForm) -> bool:
@@ -235,8 +332,8 @@ def is_nondegenerate(form: FiniteQuadraticForm) -> bool:
     when it is onto, i.e. when the rows of N and of diag(orders) span Z^n.
     """
     n = len(form.orders)
-    rows = [[int(form.bmat[i][j] * d) for j, d in enumerate(form.orders)]
-            for i in range(n)]
+    rows = [[b * d // form.exp for b, d in zip(row, form.orders)]
+            for row in form.bs]
     hnf = hermite_normal_form(rows + _relation_rows(form))
     return prod(hnf[i][i] for i in range(n)) == 1
 
@@ -248,7 +345,7 @@ def element_order(form: FiniteQuadraticForm, x: Sequence[int]) -> int:
 
 def isotropic_elements(form: FiniteQuadraticForm) -> set[FqfElement]:
     """All x in D with q(x) = 0 in Q/2Z; always contains 0."""
-    return {x for x in elements(form) if eval_q(form, x) == 0}
+    return {x for x in elements(form) if _q_scaled(form, x) == 0}
 
 
 def span(form: FiniteQuadraticForm,
@@ -275,7 +372,7 @@ def orthogonal_complement(form: FiniteQuadraticForm,
     gens = [_reduce(form, g) for g in subgroup]
     return frozenset(
         y for y in elements(form)
-        if all(eval_b(form, g, y) == 0 for g in gens))
+        if all(_b_scaled(form, g, y) == 0 for g in gens))
 
 
 def _relation_rows(form: FiniteQuadraticForm) -> IntMatrix:
@@ -315,7 +412,7 @@ def subquotient(form: FiniteQuadraticForm,
     for row in basis_b:
         entries = [sum(row[k] * ainv[k][j] for k in range(n)) for j in range(n)]
         if any(x.denominator != 1 for x in entries):
-            raise AssertionError("H is not contained in its orthogonal complement")
+            raise RuntimeError("H is not contained in its orthogonal complement")
         rel.append([x.numerator for x in entries])
     u, d, v = smith_normal_form(rel)
     vinv = int_inverse(v)
@@ -327,14 +424,10 @@ def subquotient(form: FiniteQuadraticForm,
                       for j in range(n)]
             new_gens.append(_reduce(form, coords))
             new_orders.append(d[k][k])
-    result = FiniteQuadraticForm(
-        tuple(new_orders),
-        tuple(eval_q(form, g) for g in new_gens),
-        tuple(tuple(eval_b(form, g, h) for h in new_gens) for g in new_gens),
-    )
+    result = form_on_generators(form, new_gens, new_orders)
     order_h = group_order(form) // prod(r[i] for i, r in enumerate(basis_b))
     if group_order(result) * order_h * order_h != group_order(form):
-        raise AssertionError("subquotient order mismatch; degenerate input?")
+        raise RuntimeError("subquotient order mismatch; degenerate input?")
     return result
 
 
@@ -365,20 +458,23 @@ def reduced_generators(form: FiniteQuadraticForm) -> list[FqfElement]:
 def form_on_generators(form: FiniteQuadraticForm,
                        rows: Sequence[Sequence[int]],
                        orders: Sequence[int] | None = None) -> FiniteQuadraticForm:
-    """Re-present the form on a new family of independent generators.
+    """Present the values of the form on a family of new generators.
 
     Each row lists integer coefficients of a new generator in the current
-    ones.  The caller guarantees that the rows span D and are independent;
-    orders are recomputed from the rows when not supplied.
+    ones.  When the rows span D and are independent this re-presents the
+    form.  orders are the orders of the new generators, recomputed from
+    the rows when not supplied; subquotient passes their orders modulo H.
     """
     xs = [_reduce(form, row) for row in rows]
     if orders is None:
         orders = [element_order(form, x) for x in xs]
-    return FiniteQuadraticForm(
-        tuple(orders),
-        tuple(eval_q(form, x) for x in xs),
-        tuple(tuple(eval_b(form, x, y) for y in xs) for x in xs),
-    )
+    # The values move from the exponent of the form to lcm(orders).
+    e = form.exp
+    e2 = lcm(*orders)
+    qs = [_rescale(_q_scaled(form, x), e, e2) % (2 * e2) for x in xs]
+    bs = [[_rescale(_b_scaled(form, x, y), e, e2) % e2 for y in xs]
+          for x in xs]
+    return FiniteQuadraticForm.from_scaled(orders, qs, bs)
 
 
 def dump_form(form: FiniteQuadraticForm) -> str:

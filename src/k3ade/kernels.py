@@ -1,18 +1,17 @@
 """Backend dispatch for the classifier's hot scan loops.
 
-The discriminant forms encountered here have q-denominators dividing
-the generator orders, so with E = lcm(orders) the values q(g_i) * E
-and b(g_i, g_j) * E are integers and isotropy tests become pure
-integer arithmetic.  A compiled extension (_core) provides fast
-versions of the scans; the pure-Python module (_purecore) is the
-always-available fallback.  Set K3ADE_PURE=1 to force the fallback.
+The scans read the scaled integer values that FiniteQuadraticForm
+stores: with E = lcm(orders), form.qs[i] = q(g_i) * E mod 2E and
+form.bs[i][j] = b(g_i, g_j) * E mod E, so isotropy and orthogonality
+tests are pure integer arithmetic.  A compiled extension (_core)
+provides fast versions of the scans; the pure-Python module (_purecore)
+is the always-available fallback.  Set K3ADE_PURE=1 to force the
+fallback.
 """
 
 from __future__ import annotations
 
 import os
-from functools import lru_cache
-from math import lcm
 
 from .fqf import FiniteQuadraticForm, FqfElement
 
@@ -33,39 +32,17 @@ def backend() -> str:
     return _BACKEND
 
 
-@lru_cache(maxsize=None)
-def _tables(form: FiniteQuadraticForm):
-    """Scaled integer tables (E, q*E mod 2E, b*E mod E)."""
-    e = lcm(1, *form.orders)
-    q2 = []
-    for q in form.qdiag:
-        scaled = q * e
-        if scaled.denominator != 1:
-            raise ValueError("q denominator does not divide the exponent")
-        q2.append(int(scaled) % (2 * e))
-    b1 = []
-    for row in form.bmat:
-        out_row = []
-        for b in row:
-            scaled = b * e
-            if scaled.denominator != 1:
-                raise ValueError("b denominator does not divide the exponent")
-            out_row.append(int(scaled) % e)
-        b1.append(out_row)
-    return e, q2, b1
-
-
 def isotropic_list(form: FiniteQuadraticForm) -> list[FqfElement]:
     """All elements x with q(x) = 0 in Q/2Z, in odometer order."""
-    e, q2, b1 = _tables(form)
-    return _impl.iso_scan(list(form.orders), q2, b1, 2 * e)
+    return _impl.iso_scan(list(form.orders), list(form.qs),
+                          [list(row) for row in form.bs], 2 * form.exp)
 
 
 def orthogonal_filter(form: FiniteQuadraticForm,
                       pool: list[FqfElement],
                       v: FqfElement) -> list[FqfElement]:
     """The elements w of the pool with b(v, w) = 0 in Q/Z."""
-    e, _, b1 = _tables(form)
+    e, bs = form.exp, form.bs
     n = len(form.orders)
-    bv = [sum(v[i] * b1[i][j] for i in range(n)) % e for j in range(n)]
+    bv = [sum(v[i] * bs[i][j] for i in range(n)) % e for j in range(n)]
     return _impl.orth_scan(pool, bv, e)

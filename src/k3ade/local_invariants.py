@@ -16,7 +16,7 @@ form one or two at a time until the closed rank <= 2 tables apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .exact_linalg import SquareClass, legendre_symbol, square_class
 from .fqf import (
@@ -148,11 +148,12 @@ def unimodular_set(p: int, k: int) -> LocalInvariantSet:
         LocalInvariant(k % 8, SquareClass(2, t)) for t in tags)
 
 
-def _scaled_int(x: Fraction, m: int) -> int:
-    v = x * m
-    if v.denominator != 1:
+def _scaled_int(x: int, e: int, m: int) -> int:
+    """A value stored at exponent e (x = value * e) as value * m."""
+    v, r = divmod(x * m, e)
+    if r:
         raise ValueError("value is not integral at the expected scale")
-    return v.numerator
+    return v
 
 
 def _prime_power_exponent(d: int, p: int) -> int:
@@ -176,7 +177,7 @@ def rank_le2_set(p: int, presentation: FiniteQuadraticForm) -> LocalInvariantSet
     if len(orders) == 1:
         d = orders[0]
         nu = _prime_power_exponent(d, p)
-        a = _scaled_int(presentation.qdiag[0], d)
+        a = _scaled_int(presentation.qs[0], presentation.exp, d)
         if a % p == 0:
             raise ValueError("cyclic form value must have a unit numerator")
         if p != 2:
@@ -194,10 +195,11 @@ def rank_le2_set(p: int, presentation: FiniteQuadraticForm) -> LocalInvariantSet
         nu = _prime_power_exponent(d, 2)
         if orders[1] != d:
             raise ValueError("rank-2 table needs equal generator orders")
-        if presentation.bmat[0][1].denominator != d:
+        e = presentation.exp
+        if e // gcd(presentation.bs[0][1], e) != d:
             raise ValueError("rank-2 table needs an odd off-diagonal pairing")
-        u = _scaled_int(presentation.qdiag[0], d)
-        w = _scaled_int(presentation.qdiag[1], d)
+        u = _scaled_int(presentation.qs[0], e, d)
+        w = _scaled_int(presentation.qs[1], e, d)
         if u % 2 or w % 2:
             raise ValueError("rank-2 table needs even diagonal q numerators")
         if (u // 2) * (w // 2) % 2 == 0:
@@ -262,13 +264,15 @@ def _split_set_uncached(p, form):
     if l == 1:
         return rank_le2_set(p, form)
     pn = form.orders[0]
+    e = form.exp
+    bs = form.bs
     pivot = None
     for i in range(l):
-        if form.bmat[i][i].denominator == pn:
+        if e // gcd(bs[i][i], e) == pn:
             pivot = i
             break
     if pivot is not None:
-        u = _scaled_int(form.bmat[pivot][pivot], pn)
+        u = _scaled_int(bs[pivot][pivot], e, pn)
         uinv = pow(u, -1, pn)
         head = [0] * l
         head[pivot] = 1
@@ -276,19 +280,19 @@ def _split_set_uncached(p, form):
         for j in range(l):
             if j == pivot:
                 continue
-            c = uinv * _scaled_int(form.bmat[pivot][j], pn) % pn
+            c = uinv * _scaled_int(bs[pivot][j], e, pn) % pn
             row = [0] * l
             row[j] = 1
             row[pivot] = -c
             rows.append(row)
             if eval_b(form, head, row) != 0:
-                raise AssertionError("rank-1 split is not orthogonal")
+                raise RuntimeError("rank-1 split is not orthogonal")
         rank1 = form_on_generators(form, [head])
         rest = _resorted(form, rows)
         return star(rank_le2_set(p, rank1), _split_set(p, rest))
     partner = None
     for j in range(1, l):
-        if form.bmat[0][j].denominator == pn:
+        if e // gcd(bs[0][j], e) == pn:
             partner = j
             break
     if partner is None:
@@ -299,9 +303,9 @@ def _split_set_uncached(p, form):
             rows[j][j] = 1
         rows[0][partner] = 1
         return _split_set(p, form_on_generators(form, rows))
-    u2 = _scaled_int(form.bmat[0][0], pn)
-    v = _scaled_int(form.bmat[0][partner], pn)
-    w2 = _scaled_int(form.bmat[partner][partner], pn)
+    u2 = _scaled_int(bs[0][0], e, pn)
+    v = _scaled_int(bs[0][partner], e, pn)
+    w2 = _scaled_int(bs[partner][partner], e, pn)
     t = pow(u2 * w2 - v * v, -1, pn)
     head = [0] * l
     head[0] = 1
@@ -311,15 +315,15 @@ def _split_set_uncached(p, form):
     for j in range(1, l):
         if j == partner:
             continue
-        s1 = _scaled_int(form.bmat[0][j], pn)
-        s2 = _scaled_int(form.bmat[partner][j], pn)
+        s1 = _scaled_int(bs[0][j], e, pn)
+        s2 = _scaled_int(bs[partner][j], e, pn)
         row = [0] * l
         row[j] = 1
         row[0] = -(t * (w2 * s1 - v * s2) % pn)
         row[partner] = -(t * (u2 * s2 - v * s1) % pn)
         rows.append(row)
         if eval_b(form, head, row) != 0 or eval_b(form, second, row) != 0:
-            raise AssertionError("rank-2 split is not orthogonal")
+            raise RuntimeError("rank-2 split is not orthogonal")
     pair = form_on_generators(form, [head, second])
     rest = _resorted(form, rows)
     return star(rank_le2_set(2, pair), _split_set(2, rest))

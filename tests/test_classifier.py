@@ -10,9 +10,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3ade.ade_types import (act, cartan_gram, disc_form_closed,
-                             gamma_generators, parse_type)
+from k3ade.ade_types import (ADEType, act, cartan_gram, component_inverse,
+                             disc_form_closed, gamma_generators, parse_type)
 from k3ade.classifier import (ClassEntry, GluePair, _component_theta,
+                              _dual_classes,
                               check_pair, classify_all, classify_type,
                               glue_candidates, orbit_reps_isotropic,
                               slow_check_pair, verify_reference)
@@ -137,6 +138,32 @@ def closed_coset_minima(comp):
         spinor = (Fraction(n, 4), 2 ** (n - 1))
         return [(Fraction(1), 2 * n), spinor, spinor]
     return {6: [(Fraction(4, 3), 27)] * 2, 7: [(Fraction(3, 2), 56)]}[n]
+
+
+class TestDualClasses:
+    @pytest.mark.parametrize(
+        "comp", [("A", n) for n in range(1, 19)]
+        + [("D", n) for n in range(4, 19)] + [("E", 6), ("E", 7), ("E", 8)],
+        ids=lambda c: f"{c[0]}{c[1]}")
+    def test_match_lifts(self, comp):
+        # Dual basis vector j lies in class c exactly when it differs
+        # from sum_k c_k lift_k by an integer vector.
+        form, lifts = disc_form_closed(ADEType((comp,)))
+        ginv, classes = _dual_classes(comp)[1:]
+        n = comp[1]
+        assert ginv == component_inverse(comp)
+        gram = cartan_gram(ADEType((comp,)))
+        assert [[sum(ginv[i][k] * gram[k][j] for k in range(n))
+                 for j in range(n)] for i in range(n)] == [
+            [int(i == j) for j in range(n)] for i in range(n)]
+        assert len(classes) == n
+        for j, c in enumerate(classes):
+            assert all(0 <= ck < d for ck, d in zip(c, form.orders))
+            assert len(c) == len(form.orders)
+            for i in range(n):
+                diff = ginv[i][j] - sum(
+                    (ck * lift[i] for ck, lift in zip(c, lifts)), Fraction(0))
+                assert diff.denominator == 1
 
 
 class TestThetaClosedForms:

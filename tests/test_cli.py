@@ -44,6 +44,13 @@ class TestEnumerate:
         assert code == 0
         assert len(out.strip().splitlines()) - 1 == 5366
 
+    def test_rank_above_18_is_valid(self, capsys):
+        # Only classify is limited to rank 18.
+        code, out, _ = run_cli(capsys, ["enumerate", "--max-rank", "19",
+                                        "--max-euler", "20"])
+        assert code == 0
+        assert "19\t20\tA19" in out.splitlines()
+
     def test_zero_euler_bound(self, capsys):
         code, out, _ = run_cli(capsys, ["enumerate", "--max-euler", "0"])
         assert code == 0
@@ -111,6 +118,19 @@ class TestClassifyFull:
         assert code1 == code2 == 0
         assert serial == parallel
         assert len(serial.strip().splitlines()) - 1 == 157
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("bound", ["19", "0", "-3"])
+    def test_max_rank_out_of_range_exits_2(self, capsys, bound, jobs):
+        # Rejected before any row is printed, not after classifying
+        # every lower rank.
+        code, out, err = run_cli(capsys, ["classify", "--max-rank", bound,
+                                          "--max-euler", "20",
+                                          "--jobs", jobs])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "--max-rank" in err
 
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(capsys, ["classify", "--max-rank", "5",

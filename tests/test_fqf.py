@@ -1,7 +1,8 @@
+import pickle
 import random
 from fractions import Fraction as F
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -453,20 +454,230 @@ class TestNondegenerate:
     def test_matches_radical_by_search(self, seed):
         rng = random.Random(f"radical:{seed}")
         for _ in range(25):
-            orders = [rng.choice((2, 3, 4, 6))
-                      for _ in range(rng.randint(1, 3))]
+            orders, qdiag, bmat = random_presentation(rng, (2, 3, 4, 6), 3)
+            form = FiniteQuadraticForm(orders, qdiag, bmat)
             n = len(orders)
-            qdiag = [F(rng.randrange(0, 2 * d, 1 if d % 2 == 0 else 2), d)
-                     for d in orders]
-            bmat = [[qdiag[i] % 1 if i == j else None for j in range(n)]
-                     for i in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    g = gcd(orders[i], orders[j])
-                    bmat[i][j] = bmat[j][i] = F(rng.randrange(g), g)
-            form = FiniteQuadraticForm(tuple(orders), tuple(qdiag),
-                                       tuple(tuple(r) for r in bmat))
             gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
             radical = [x for x in elements(form) if any(x) and all(
                 eval_b(form, x, g) == 0 for g in gens)]
             assert is_nondegenerate(form) == (not radical)
+
+
+def random_presentation(rng, order_choices, max_rank):
+    """Seeded random valid presentation (orders, qdiag, bmat) as Fractions:
+    q(g) = a/d with d*a even, and b(g_i, g_j) a multiple of
+    1/gcd(d_i, d_j)."""
+    orders = [rng.choice(order_choices)
+              for _ in range(rng.randint(1, max_rank))]
+    n = len(orders)
+    qdiag = [F(rng.randrange(0, 2 * d, 1 if d % 2 == 0 else 2), d)
+             for d in orders]
+    bmat = [[qdiag[i] % 1 if i == j else None for j in range(n)]
+            for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = gcd(orders[i], orders[j])
+            bmat[i][j] = bmat[j][i] = F(rng.randrange(g), g)
+    return tuple(orders), tuple(qdiag), tuple(tuple(r) for r in bmat)
+
+
+# A test-only model of a finite quadratic form with Fraction values: the
+# presentation (orders, q, b) and the definitions, with no scaling.
+
+def model_q(q, b, x):
+    n = len(q)
+    total = sum(x[i] * x[i] * q[i] for i in range(n))
+    total += sum(2 * x[i] * x[j] * b[i][j]
+                 for i in range(n) for j in range(i + 1, n))
+    return total % 2
+
+
+def model_b(b, x, y):
+    n = len(b)
+    return sum(x[i] * y[j] * b[i][j] for i in range(n) for j in range(n)) % 1
+
+
+def model_order(orders, x):
+    k = 1
+    while any(k * c % d for c, d in zip(x, orders)):
+        k += 1
+    return k
+
+
+FQF_ORDERS = (2, 3, 4, 6, 8, 9, 25)
+
+
+def random_model_forms(tag, count):
+    rng = random.Random(tag)
+    return rng, [random_presentation(rng, FQF_ORDERS, 4)
+                 for _ in range(count)]
+
+
+def small_elements(rng, orders, count=30):
+    """Random elements, coefficients not reduced, and the generators."""
+    n = len(orders)
+    out = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    out += [tuple(rng.randrange(-2 * d, 2 * d) for d in orders)
+            for _ in range(count)]
+    return out
+
+
+class TestAgainstFractionModel:
+    """The scaled-integer form against the Fraction model on seeded
+    random presentations (orders from FQF_ORDERS, rank 1-4)."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eval(self, seed):
+        rng, forms = random_model_forms(f"eval:{seed}", 40)
+        for orders, q, b in forms:
+            form = FiniteQuadraticForm(orders, q, b)
+            assert form.qdiag == q and form.bmat == b
+            xs = small_elements(rng, orders)
+            for x in xs:
+                assert eval_q(form, x) == model_q(q, b, x)
+                assert element_order(form, x) == model_order(orders, x)
+                for y in xs[:8]:
+                    assert eval_b(form, x, y) == model_b(b, x, y)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_p_part(self, seed):
+        _, forms = random_model_forms(f"p_part:{seed}", 40)
+        for orders, q, b in forms:
+            form = FiniteQuadraticForm(orders, q, b)
+            for p in (2, 3, 5, 7):
+                idx = [i for i, d in enumerate(orders) if d % p == 0]
+                pord = []
+                mult = []
+                for i in idx:
+                    m = orders[i]
+                    while m % p == 0:
+                        m //= p
+                    pord.append(orders[i] // m)
+                    mult.append(m)
+                got = p_part(form, p)
+                assert got.orders == tuple(pord)
+                assert got.qdiag == tuple(m * m * q[i] % 2
+                                          for i, m in zip(idx, mult))
+                assert got.bmat == tuple(
+                    tuple(mi * mj * b[i][j] % 1 for j, mj in zip(idx, mult))
+                    for i, mi in zip(idx, mult))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_direct_sum(self, seed):
+        _, forms = random_model_forms(f"direct_sum:{seed}", 40)
+        for (o1, q1, b1), (o2, q2, b2) in zip(forms[::2], forms[1::2]):
+            got = direct_sum(FiniteQuadraticForm(o1, q1, b1),
+                             FiniteQuadraticForm(o2, q2, b2))
+            n1, n2 = len(o1), len(o2)
+            assert got.orders == o1 + o2
+            assert got.qdiag == q1 + q2
+            assert got.bmat == (
+                tuple(row + (F(0),) * n2 for row in b1)
+                + tuple((F(0),) * n1 + row for row in b2))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_form_on_generators(self, seed):
+        rng, forms = random_model_forms(f"generators:{seed}", 40)
+        for orders, q, b in forms:
+            form = FiniteQuadraticForm(orders, q, b)
+            rows = [x for x in small_elements(rng, orders, 6)
+                    if model_order(orders, x) > 1][:rng.randint(1, 4)]
+            got = form_on_generators(form, rows)
+            assert got.orders == tuple(model_order(orders, x) for x in rows)
+            assert got.qdiag == tuple(model_q(q, b, x) for x in rows)
+            assert got.bmat == tuple(tuple(model_b(b, x, y) for y in rows)
+                                     for x in rows)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_subquotient(self, seed):
+        rng, forms = random_model_forms(f"subquotient:{seed}", 200)
+        checked = 0
+        for orders, q, b in forms:
+            form = FiniteQuadraticForm(orders, q, b)
+            elts = list(elements(form))
+            if len(elts) > 400 or not is_nondegenerate(form):
+                continue
+            iso = [x for x in elts if any(x) and model_q(q, b, x) == 0]
+            if not iso:
+                continue
+            v = rng.choice(iso)
+            ws = [w for w in iso if model_b(b, v, w) == 0]
+            gens = [v, rng.choice(ws)]
+            sub = span(form, gens)
+            perp = [y for y in elts
+                    if all(model_b(b, h, y) == 0 for h in gens)]
+            # H^perp / H by cosets: the order of y + H and q(y).
+            want = {}
+            for y in perp:
+                coset = frozenset(
+                    tuple((a + c) % d for a, c, d in zip(y, h, orders))
+                    for h in sub)
+                k = 1
+                while tuple(k * c % d for c, d in zip(y, orders)) not in sub:
+                    k += 1
+                want[coset] = (k, model_q(q, b, y))
+            got = subquotient(form, gens)
+            assert sorted((element_order(got, x), eval_q(got, x))
+                          for x in elements(got)) == sorted(want.values())
+            checked += 1
+        assert checked >= 20
+
+
+class TestValidation:
+    """Each rule rejects a malformed presentation built from Fraction
+    values and the same one built from scaled integers."""
+
+    @pytest.mark.parametrize("orders,qdiag,bmat,qs,bs,message", [
+        ((2,), (), ((0,),), (), ((0,),), "sizes"),
+        ((2, 2), (0, 0), ((0, 0), (0,)), (0, 0), ((0, 0), (0,)), "sizes"),
+        ((1,), (0,), ((0,),), (0,), ((0,),), "at least 2"),
+        ((2,), (F(2),), ((0,),), (4,), ((0,),), r"\[0, 2\)"),
+        ((2,), (F(-1, 2),), ((F(1, 2),),), (-1,), ((1,),), r"\[0, 2\)"),
+        ((2,), (F(1, 2),), ((0,),), (1,), ((0,),), "reduced mod Z"),
+        ((3,), (F(1, 3),), ((F(1, 3),),), (1,), ((1,),), "square"),
+        ((2, 2), (0, 0), ((0, 1), (1, 0)), (0, 0), ((0, 2), (2, 0)),
+         r"\[0, 1\)"),
+        ((2, 2), (0, 0), ((0, F(1, 2)), (0, 0)), (0, 0), ((0, 1), (0, 0)),
+         "symmetric"),
+        ((2, 3), (0, 0), ((0, F(1, 2)), (F(1, 2), 0)), (0, 0),
+         ((0, 3), (3, 0)), "killed by ord"),
+    ])
+    def test_rule(self, orders, qdiag, bmat, qs, bs, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteQuadraticForm(orders, qdiag, bmat)
+        with pytest.raises(ValueError, match=message):
+            FiniteQuadraticForm.from_scaled(orders, qs, bs)
+
+    def test_value_off_the_exponent_grid(self):
+        with pytest.raises(ValueError, match="divide the exponent"):
+            FiniteQuadraticForm((2,), (F(1, 4),), ((F(1, 4),),))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_both_constructors_agree(self, seed):
+        _, forms = random_model_forms(f"constructors:{seed}", 50)
+        for orders, q, b in forms:
+            e = lcm(*orders)
+            scaled = FiniteQuadraticForm.from_scaled(
+                orders, [int(x * e) for x in q],
+                [[int(x * e) for x in row] for row in b])
+            fractional = FiniteQuadraticForm(orders, q, b)
+            assert scaled == fractional
+            assert hash(scaled) == hash(fractional)
+            assert pickle.loads(pickle.dumps(scaled)) == fractional
+
+    def test_equality_sees_values(self):
+        a1 = FiniteQuadraticForm((2,), (F(1, 2),), ((F(1, 2),),))
+        e7 = FiniteQuadraticForm.from_scaled((2,), (3,), ((1,),))
+        assert a1 != e7
+        two_a1 = FiniteQuadraticForm.from_scaled((2, 2), (1, 1),
+                                                 ((1, 0), (0, 1)))
+        glued = FiniteQuadraticForm.from_scaled((2, 2), (1, 1),
+                                                ((1, 1), (1, 1)))
+        assert two_a1 != glued
+
+    def test_immutable(self):
+        form = discriminant_form(A2)[0]
+        with pytest.raises(AttributeError):
+            form.qs = (0,)
+        with pytest.raises(AttributeError):
+            del form.orders

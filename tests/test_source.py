@@ -8,14 +8,33 @@ import k3ade
 SOURCE = Path(k3ade.__file__).parent
 
 
-def test_no_assert_statements():
-    # python -O strips assert statements, so a correctness check kept in
-    # one would silently stop running.
+def _find(predicate):
+    """file:line of every node of the package source for which the
+    predicate holds."""
     modules = sorted(SOURCE.rglob("*.py"))
     assert modules
     found = []
     for path in modules:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
-    assert found == []
+                  if predicate(node)]
+    return found
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so a correctness check kept in
+    # one would silently stop running.
+    assert _find(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def _raises_assertion_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_no_raised_assertion_errors():
+    # A failed internal check is a RuntimeError; AssertionError is what
+    # test frameworks and the assert statement use.
+    assert _find(_raises_assertion_error) == []
