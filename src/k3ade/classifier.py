@@ -9,12 +9,19 @@ transcendental-partner lattice of signature (2, 18 - rank) exists for
 the glued discriminant form.  Accepted subgroups are recorded by their
 invariant factors.
 
+The subgroup stream builds each subgroup <v, w> once per orbit
+representative v, as a union of cosets of <v>, and reads its invariant
+factors off the orders of v and w and the size of the subgroup.  The
+breadth-first fqf.span and the Smith-form invariant factors remain the
+independent route of check_pair and slow_check_pair.
+
 The root condition is decided without enumerating vectors of the glued
 lattice: the coset of a glue class decomposes over the components, so
 its minimal norm is the sum of per-component coset minima, and new
 roots appear exactly when that sum equals 2.  The per-component minima
 are tabulated once per component type from the short vectors of the
-dual lattice.
+dual lattice.  The root lattice itself is built only for candidates
+that pass both the p-rank prune and the root condition.
 """
 
 from __future__ import annotations
@@ -23,8 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import gcd, lcm, prod
+from operator import add, mod
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .ade_types import (ADEType, Component, act, cartan_gram,
                         component_inverse, disc_form_closed, disc_order,
@@ -82,13 +92,13 @@ class GluePair:
 
 
 class _TypeContext:
-    __slots__ = ("sigma", "form", "lifts", "lattice", "spec", "theta",
+    __slots__ = ("sigma", "form", "lifts", "_lattice", "spec", "theta",
                  "pranks")
 
     def __init__(self, sigma: ADEType):
         self.sigma = sigma
         self.form, self.lifts = disc_form_closed(sigma)
-        self.lattice = GramLattice(cartan_gram(sigma))
+        self._lattice = None
         self.spec = gamma_generators(sigma)
         self.theta = tuple(_component_theta(comp)
                            for comp in self.spec.components)
@@ -98,6 +108,14 @@ class _TypeContext:
         if sigma.euler <= 24 and group_order(self.form) > MAX_DISC_ORDER:
             raise RuntimeError(f"discriminant group of {sigma} exceeds "
                                f"{MAX_DISC_ORDER}")
+
+    @property
+    def lattice(self) -> GramLattice:
+        """The root lattice, built on first use: only glued candidates
+        that pass the prune and the roots check need it."""
+        if self._lattice is None:
+            self._lattice = GramLattice(cartan_gram(self.sigma))
+        return self._lattice
 
 
 @lru_cache(maxsize=None)
@@ -151,21 +169,26 @@ def _component_theta(comp: Component) -> dict:
     n = len(ginv)
     d = max(form.orders)
     scaled = [[int(2 * d * ginv[i][j]) for j in range(n)] for i in range(n)]
-    dual = GramLattice(scaled)
-    table: dict = {}
-    for z in short_vectors(dual, norm_bound=4 * d, both_signs=True):
-        num = dual.pairing(z, z)
-        cls = tuple(sum(z[j] * classes[j][t] for j in range(n))
-                    % form.orders[t] for t in range(len(form.orders)))
+    vectors = short_vectors(GramLattice(scaled), norm_bound=4 * d,
+                            both_signs=True)
+    zs = np.array(vectors, dtype=np.int64).reshape(-1, n)
+    # 2d times the norm of each vector, and its discriminant class.
+    nums = np.einsum("ki,ij,kj->k", zs, np.array(scaled, dtype=np.int64),
+                     zs).tolist()
+    cls_rows = (zs @ np.array(classes, dtype=np.int64)
+                % np.array(form.orders, dtype=np.int64)).tolist()
+    least: dict = {}
+    for num, row in zip(nums, cls_rows):
+        cls = tuple(row)
         if not any(cls):
             continue
-        norm = Fraction(num, 2 * d)
-        mu, cnt = table.get(cls, (None, 0))
-        if mu is None or norm < mu:
-            table[cls] = (norm, 1)
-        elif norm == mu:
-            table[cls] = (mu, cnt + 1)
-    return table
+        mu, cnt = least.get(cls, (None, 0))
+        if mu is None or num < mu:
+            least[cls] = (num, 1)
+        elif num == mu:
+            least[cls] = (mu, cnt + 1)
+    return {cls: (Fraction(num, 2 * d), cnt)
+            for cls, (num, cnt) in least.items()}
 
 
 def _roots_stay(ctx: _TypeContext, subgroup: Iterable[FqfElement]) -> bool:
@@ -246,18 +269,52 @@ def orbit_reps_isotropic(sigma: ADEType) -> list[FqfElement]:
 
 
 def _pair_stream(ctx: _TypeContext) -> Iterator[tuple]:
-    """Yield (v, w, subgroup) triples, each literal subgroup at most
-    once, covering every totally isotropic subgroup of length at most
-    two up to the stable symmetries."""
-    iso = sorted(isotropic_list(ctx.form))
+    """Yield (v, w, subgroup, factors) tuples, each literal subgroup at
+    most once, covering every totally isotropic subgroup of length at
+    most two up to the stable symmetries; factors are the subgroup's
+    invariant factors.
+
+    For each canonical representative v, the subgroup H = <v, w> of an
+    isotropic w orthogonal to v is the union of the cosets b w + <v>,
+    b < m, where m is the least positive integer with m w in <v>.  Every
+    element of a coset with gcd(b, m) = 1 generates H together with v,
+    so those cosets are marked done and H is built once per v.
+    """
+    form = ctx.form
+    orders = form.orders
+    iso = isotropic_list(form)
     reps = sorted({_canonical(ctx.spec, x) for x in iso})
     seen: set[frozenset] = set()
     for v in reps:
-        for w in orthogonal_filter(ctx.form, iso, v):
-            sub = span(ctx.form, [v, w])
-            if sub not in seen:
-                seen.add(sub)
-                yield v, w, sub
+        ord_v = element_order(form, v)
+        cyclic = [tuple(k * c % d for c, d in zip(v, orders))
+                  for k in range(ord_v)]
+        in_cyclic = set(cyclic)
+        done: set[FqfElement] = set()
+        for w in orthogonal_filter(form, iso, v):
+            if w in done:
+                continue
+            cosets = []
+            bw = (0,) * len(orders)
+            while True:
+                cosets.append([tuple(map(mod, map(add, bw, u), orders))
+                               for u in cyclic])
+                bw = tuple(map(mod, map(add, bw, w), orders))
+                if bw in in_cyclic:
+                    break
+            m = len(cosets)
+            for b, coset in enumerate(cosets):
+                if gcd(b, m) == 1:
+                    done.update(coset)
+            sub = frozenset(x for coset in cosets for x in coset)
+            if len(sub) != ord_v * m:
+                raise RuntimeError("glue cosets overlap")
+            if sub in seen:
+                continue
+            seen.add(sub)
+            exp = lcm(ord_v, element_order(form, w))
+            factors = tuple(f for f in (len(sub) // exp, exp) if f > 1)
+            yield v, w, sub, factors
 
 
 def glue_candidates(sigma: ADEType) -> list[GluePair]:
@@ -269,7 +326,7 @@ def glue_candidates(sigma: ADEType) -> list[GluePair]:
     invariant factors; the pair (0, 0) is included.
     """
     ctx = _context(sigma)
-    return [GluePair(v, w) for v, w, _ in _pair_stream(ctx)]
+    return [GluePair(v, w) for v, w, _, _ in _pair_stream(ctx)]
 
 
 _exists_cached = lru_cache(maxsize=None)(exists_even_lattice)
@@ -351,8 +408,7 @@ def classify_type(sigma: ADEType) -> set[FactorTuple]:
     """All torsion groups realizable together with the given type."""
     ctx = _context(sigma)
     by_factors: dict[FactorTuple, list[tuple]] = {}
-    for v, w, sub in _pair_stream(ctx):
-        f = _invariant_factors(ctx.form, v, w)
+    for v, w, sub, f in _pair_stream(ctx):
         by_factors.setdefault(f, []).append((v, w, sub))
     out: set[FactorTuple] = set()
     for f in sorted(by_factors):

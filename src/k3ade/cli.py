@@ -114,6 +114,8 @@ def cmd_exists_lattice(args) -> int:
         r, s = int(parts[0]), int(parts[1])
         if r < 0 or s < 0:
             raise ValueError("signature components must be nonnegative")
+        if r + s == 0:
+            raise ValueError("signature must have positive rank r + s")
         with open(args.form) as fh:
             form = parse_form(fh.read())
         if not is_nondegenerate(form):

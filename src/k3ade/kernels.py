@@ -1,48 +1,59 @@
-"""Backend dispatch for the classifier's hot scan loops.
+"""The classifier's scan loops over a finite quadratic form.
 
 The scans read the scaled integer values that FiniteQuadraticForm
 stores: with E = lcm(orders), form.qs[i] = q(g_i) * E mod 2E and
 form.bs[i][j] = b(g_i, g_j) * E mod E, so isotropy and orthogonality
-tests are pure integer arithmetic.  A compiled extension (_core)
-provides fast versions of the scans; the pure-Python module (_purecore)
-is the always-available fallback.  Set K3ADE_PURE=1 to force the
-fallback.
+tests are pure integer arithmetic.  The isotropy scan evaluates q on
+the whole group in one int64 numpy product; orthogonal_filter is a
+plain loop over its pool.
 """
 
 from __future__ import annotations
 
-import os
+from operator import mul
+
+import numpy as np
 
 from .fqf import FiniteQuadraticForm, FqfElement
 
-if os.environ.get("K3ADE_PURE"):
-    from . import _purecore as _impl
-    _BACKEND = "pure"
-else:
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-        _BACKEND = "compiled"
-    except ImportError:
-        from . import _purecore as _impl
-        _BACKEND = "pure"
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def backend() -> str:
-    """Name of the active backend: "compiled" or "pure"."""
-    return _BACKEND
+    """Name of the scan implementation."""
+    return "numpy"
 
 
 def isotropic_list(form: FiniteQuadraticForm) -> list[FqfElement]:
-    """All elements x with q(x) = 0 in Q/2Z, in odometer order."""
-    return _impl.iso_scan(list(form.orders), list(form.qs),
-                          [list(row) for row in form.bs], 2 * form.exp)
+    """All elements x with q(x) = 0 in Q/2Z, in odometer order (last
+    coefficient fastest).
+
+    With M = diag(qs) + 2 triu(bs, 1), E q(x) = x^T M x mod 2E.  Every
+    entry of M and of x is nonnegative, so no partial sum of x^T M x
+    exceeds its value at x_i = orders[i] - 1; the scan raises
+    RuntimeError when that bound does not fit in int64.
+    """
+    orders = form.orders
+    n = len(orders)
+    if n == 0:
+        return [()]
+    mat = [[form.qs[i] if i == j else 2 * form.bs[i][j] if i < j else 0
+            for j in range(n)] for i in range(n)]
+    if sum((orders[i] - 1) * mat[i][j] * (orders[j] - 1)
+           for i in range(n) for j in range(i, n)) > _INT64_MAX:
+        raise RuntimeError("the isotropy scan of this form would "
+                           "overflow int64")
+    xs = np.indices(orders, dtype=np.int64).reshape(n, -1).T
+    values = np.einsum("ki,ij,kj->k", xs, np.array(mat, dtype=np.int64), xs)
+    return list(map(tuple, xs[values % (2 * form.exp) == 0].tolist()))
 
 
 def orthogonal_filter(form: FiniteQuadraticForm,
                       pool: list[FqfElement],
                       v: FqfElement) -> list[FqfElement]:
-    """The elements w of the pool with b(v, w) = 0 in Q/Z."""
+    """The elements w of the pool with b(v, w) = 0 in Q/Z, in pool
+    order."""
     e, bs = form.exp, form.bs
     n = len(form.orders)
     bv = [sum(v[i] * bs[i][j] for i in range(n)) % e for j in range(n)]
-    return _impl.orth_scan(pool, bv, e)
+    return [w for w in pool if sum(map(mul, bv, w)) % e == 0]

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3ade.ade_types import (ADEType, act, cartan_gram, component_inverse,
-                             disc_form_closed, gamma_generators, parse_type)
+                             disc_form_closed, enumerate_candidates,
+                             gamma_generators, parse_type)
 from k3ade.classifier import (ClassEntry, GluePair, _component_theta,
-                              _dual_classes,
-                              check_pair, classify_all, classify_type,
-                              glue_candidates, orbit_reps_isotropic,
-                              slow_check_pair, verify_reference)
+                              _context, _dual_classes, _invariant_factors,
+                              _pair_stream, check_pair, classify_all,
+                              classify_type, glue_candidates,
+                              orbit_reps_isotropic, slow_check_pair,
+                              verify_reference)
 from k3ade.fqf import (eval_b, eval_q, group_order, isotropic_elements,
                        span, subquotient)
 from k3ade.genus import exists_even_lattice
@@ -285,6 +287,38 @@ class TestGlueCandidates:
         for sub in _all_isotropic_spans(form):
             assert _span_orbit(moves, sub) & listed
         assert listed <= _all_isotropic_spans(form)
+
+
+def _spans_by_pair_loop(sigma):
+    """The literal subgroups <v, w> over every orbit representative v
+    and every isotropic w orthogonal to it, each built by fqf.span."""
+    form, _ = disc_form_closed(sigma)
+    iso = sorted(isotropic_elements(form))
+    return {span(form, [v, w]) for v in orbit_reps_isotropic(sigma)
+            for w in iso if eval_b(form, v, w) == 0}
+
+
+STREAM_TYPES = ["6A3", "12A1", "8A2"] + [
+    str(t) for t in enumerate_candidates(18, 24)[::37]]
+
+
+class TestCosetStream:
+    @pytest.mark.parametrize("text", STREAM_TYPES)
+    def test_same_subgroups_and_factors(self, text):
+        # The coset stream lists each subgroup of the plain pair loop
+        # once, and its arithmetic invariant factors agree with the
+        # Smith form of the relation lattice.
+        sigma = T(text)
+        ctx = _context(sigma)
+        subs = []
+        for v, w, sub, factors in _pair_stream(ctx):
+            assert sub == span(ctx.form, [v, w])
+            assert factors == _invariant_factors(ctx.form, v, w)
+            subs.append(sub)
+        assert len(set(subs)) == len(subs)
+        assert set(subs) == _spans_by_pair_loop(sigma)
+        assert [(p.v, p.w) for p in glue_candidates(sigma)] == [
+            (v, w) for v, w, _, _ in _pair_stream(ctx)]
 
 
 class TestCheckPair:

@@ -257,6 +257,36 @@ class TestTransform:
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["exists-lattice", "--signature", "0,0", "--form", "{form}"],
+    ["exists-lattice", "--signature", "2,16", "--form", "{missing}"],
+    ["exists-lattice", "--signature", "2,16", "--form", "{degenerate}"],
+    ["classify", "--type", "Q7"],
+    ["classify", "--max-rank", "19"],
+    ["transform", "--ruleset", "2", "--seeds", "{missing}"],
+    ["enumerate", "--max-rank", "x"],
+    ["verify", "--only", "tables"],
+], ids=["signature-0,0", "missing-form", "degenerate-form", "bad-type",
+        "max-rank-19", "missing-seeds", "enumerate-bad-int",
+        "verify-bad-only"])
+def test_malformed_input_exits_2(capsys, tmp_path, argv):
+    # Bad input exits 2 with an error on stderr; it must never read as
+    # the mathematical "no" (exit 1), nor escape as a traceback.
+    (tmp_path / "form.txt").write_text(dump_form(TRIVIAL_FORM))
+    (tmp_path / "degenerate.txt").write_text("2 2\n0 0\n0 0\n0\n")
+    files = {name: str(tmp_path / f"{name}.txt")
+             for name in ("form", "missing", "degenerate")}
+    argv = [arg.format(**files) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def _reference_entries():
     return [ClassEntry(t, g) for t, g in refdata.load_reference_pairs()]
 

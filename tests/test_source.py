@@ -38,3 +38,19 @@ def test_no_raised_assertion_errors():
     # A failed internal check is a RuntimeError; AssertionError is what
     # test frameworks and the assert statement use.
     assert _find(_raises_assertion_error) == []
+
+
+def test_only_sources_and_data_in_package():
+    # Generated artifacts (C sources, extension modules, build output)
+    # must not sit beside the sources, where they could be committed.
+    stray = []
+    for path in sorted(SOURCE.rglob("*")):
+        rel = path.relative_to(SOURCE)
+        if "__pycache__" in rel.parts or path.is_dir():
+            continue
+        if rel.suffix == ".py":
+            continue
+        if rel.suffix == ".tsv" and rel.parts[:-1] == ("data",):
+            continue
+        stray.append(str(rel))
+    assert stray == []
