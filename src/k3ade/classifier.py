@@ -9,6 +9,13 @@ transcendental-partner lattice of signature (2, 18 - rank) exists for
 the glued discriminant form.  Accepted subgroups are recorded by their
 invariant factors.
 
+The decision needs no explicit lattice: it is made on integers in the
+discriminant group D alone.  The glued form is H^perp / H, computed by
+fqf.subquotient from the scaled presentation of D, and the root
+condition reads closed-form coset minima.  The explicit overlattice,
+its discriminant form and the vector enumeration of its roots belong to
+slow_check_pair, the independent route that the tests compare against.
+
 The subgroup stream builds each subgroup <v, w> once per orbit
 representative v, as a union of cosets of <v>, and reads its invariant
 factors off the orders of v and w and the size of the subgroup.  The
@@ -19,9 +26,9 @@ The root condition is decided without enumerating vectors of the glued
 lattice: the coset of a glue class decomposes over the components, so
 its minimal norm is the sum of per-component coset minima, and new
 roots appear exactly when that sum equals 2.  The per-component minima
-are tabulated once per component type from the short vectors of the
-dual lattice.  The root lattice itself is built only for candidates
-that pass both the p-rank prune and the root condition.
+are the textbook coset minima of the A, D and E lattices; each type
+context holds them scaled by the exponent E of D, so the sums are
+integers compared against 2E.
 """
 
 from __future__ import annotations
@@ -30,21 +37,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, mod
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
 from .ade_types import (ADEType, Component, act, cartan_gram,
-                        component_inverse, disc_form_closed, disc_order,
-                        enumerate_candidates, gamma_generators)
+                        disc_form_closed, disc_order, enumerate_candidates,
+                        gamma_generators)
 from .exact_linalg import prime_factors, smith_normal_form
 from .fqf import (FiniteQuadraticForm, FqfElement, RatVector, element_order,
                   eval_b, eval_q, group_order, span, subquotient)
 from .genus import exists_even_lattice
 from .kernels import isotropic_list, orthogonal_filter
-from .lattice_ops import GramLattice, overlattice, root_type, short_vectors
+from .lattice_ops import GramLattice, overlattice, root_type
 
 FactorTuple = tuple[int, ...]
 
@@ -100,8 +105,18 @@ class _TypeContext:
         self.form, self.lifts = disc_form_closed(sigma)
         self._lattice = None
         self.spec = gamma_generators(sigma)
-        self.theta = tuple(_component_theta(comp)
-                           for comp in self.spec.components)
+        # Per component: the coset minima at most 2, scaled by E.
+        e = self.form.exp
+        theta = []
+        for comp in self.spec.components:
+            table = {}
+            for cls, (mu, _) in _component_theta(comp).items():
+                if (mu * e).denominator != 1:
+                    raise RuntimeError(f"coset minimum {mu} of {comp} is "
+                                       f"not a multiple of 1/{e}")
+                table[cls] = int(mu * e)
+            theta.append(table)
+        self.theta = tuple(theta)
         primes = {p for d in self.form.orders for p in prime_factors(d)}
         self.pranks = {p: sum(1 for d in self.form.orders if d % p == 0)
                        for p in primes}
@@ -111,8 +126,8 @@ class _TypeContext:
 
     @property
     def lattice(self) -> GramLattice:
-        """The root lattice, built on first use: only glued candidates
-        that pass the prune and the roots check need it."""
+        """The root lattice, built on first use: only slow_check_pair
+        needs it."""
         if self._lattice is None:
             self._lattice = GramLattice(cartan_gram(self.sigma))
         return self._lattice
@@ -128,94 +143,65 @@ def _context(sigma: ADEType) -> _TypeContext:
 
 
 @lru_cache(maxsize=None)
-def _dual_classes(comp: Component) -> tuple:
-    """The single-component form and inverse Cartan matrix together
-    with the discriminant class of each dual basis vector of the
-    component lattice."""
-    form, lifts = disc_form_closed(ADEType((comp,)))
-    ginv = component_inverse(comp)
-    e = form.exp
-    n = len(ginv)
-    # The exponent e kills L^vee / L, so e times a dual vector is an
-    # integer vector, and two dual vectors lie in the same class exactly
-    # when these agree modulo e.
-    scaled = [[x * e for x in row] for row in ginv]
-    if any(x.denominator != 1 for row in scaled for x in row):
-        raise RuntimeError("the exponent does not clear the dual basis")
-    scaled_lifts = [[int(x * e) for x in lift] for lift in lifts]
-    class_of = {}
-    for c in product(*(range(d) for d in form.orders)):
-        key = tuple(sum(ck * lift[i] for ck, lift in zip(c, scaled_lifts))
-                    % e for i in range(n))
-        class_of[key] = c
-    classes = []
-    for j in range(n):
-        found = class_of.get(tuple(int(scaled[i][j]) % e for i in range(n)))
-        if found is None:
-            raise RuntimeError("dual basis vector has no discriminant class")
-        classes.append(found)
-    return form, ginv, tuple(classes)
-
-
-@lru_cache(maxsize=None)
 def _component_theta(comp: Component) -> dict:
     """Per nonzero discriminant class of a single component: the
     minimal norm over the corresponding coset of the component lattice
     and the number of vectors attaining it, restricted to minima at
-    most 2 (larger minima never produce roots)."""
-    form, ginv, classes = _dual_classes(comp)
-    if not form.orders:
-        return {}
-    n = len(ginv)
-    d = max(form.orders)
-    scaled = [[int(2 * d * ginv[i][j]) for j in range(n)] for i in range(n)]
-    vectors = short_vectors(GramLattice(scaled), norm_bound=4 * d,
-                            both_signs=True)
-    zs = np.array(vectors, dtype=np.int64).reshape(-1, n)
-    # 2d times the norm of each vector, and its discriminant class.
-    nums = np.einsum("ki,ij,kj->k", zs, np.array(scaled, dtype=np.int64),
-                     zs).tolist()
-    cls_rows = (zs @ np.array(classes, dtype=np.int64)
-                % np.array(form.orders, dtype=np.int64)).tolist()
-    least: dict = {}
-    for num, row in zip(nums, cls_rows):
-        cls = tuple(row)
-        if not any(cls):
-            continue
-        mu, cnt = least.get(cls, (None, 0))
-        if mu is None or num < mu:
-            least[cls] = (num, 1)
-        elif num == mu:
-            least[cls] = (mu, cnt + 1)
-    return {cls: (Fraction(num, 2 * d), cnt)
-            for cls, (num, cnt) in least.items()}
+    most 2 (larger minima never produce roots).
+
+    The classes are coefficient tuples on the generators of
+    disc_form_closed, and the values are the closed forms of
+    Conway-Sloane (SPLAG ch. 4): class k of A_l has minimum
+    k(l+1-k)/(l+1), attained by C(l+1, k) vectors; the vector class of
+    D_n has minimum 1 (2n vectors) and each spinor class n/4 (2^(n-1)
+    vectors); the nonzero classes of E6 have 4/3 (27 vectors) and that
+    of E7 has 3/2 (56 vectors).
+    """
+    kind, n = comp
+    if kind == "A":
+        table = {(k,): (Fraction(k * (n + 1 - k), n + 1), comb(n + 1, k))
+                 for k in range(1, n + 1)}
+    elif kind == "D":
+        vector = (Fraction(1), 2 * n)
+        spinor = (Fraction(n, 4), 2 ** (n - 1))
+        if n % 2:
+            # One generator of order 4, the dual of the spinor node 1.
+            table = {(1,): spinor, (2,): vector, (3,): spinor}
+        else:
+            # The duals of the spinor node 1 and of the chain end n.
+            table = {(1, 0): spinor, (0, 1): vector, (1, 1): spinor}
+    elif n == 6:
+        table = {(1,): (Fraction(4, 3), 27), (2,): (Fraction(4, 3), 27)}
+    elif n == 7:
+        table = {(1,): (Fraction(3, 2), 56)}
+    else:
+        table = {}
+    return {cls: entry for cls, entry in table.items() if entry[0] <= 2}
 
 
 def _roots_stay(ctx: _TypeContext, subgroup: Iterable[FqfElement]) -> bool:
     """True when no nonzero class of the glue subgroup has coset
     minimum exactly 2, i.e. the glued lattice keeps the root type."""
     spec = ctx.spec
-    two = Fraction(2)
+    two = 2 * ctx.form.exp
+    slices = tuple(zip(ctx.theta, spec.gen_offsets, spec.gen_counts))
     for h in subgroup:
         if not any(h):
             continue
-        total = Fraction(0)
-        blocked = False
-        for ci in range(len(spec.components)):
-            off = spec.gen_offsets[ci]
-            piece = h[off:off + spec.gen_counts[ci]]
+        total = 0
+        for table, off, cnt in slices:
+            piece = h[off:off + cnt]
             if not any(piece):
                 continue
-            entry = ctx.theta[ci].get(piece)
-            if entry is None:
-                blocked = True
+            mu = table.get(piece)
+            if mu is None:
                 break
-            total += entry[0]
+            total += mu
             if total > two:
-                blocked = True
                 break
-        if not blocked and total == two:
-            return False
+        else:
+            if total == two:
+                return False
     return True
 
 
@@ -366,7 +352,7 @@ def _glue_lift(ctx: _TypeContext, x: FqfElement) -> RatVector:
 def _accept(ctx: _TypeContext, v: FqfElement, w: FqfElement,
             sub: frozenset, factors: FactorTuple) -> bool:
     """Decide one glue subgroup: no new roots, then existence of the
-    signature (2, 18 - rank) partner for the glued form."""
+    signature (2, 18 - rank) partner for the glued form H^perp / H."""
     # The glued form has p-rank at least rank_p(D) - 2 rank_p(H): each
     # of restricting to the orthogonal complement of H and quotienting
     # by H lowers the p-rank by at most rank_p(H).  A lattice of rank
@@ -377,15 +363,9 @@ def _accept(ctx: _TypeContext, v: FqfElement, w: FqfElement,
             return False
     if not _roots_stay(ctx, sub):
         return False
-    gens = [g for g in (v, w) if any(g)]
-    if gens:
-        lattice, index = overlattice(ctx.lattice,
-                                     [_glue_lift(ctx, g) for g in gens])
-        if index != len(sub):
-            raise RuntimeError("overlattice index disagrees with the subgroup")
-        glued = lattice.disc_form()[0]
-    else:
-        glued = ctx.form
+    glued = subquotient(ctx.form, (v, w))
+    if group_order(glued) * len(sub) ** 2 != group_order(ctx.form):
+        raise RuntimeError("glued form order disagrees with the subgroup")
     return _exists_cached(2, 18 - ctx.sigma.rank, glued)
 
 
@@ -469,19 +449,21 @@ def verify_reference(results: Iterable[ClassEntry],
 
 
 def slow_check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:
-    """Reference implementation of check_pair that quotients the
-    discriminant form directly and re-derives the root type by vector
-    enumeration; used to cross-validate the fast path."""
+    """Reference implementation of check_pair that builds the glued
+    overlattice explicitly, takes the glued form from its Gram matrix and
+    re-derives the root type by vector enumeration.  It shares no code
+    that builds the glued form with the fast path; used to cross-validate
+    it."""
     ctx = _context(sigma)
     gens = [g for g in (pair.v, pair.w) if any(g)]
-    glued = subquotient(ctx.form, gens) if gens else ctx.form
-    if not exists_even_lattice(2, 18 - ctx.sigma.rank, glued):
-        return None
     lattice, index = overlattice(ctx.lattice,
                                  [_glue_lift(ctx, g) for g in gens])
     expected = len(span(ctx.form, gens)) if gens else 1
     if index != expected:
         raise RuntimeError("overlattice index disagrees with the subgroup")
+    glued = lattice.disc_form()[0]
+    if not exists_even_lattice(2, 18 - ctx.sigma.rank, glued):
+        return None
     if root_type(lattice) != sigma:
         return None
     return ClassEntry(sigma, _invariant_factors(ctx.form, pair.v, pair.w))

@@ -71,6 +71,10 @@ def _emit_classified(sigma: ADEType, groups, fmt: str) -> None:
 
 
 def cmd_classify(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}",
+              file=sys.stderr)
+        return 2
     if args.type is not None:
         try:
             sigma = parse_type(args.type)

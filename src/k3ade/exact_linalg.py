@@ -284,38 +284,48 @@ def int_rank(a: IntMatrix) -> int:
     return rank
 
 
+def _scaled_inverse(a: IntMatrix) -> tuple[IntMatrix, int]:
+    """(d * a^-1, d) for a nonsingular square integer matrix, where
+    d = +-det(a), by fraction-free (Bareiss) Gauss-Jordan elimination
+    of [a | I].
+
+    After the step on column k every entry of the working matrix is a
+    (k+1)-minor of [a | I] up to one common sign, so each division by
+    the previous pivot is exact and the left block ends as d * I.
+    """
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        m[k], m[piv] = m[piv], m[k]
+        rk = m[k]
+        p = rk[k]
+        for i in range(n):
+            if i == k:
+                continue
+            ri = m[i]
+            f = ri[k]
+            if f:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in ri]
+        prev = p
+    return [row[n:] for row in m], prev
+
+
 def int_inverse(a: IntMatrix) -> IntMatrix:
     """Inverse of a unimodular integer matrix, again with integer entries."""
-    inv = rat_inverse(a)
-    out = []
-    for row in inv:
-        orow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            orow.append(x.numerator)
-        out.append(orow)
-    return out
+    inv, d = _scaled_inverse(a)
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return inv if d == 1 else [[-x for x in row] for row in inv]
 
 
 def rat_inverse(a: IntMatrix) -> list[list[Fraction]]:
     """Exact inverse of a nonsingular integer matrix."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [row[n:] for row in m]
+    inv, d = _scaled_inverse(a)
+    return [[Fraction(x, d) for x in row] for row in inv]

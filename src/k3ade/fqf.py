@@ -30,7 +30,6 @@ from .exact_linalg import (
     hermite_normal_form,
     int_inverse,
     prime_factors,
-    rat_inverse,
     smith_normal_form,
 )
 
@@ -388,39 +387,53 @@ def subquotient(form: FiniteQuadraticForm,
     H is given by generators; it must satisfy q(h) = 0 for each generator
     and b(h, h') = 0 for each pair, which makes every element of H
     isotropic and the induced form well defined.  For a nondegenerate form
-    the result has order |D| / |H|^2.
+    the result has order |D| / |H|^2.  A trivial H returns the form itself.
+
+    Everything is integer arithmetic on the presentation; D is never
+    listed.  In D = Z^n / diag(orders), y lies in H^perp exactly when
+    P y = 0 mod E, where P holds the scaled pairings E b(h, gamma_j) of
+    the generators.  One Smith step U P V = S turns this into
+    s_i z_i = 0 mod E for z = V^-1 y, so H^perp is spanned by the columns
+    of V scaled by E / gcd(s_i, E).  H + diag(orders) is then written in
+    that basis, and the Smith form of the result presents H^perp / H.
     """
-    gens = [_reduce(form, h) for h in subgroup]
+    gens = [h for h in (_reduce(form, g) for g in subgroup) if any(h)]
     for h in gens:
-        if eval_q(form, h) != 0:
+        if _q_scaled(form, h):
             raise ValueError("subgroup is not totally isotropic")
         for k in gens:
-            if eval_b(form, h, k) != 0:
+            if _b_scaled(form, h, k):
                 raise ValueError("subgroup is not totally isotropic")
-    n = len(form.orders)
-    if n == 0:
+    if not gens:
         return form
-    # Model D as Z^n modulo the relation lattice diag(orders).  H^perp and
-    # H + relations are then full-rank integer lattices A >= B, and
-    # H^perp/H is A/B, read off from the Smith normal form of the matrix
-    # expressing a basis of B in a basis of A.
-    perp = sorted(orthogonal_complement(form, gens))
-    basis_a = hermite_normal_form([list(x) for x in perp] + _relation_rows(form))
+    n = len(form.orders)
+    e = form.exp
+    pairings = [[sum(c * form.bs[i][j] for i, c in enumerate(h) if c) % e
+                 for j in range(n)] for h in gens]
+    _, s, v = smith_normal_form(pairings)
+    # A zero or missing s_i leaves z_i free; ord(gamma_j) kills
+    # b(., gamma_j), so the relations diag(orders) lie in the span.
+    scale = [e // gcd(s[i][i], e) if i < len(gens) else 1 for i in range(n)]
+    basis_a = [[c * v[j][i] for j in range(n)] for i, c in enumerate(scale)]
+    vinv = int_inverse(v)
     basis_b = hermite_normal_form([list(h) for h in gens] + _relation_rows(form))
-    ainv = rat_inverse(basis_a)
     rel = []
     for row in basis_b:
-        entries = [sum(row[k] * ainv[k][j] for k in range(n)) for j in range(n)]
-        if any(x.denominator != 1 for x in entries):
-            raise RuntimeError("H is not contained in its orthogonal complement")
-        rel.append([x.numerator for x in entries])
-    u, d, v = smith_normal_form(rel)
-    vinv = int_inverse(v)
+        coords = []
+        for vrow, c in zip(vinv, scale):
+            x, r = divmod(sum(a * b for a, b in zip(vrow, row)), c)
+            if r:
+                raise RuntimeError("H is not contained in its orthogonal "
+                                   "complement")
+            coords.append(x)
+        rel.append(coords)
+    _, d, w = smith_normal_form(rel)
+    winv = int_inverse(w)
     new_gens = []
     new_orders = []
     for k in range(n):
         if d[k][k] > 1:
-            coords = [sum(vinv[k][t] * basis_a[t][j] for t in range(n))
+            coords = [sum(winv[k][t] * basis_a[t][j] for t in range(n))
                       for j in range(n)]
             new_gens.append(_reduce(form, coords))
             new_orders.append(d[k][k])

@@ -3,26 +3,34 @@ sets, orbit representatives, the coset-minimum root criterion, and
 agreement between the fast path and the vector-enumeration reference
 path."""
 
+import cmath
+import random
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3ade import classifier, lattice_ops, refdata
 from k3ade.ade_types import (ADEType, act, cartan_gram, component_inverse,
                              disc_form_closed, enumerate_candidates,
                              gamma_generators, parse_type)
 from k3ade.classifier import (ClassEntry, GluePair, _component_theta,
-                              _context, _dual_classes, _invariant_factors,
-                              _pair_stream, check_pair, classify_all,
-                              classify_type, glue_candidates,
-                              orbit_reps_isotropic, slow_check_pair,
-                              verify_reference)
-from k3ade.fqf import (eval_b, eval_q, group_order, isotropic_elements,
-                       span, subquotient)
+                              _context, _invariant_factors, _pair_stream,
+                              check_pair, classify_all, classify_type,
+                              glue_candidates, orbit_reps_isotropic,
+                              slow_check_pair, verify_reference)
+from k3ade.exact_linalg import prime_factors
+from k3ade.fqf import (elements, eval_b, eval_q, group_order,
+                       isotropic_elements, p_part, span, subquotient)
 from k3ade.genus import exists_even_lattice
-from k3ade.lattice_ops import GramLattice, overlattice, root_type
+from k3ade.kernels import isotropic_list, orthogonal_filter
+from k3ade.lattice_ops import (GramLattice, overlattice, root_type,
+                               short_vectors)
+from k3ade.local_invariants import local_invariant_set
 
 
 def T(text):
@@ -84,6 +92,84 @@ class TestClassEntry:
             ClassEntry(T("A1"), (2,))
 
 
+ALL_COMPONENTS = ([("A", n) for n in range(1, 19)]
+                  + [("D", n) for n in range(4, 19)]
+                  + [("E", 6), ("E", 7), ("E", 8)])
+
+
+@lru_cache(maxsize=None)
+def _dual_classes(comp):
+    """The single-component form and inverse Cartan matrix together
+    with the discriminant class of each dual basis vector of the
+    component lattice."""
+    form, lifts = disc_form_closed(ADEType((comp,)))
+    ginv = component_inverse(comp)
+    e = form.exp
+    n = len(ginv)
+    # The exponent e kills L^vee / L, so e times a dual vector is an
+    # integer vector, and two dual vectors lie in the same class exactly
+    # when these agree modulo e.
+    scaled = [[x * e for x in row] for row in ginv]
+    assert all(x.denominator == 1 for row in scaled for x in row)
+    scaled_lifts = [[int(x * e) for x in lift] for lift in lifts]
+    class_of = {}
+    for c in product(*(range(d) for d in form.orders)):
+        key = tuple(sum(ck * lift[i] for ck, lift in zip(c, scaled_lifts))
+                    % e for i in range(n))
+        class_of[key] = c
+    classes = [class_of[tuple(int(scaled[i][j]) % e for i in range(n))]
+               for j in range(n)]
+    return form, ginv, tuple(classes)
+
+
+@lru_cache(maxsize=None)
+def enumerated_theta(comp):
+    """The oracle for _component_theta: per nonzero class, the least
+    norm over its coset and how many vectors attain it (minima at most
+    2), by enumerating the short vectors of the dual lattice scaled by
+    twice the largest generator order d."""
+    form, ginv, classes = _dual_classes(comp)
+    if not form.orders:
+        return {}
+    n = len(ginv)
+    d = max(form.orders)
+    scaled = [[int(2 * d * ginv[i][j]) for j in range(n)] for i in range(n)]
+    vectors = short_vectors(GramLattice(scaled), norm_bound=4 * d,
+                            both_signs=True)
+    zs = np.array(vectors, dtype=np.int64).reshape(-1, n)
+    nums = np.einsum("ki,ij,kj->k", zs, np.array(scaled, dtype=np.int64),
+                     zs).tolist()
+    cls_rows = (zs @ np.array(classes, dtype=np.int64)
+                % np.array(form.orders, dtype=np.int64)).tolist()
+    least = {}
+    for num, row in zip(nums, cls_rows):
+        cls = tuple(row)
+        if not any(cls):
+            continue
+        mu, cnt = least.get(cls, (None, 0))
+        if mu is None or num < mu:
+            least[cls] = (num, 1)
+        elif num == mu:
+            least[cls] = (mu, cnt + 1)
+    return {cls: (Fraction(num, 2 * d), cnt)
+            for cls, (num, cnt) in least.items()}
+
+
+class TestThetaAgainstEnumeration:
+    @pytest.mark.parametrize("comp", ALL_COMPONENTS,
+                             ids=lambda c: f"{c[0]}{c[1]}")
+    def test_closed_forms_match_short_vectors(self, comp):
+        # Minima and counts of the closed forms equal those found by
+        # enumerating the scaled dual lattice, class by class, and each
+        # minimum is q of its class modulo 2.
+        table = _component_theta(comp)
+        assert table == enumerated_theta(comp)
+        form, _ = disc_form_closed(ADEType((comp,)))
+        for cls, (mu, _) in table.items():
+            assert mu <= 2
+            assert mu % 2 == eval_q(form, cls)
+
+
 class TestThetaTables:
     def test_a1(self):
         assert _component_theta(("A", 1)) == {(1,): (Fraction(1, 2), 2)}
@@ -143,10 +229,8 @@ def closed_coset_minima(comp):
 
 
 class TestDualClasses:
-    @pytest.mark.parametrize(
-        "comp", [("A", n) for n in range(1, 19)]
-        + [("D", n) for n in range(4, 19)] + [("E", 6), ("E", 7), ("E", 8)],
-        ids=lambda c: f"{c[0]}{c[1]}")
+    @pytest.mark.parametrize("comp", ALL_COMPONENTS,
+                             ids=lambda c: f"{c[0]}{c[1]}")
     def test_match_lifts(self, comp):
         # Dual basis vector j lies in class c exactly when it differs
         # from sum_k c_k lift_k by an integer vector.
@@ -415,6 +499,98 @@ class TestLowRankClassification:
         keys = [(e.type.sort_key(), e.group_order, e.group)
                 for e in entries]
         assert keys == sorted(keys)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the fast path built an explicit lattice")
+
+
+class TestLatticeFreeFastPath:
+    @pytest.mark.parametrize("text", ["6A3", "8A2", "12A1", "4A4"])
+    def test_classify_without_lattice_routines(self, monkeypatch, text):
+        # With the explicit-lattice routines made to fail, fresh type
+        # contexts and the whole decision still give the published groups.
+        monkeypatch.setattr(classifier, "overlattice", _refuse)
+        monkeypatch.setattr(classifier, "GramLattice", _refuse)
+        monkeypatch.setattr(lattice_ops, "short_vectors", _refuse)
+        _context.cache_clear()
+        _component_theta.cache_clear()
+        try:
+            sigma = T(text)
+            published = {g for t, g in refdata.load_reference_pairs()
+                         if t == sigma}
+            assert published
+            assert classify_type(sigma) == published
+        finally:
+            _context.cache_clear()
+
+
+def _gauss_sum(form):
+    return sum(cmath.exp(1j * cmath.pi * eval_q(form, x))
+               for x in elements(form))
+
+
+def _glued_form_cases(seed, types, per_type=3):
+    """Seeded glue subgroups <v, w> of the given types: (sigma, v, w)."""
+    rng = random.Random(f"glued-forms:{seed}")
+    cases = []
+    for sigma in types:
+        form, _ = disc_form_closed(sigma)
+        iso = isotropic_list(form)
+        for _ in range(per_type):
+            v = rng.choice(iso)
+            w = rng.choice(orthogonal_filter(form, iso, v))
+            cases.append((sigma, v, w))
+    return cases
+
+
+SMALL_DISC_TYPES = [t for t in enumerate_candidates(18, 24)
+                    if group_order(disc_form_closed(t)[0]) <= 1024]
+
+
+class TestGluedFormRoutes:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_subquotient_matches_overlattice(self, seed):
+        # The fast route's H^perp / H against the discriminant form of the
+        # explicit overlattice, on seeded subgroups of the types whose
+        # discriminant group has order at most 1024.
+        rng = random.Random(f"glued-types:{seed}")
+        types = rng.sample(SMALL_DISC_TYPES, 40)
+        checked = 0
+        for sigma, v, w in _glued_form_cases(seed, types):
+            form, lifts = disc_form_closed(sigma)
+            gens = [g for g in (v, w) if any(g)]
+            fast = subquotient(form, gens)
+
+            def lift(x):
+                return [sum((x[i] * lifts[i][j] for i in range(len(x))),
+                            Fraction(0)) for j in range(sigma.rank)]
+
+            over, index = overlattice(GramLattice(cartan_gram(sigma)),
+                                      [lift(g) for g in gens])
+            slow = over.disc_form()[0]
+            assert index == len(span(form, gens))
+            assert group_order(fast) == group_order(slow)
+            assert group_order(fast) * index ** 2 == group_order(form)
+            for p in prime_factors(group_order(fast)):
+                for n in (len(fast.orders), 20 - sigma.rank):
+                    assert (local_invariant_set(p, n, p_part(fast, p))
+                            == local_invariant_set(p, n, p_part(slow, p)))
+            assert abs(_gauss_sum(fast) - _gauss_sum(slow)) < 1e-6
+            checked += 1
+        assert checked == 120
+
+    def test_rejects_non_isotropic_subgroup(self):
+        form, _ = disc_form_closed(T("6A3"))
+        anisotropic = next(x for x in elements(form)
+                           if eval_q(form, x) != 0)
+        with pytest.raises(ValueError, match="not totally isotropic"):
+            subquotient(form, [anisotropic])
+        v = (2, 2, 0, 0, 0, 0)
+        w = next(x for x in isotropic_elements(form) if eval_b(form, v, x))
+        assert eval_q(form, v) == 0
+        with pytest.raises(ValueError, match="not totally isotropic"):
+            subquotient(form, [v, w])
 
 
 class TestFastSlowAgreement:

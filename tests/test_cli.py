@@ -263,12 +263,14 @@ class TestTransform:
     ["exists-lattice", "--signature", "2,16", "--form", "{degenerate}"],
     ["classify", "--type", "Q7"],
     ["classify", "--max-rank", "19"],
+    ["classify", "--jobs", "0", "--max-rank", "1"],
+    ["classify", "--jobs", "-2", "--max-rank", "1"],
     ["transform", "--ruleset", "2", "--seeds", "{missing}"],
     ["enumerate", "--max-rank", "x"],
     ["verify", "--only", "tables"],
 ], ids=["signature-0,0", "missing-form", "degenerate-form", "bad-type",
-        "max-rank-19", "missing-seeds", "enumerate-bad-int",
-        "verify-bad-only"])
+        "max-rank-19", "jobs-0", "jobs-negative", "missing-seeds",
+        "enumerate-bad-int", "verify-bad-only"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     # Bad input exits 2 with an error on stderr; it must never read as
     # the mathematical "no" (exit 1), nor escape as a traceback.

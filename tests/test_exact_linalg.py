@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3ade.ade_types import ADEType, cartan_gram
 from k3ade.exact_linalg import (
     SquareClass,
     hermite_normal_form,
@@ -214,3 +216,93 @@ class TestRationalHelpers:
     def test_int_inverse_rejects_nonunimodular(self):
         with pytest.raises(ValueError):
             int_inverse([[2, 0], [0, 1]])
+
+
+def fraction_inverse(a):
+    """Test-local Fraction Gauss-Jordan inverse; None when singular."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return [row[n:] for row in m]
+
+
+def _seeded_matrices():
+    """200 nonsingular integer matrices of rank 1-8, with both signs
+    of determinant, about half of them unimodular, and 40 singular
+    ones."""
+    rng = random.Random("inverse-model")
+    good, singular = [], []
+    while len(good) < 100:
+        n = rng.randint(1, 8)
+        a = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
+        (good if int_det(a) else singular).append(a)
+    while len(good) < 200:
+        # A product of elementary moves is unimodular; a final row swap
+        # or sign flip makes the determinant -1.
+        n = rng.randint(1, 8)
+        a = mat_identity(n)
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            c = rng.randint(-2, 2)
+            if i != j:
+                a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        if rng.random() < 0.5:
+            a[0] = [-x for x in a[0]]
+        good.append(a)
+    while len(singular) < 40:
+        n = rng.randint(2, 8)
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n - 1)]
+        k = rng.randrange(n - 1)
+        c = rng.randint(-2, 2)
+        a.append([c * x for x in a[k]])
+        rng.shuffle(a)
+        singular.append(a)
+    return good, singular
+
+
+GOOD_MATRICES, SINGULAR_MATRICES = _seeded_matrices()
+CARTAN_MATRICES = [cartan_gram(ADEType(((k, n),))) for k, n in
+                   [("A", n) for n in range(1, 19)]
+                   + [("D", n) for n in range(4, 19)]
+                   + [("E", 6), ("E", 7), ("E", 8)]]
+
+
+class TestInverseAgainstFractionModel:
+    def test_seeded_matrices_cover_both_signs(self):
+        dets = [int_det(a) for a in GOOD_MATRICES]
+        assert len(GOOD_MATRICES) == 200
+        assert {len(a) for a in GOOD_MATRICES} == set(range(1, 9))
+        assert any(d < -1 for d in dets) and any(d > 1 for d in dets)
+        assert -1 in dets and 1 in dets
+
+    @pytest.mark.parametrize("source", ["seeded", "cartan"])
+    def test_rat_and_int_inverse(self, source):
+        mats = GOOD_MATRICES if source == "seeded" else CARTAN_MATRICES
+        for a in mats:
+            want = fraction_inverse(a)
+            assert rat_inverse(a) == want
+            if abs(int_det(a)) == 1:
+                assert int_inverse(a) == [[int(x) for x in row]
+                                          for row in want]
+            else:
+                with pytest.raises(ValueError, match="not unimodular"):
+                    int_inverse(a)
+
+    def test_singular_raises(self):
+        for a in SINGULAR_MATRICES:
+            assert fraction_inverse(a) is None
+            with pytest.raises(ValueError, match="singular"):
+                rat_inverse(a)
+            with pytest.raises(ValueError, match="singular"):
+                int_inverse(a)
