@@ -71,10 +71,6 @@ class ADEType:
                              key=_comp_key, reverse=True))
         object.__setattr__(self, "components", comps)
 
-    @classmethod
-    def from_string(cls, text: str) -> "ADEType":
-        return parse_type(text)
-
     @property
     def is_empty(self) -> bool:
         return not self.components

@@ -9,18 +9,17 @@ transcendental-partner lattice of signature (2, 18 - rank) exists for
 the glued discriminant form.  Accepted subgroups are recorded by their
 invariant factors.
 
-The decision needs no explicit lattice: it is made on integers in the
-discriminant group D alone.  The glued form is H^perp / H, computed by
-fqf.subquotient from the scaled presentation of D, and the root
-condition reads closed-form coset minima.  The explicit overlattice,
-its discriminant form and the vector enumeration of its roots belong to
-slow_check_pair, the independent route that the tests compare against.
-
-The subgroup stream builds each subgroup <v, w> once per orbit
-representative v, as a union of cosets of <v>, and reads its invariant
-factors off the orders of v and w and the size of the subgroup.  The
-breadth-first fqf.span and the Smith-form invariant factors remain the
-independent route of check_pair and slow_check_pair.
+There are two routes.  The fast one is _pair_stream, which builds each
+glue subgroup <v, w> once per representative v as a union of cosets of
+<v> and reads its invariant factors off the orders of v and w, followed
+by _accept, which decides it on integers in the discriminant group D
+alone: the glued form H^perp / H comes from fqf.subquotient and the root
+condition reads closed-form coset minima.  classify_type feeds the
+stream every orbit representative; check_pair feeds it one pair.  The
+oracle, slow_check_pair, builds the explicit overlattice, takes the
+glued form from its Gram matrix, finds its roots by vector enumeration
+and takes the invariant factors from the Smith form of the relations of
+fqf.span; the tests compare the two routes.
 
 The root condition is decided without enumerating vectors of the glued
 lattice: the coset of a glue class decomposes over the components, so
@@ -97,13 +96,11 @@ class GluePair:
 
 
 class _TypeContext:
-    __slots__ = ("sigma", "form", "lifts", "_lattice", "spec", "theta",
-                 "pranks")
+    __slots__ = ("sigma", "form", "spec", "theta", "pranks")
 
     def __init__(self, sigma: ADEType):
         self.sigma = sigma
-        self.form, self.lifts = disc_form_closed(sigma)
-        self._lattice = None
+        self.form, _ = disc_form_closed(sigma)
         self.spec = gamma_generators(sigma)
         # Per component: the coset minima at most 2, scaled by E.
         e = self.form.exp
@@ -123,14 +120,6 @@ class _TypeContext:
         if sigma.euler <= 24 and group_order(self.form) > MAX_DISC_ORDER:
             raise RuntimeError(f"discriminant group of {sigma} exceeds "
                                f"{MAX_DISC_ORDER}")
-
-    @property
-    def lattice(self) -> GramLattice:
-        """The root lattice, built on first use: only slow_check_pair
-        needs it."""
-        if self._lattice is None:
-            self._lattice = GramLattice(cartan_gram(self.sigma))
-        return self._lattice
 
 
 @lru_cache(maxsize=None)
@@ -246,47 +235,53 @@ def _canonical(spec, x: FqfElement) -> FqfElement:
     return tuple(out)
 
 
+def _orbit_reps(spec, iso: list[FqfElement]) -> list[FqfElement]:
+    return sorted({_canonical(spec, x) for x in iso})
+
+
 def orbit_reps_isotropic(sigma: ADEType) -> list[FqfElement]:
     """Canonical representatives of the symmetry orbits of isotropic
     discriminant classes; always contains 0."""
     ctx = _context(sigma)
-    iso = isotropic_list(ctx.form)
-    return sorted({_canonical(ctx.spec, x) for x in iso})
+    return _orbit_reps(ctx.spec, isotropic_list(ctx.form))
 
 
-def _pair_stream(ctx: _TypeContext) -> Iterator[tuple]:
-    """Yield (v, w, subgroup, factors) tuples, each literal subgroup at
-    most once, covering every totally isotropic subgroup of length at
-    most two up to the stable symmetries; factors are the subgroup's
-    invariant factors.
+def _pair_stream(form: FiniteQuadraticForm, reps: list[FqfElement],
+                 pool: list[FqfElement]) -> Iterator[tuple]:
+    """Yield (v, w, subgroup, factors) for each v in reps and each w in
+    the pool orthogonal to v, each literal subgroup at most once;
+    factors are the subgroup's invariant factors.  Elements must be
+    reduced.
 
-    For each canonical representative v, the subgroup H = <v, w> of an
-    isotropic w orthogonal to v is the union of the cosets b w + <v>,
-    b < m, where m is the least positive integer with m w in <v>.  Every
-    element of a coset with gcd(b, m) = 1 generates H together with v,
-    so those cosets are marked done and H is built once per v.
+    The subgroup H = <v, w> is the union of the cosets b w + <v>,
+    b < m, where m is the least positive integer with m w in <v>, say
+    m w = k v; then ord(w) = m ord(v) / gcd(k, ord(v)).  Every element
+    of a coset with gcd(b, m) = 1 generates H together with v, so those
+    cosets are marked done and H is built once per v.
     """
-    form = ctx.form
     orders = form.orders
-    iso = isotropic_list(form)
-    reps = sorted({_canonical(ctx.spec, x) for x in iso})
+    zero = (0,) * len(orders)
     seen: set[frozenset] = set()
     for v in reps:
-        ord_v = element_order(form, v)
-        cyclic = [tuple(k * c % d for c, d in zip(v, orders))
-                  for k in range(ord_v)]
-        in_cyclic = set(cyclic)
+        # k v -> k, for k < ord(v).
+        multiples: dict[FqfElement, int] = {}
+        u = zero
+        while u not in multiples:
+            multiples[u] = len(multiples)
+            u = tuple(map(mod, map(add, u, v), orders))
+        ord_v = len(multiples)
         done: set[FqfElement] = set()
-        for w in orthogonal_filter(form, iso, v):
+        for w in orthogonal_filter(form, pool, v):
             if w in done:
                 continue
             cosets = []
-            bw = (0,) * len(orders)
+            bw = zero
             while True:
                 cosets.append([tuple(map(mod, map(add, bw, u), orders))
-                               for u in cyclic])
+                               for u in multiples])
                 bw = tuple(map(mod, map(add, bw, w), orders))
-                if bw in in_cyclic:
+                k = multiples.get(bw)
+                if k is not None:
                     break
             m = len(cosets)
             for b, coset in enumerate(cosets):
@@ -298,7 +293,7 @@ def _pair_stream(ctx: _TypeContext) -> Iterator[tuple]:
             if sub in seen:
                 continue
             seen.add(sub)
-            exp = lcm(ord_v, element_order(form, w))
+            exp = lcm(ord_v, m * ord_v // gcd(k, ord_v))
             factors = tuple(f for f in (len(sub) // exp, exp) if f > 1)
             yield v, w, sub, factors
 
@@ -312,7 +307,9 @@ def glue_candidates(sigma: ADEType) -> list[GluePair]:
     invariant factors; the pair (0, 0) is included.
     """
     ctx = _context(sigma)
-    return [GluePair(v, w) for v, w, _, _ in _pair_stream(ctx)]
+    iso = isotropic_list(ctx.form)
+    return [GluePair(v, w) for v, w, _, _ in
+            _pair_stream(ctx.form, _orbit_reps(ctx.spec, iso), iso)]
 
 
 _exists_cached = lru_cache(maxsize=None)(exists_even_lattice)
@@ -343,10 +340,9 @@ def _invariant_factors(form: FiniteQuadraticForm, v: FqfElement,
     return factors
 
 
-def _glue_lift(ctx: _TypeContext, x: FqfElement) -> RatVector:
-    n = ctx.sigma.rank
-    return [sum((x[i] * ctx.lifts[i][j] for i in range(len(x))),
-                Fraction(0)) for j in range(n)]
+def _glue_lift(lifts: list[RatVector], x: FqfElement) -> RatVector:
+    return [sum((c * row[j] for c, row in zip(x, lifts)), Fraction(0))
+            for j in range(len(lifts[0]))]
 
 
 def _accept(ctx: _TypeContext, v: FqfElement, w: FqfElement,
@@ -370,16 +366,18 @@ def _accept(ctx: _TypeContext, v: FqfElement, w: FqfElement,
 
 
 def check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:
-    """Run the acceptance test on one glue pair."""
+    """Run the acceptance test on one glue pair, through the subgroup
+    stream of classify_type."""
     ctx = _context(sigma)
+    form = ctx.form
     for g in (pair.v, pair.w):
-        if eval_q(ctx.form, g) != 0:
+        if eval_q(form, g) != 0:
             raise ValueError("glue class is not isotropic")
-    if eval_b(ctx.form, pair.v, pair.w) != 0:
+    if eval_b(form, pair.v, pair.w) != 0:
         raise ValueError("glue classes do not pair to zero")
-    sub = span(ctx.form, [pair.v, pair.w])
-    factors = _invariant_factors(ctx.form, pair.v, pair.w)
-    if not _accept(ctx, pair.v, pair.w, sub, factors):
+    v, w = (tuple(map(mod, g, form.orders)) for g in (pair.v, pair.w))
+    _, _, sub, factors = next(_pair_stream(form, [v], [w]))
+    if not _accept(ctx, v, w, sub, factors):
         return None
     return ClassEntry(sigma, factors)
 
@@ -387,8 +385,10 @@ def check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:
 def classify_type(sigma: ADEType) -> set[FactorTuple]:
     """All torsion groups realizable together with the given type."""
     ctx = _context(sigma)
+    iso = isotropic_list(ctx.form)
     by_factors: dict[FactorTuple, list[tuple]] = {}
-    for v, w, sub, f in _pair_stream(ctx):
+    for v, w, sub, f in _pair_stream(ctx.form, _orbit_reps(ctx.spec, iso),
+                                     iso):
         by_factors.setdefault(f, []).append((v, w, sub))
     out: set[FactorTuple] = set()
     for f in sorted(by_factors):
@@ -454,16 +454,16 @@ def slow_check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:
     re-derives the root type by vector enumeration.  It shares no code
     that builds the glued form with the fast path; used to cross-validate
     it."""
-    ctx = _context(sigma)
+    form, lifts = disc_form_closed(sigma)
     gens = [g for g in (pair.v, pair.w) if any(g)]
-    lattice, index = overlattice(ctx.lattice,
-                                 [_glue_lift(ctx, g) for g in gens])
-    expected = len(span(ctx.form, gens)) if gens else 1
+    lattice, index = overlattice(GramLattice(cartan_gram(sigma)),
+                                 [_glue_lift(lifts, g) for g in gens])
+    expected = len(span(form, gens)) if gens else 1
     if index != expected:
         raise RuntimeError("overlattice index disagrees with the subgroup")
     glued = lattice.disc_form()[0]
-    if not exists_even_lattice(2, 18 - ctx.sigma.rank, glued):
+    if not exists_even_lattice(2, 18 - sigma.rank, glued):
         return None
     if root_type(lattice) != sigma:
         return None
-    return ClassEntry(sigma, _invariant_factors(ctx.form, pair.v, pair.w))
+    return ClassEntry(sigma, _invariant_factors(form, pair.v, pair.w))

@@ -1,7 +1,9 @@
 """Exact integer and rational linear algebra shared by all other modules.
 
-All matrices are dense lists of lists of Python ints (arbitrary precision);
-rational work uses fractions.Fraction. No floating point anywhere.
+All matrices are dense lists of lists of Python ints (arbitrary precision).
+One fraction-free elimination, _scaled_inverse, gives the determinant and
+both inverses; rank is read off the Hermite normal form.  Fractions appear
+only in the output of rat_inverse.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -231,67 +233,16 @@ def square_class(u: int, p: int) -> SquareClass:
     return SquareClass(p, legendre_symbol(u, p))
 
 
-def int_det(a: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def int_rank(a: IntMatrix) -> int:
-    """Rank over Q of an integer matrix."""
-    if not a:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for i in range(rank, rows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def _scaled_inverse(a: IntMatrix) -> tuple[IntMatrix, int]:
     """(d * a^-1, d) for a nonsingular square integer matrix, where
-    d = +-det(a), by fraction-free (Bareiss) Gauss-Jordan elimination
+    d = det(a), by fraction-free (Bareiss) Gauss-Jordan elimination
     of [a | I].
 
-    After the step on column k every entry of the working matrix is a
-    (k+1)-minor of [a | I] up to one common sign, so each division by
-    the previous pivot is exact and the left block ends as d * I.
+    Each row swap also negates the row moved down, so no step changes
+    the determinant.  After the step on column k every entry of the
+    working matrix is then a (k+1)-minor of [a | I] up to sign, so each
+    division by the previous pivot is exact, and the left block ends as
+    d * I.  Raises ValueError when a is singular.
     """
     n = len(a)
     m = [list(row) + [int(i == j) for j in range(n)]
@@ -301,7 +252,8 @@ def _scaled_inverse(a: IntMatrix) -> tuple[IntMatrix, int]:
         piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
             raise ValueError("singular matrix")
-        m[k], m[piv] = m[piv], m[k]
+        if piv != k:
+            m[k], m[piv] = m[piv], [-x for x in m[k]]
         rk = m[k]
         p = rk[k]
         for i in range(n):
@@ -315,6 +267,20 @@ def _scaled_inverse(a: IntMatrix) -> tuple[IntMatrix, int]:
                 m[i] = [p * x // prev for x in ri]
         prev = p
     return [row[n:] for row in m], prev
+
+
+def int_det(a: IntMatrix) -> int:
+    """Determinant of a square integer matrix; 1 for the empty one."""
+    try:
+        return _scaled_inverse(a)[1]
+    except ValueError:
+        return 0
+
+
+def int_rank(a: IntMatrix) -> int:
+    """Rank over Q of an integer matrix: the number of rows of its
+    Hermite normal form."""
+    return len(hermite_normal_form(a))
 
 
 def int_inverse(a: IntMatrix) -> IntMatrix:

@@ -318,10 +318,6 @@ def group_order(form: FiniteQuadraticForm) -> int:
     return prod(form.orders)
 
 
-def exponent(form: FiniteQuadraticForm) -> int:
-    return form.exp
-
-
 def is_nondegenerate(form: FiniteQuadraticForm) -> bool:
     """Whether b has trivial radical.
 

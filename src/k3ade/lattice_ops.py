@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy
 
 from .ade_types import ADEType, Component
-from .exact_linalg import hermite_normal_form, int_det, int_rank, rat_inverse
+from .exact_linalg import hermite_normal_form, int_det, int_rank
 from .fqf import FiniteQuadraticForm, RatVector, discriminant_form
 
 
@@ -27,7 +27,7 @@ class GramLattice:
     need it.
     """
 
-    __slots__ = ("gram", "det", "_dual", "_disc")
+    __slots__ = ("gram", "det", "_disc")
 
     def __init__(self, gram: Sequence[Sequence[int]]):
         n = len(gram)
@@ -52,18 +52,11 @@ class GramLattice:
         self.det = int_det([list(r) for r in rows])
         if self.det == 0:
             raise ValueError("Gram matrix is degenerate")
-        self._dual = None
         self._disc = None
 
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    def dual_basis(self) -> list[list[Fraction]]:
-        """Rows are the dual basis vectors in lattice coordinates."""
-        if self._dual is None:
-            self._dual = rat_inverse([list(r) for r in self.gram])
-        return self._dual
 
     def disc_form(self) -> tuple[FiniteQuadraticForm, list[RatVector]]:
         if self._disc is None:

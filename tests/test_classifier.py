@@ -24,7 +24,7 @@ from k3ade.classifier import (ClassEntry, GluePair, _component_theta,
                               glue_candidates, orbit_reps_isotropic,
                               slow_check_pair, verify_reference)
 from k3ade.exact_linalg import prime_factors
-from k3ade.fqf import (elements, eval_b, eval_q, group_order,
+from k3ade.fqf import (element_order, elements, eval_b, eval_q, group_order,
                        isotropic_elements, p_part, span, subquotient)
 from k3ade.genus import exists_even_lattice
 from k3ade.kernels import isotropic_list, orthogonal_filter
@@ -393,16 +393,79 @@ class TestCosetStream:
         # once, and its arithmetic invariant factors agree with the
         # Smith form of the relation lattice.
         sigma = T(text)
-        ctx = _context(sigma)
+        form = _context(sigma).form
+        iso = isotropic_list(form)
+        reps = orbit_reps_isotropic(sigma)
         subs = []
-        for v, w, sub, factors in _pair_stream(ctx):
-            assert sub == span(ctx.form, [v, w])
-            assert factors == _invariant_factors(ctx.form, v, w)
+        for v, w, sub, factors in _pair_stream(form, reps, iso):
+            assert sub == span(form, [v, w])
+            assert factors == _invariant_factors(form, v, w)
             subs.append(sub)
         assert len(set(subs)) == len(subs)
         assert set(subs) == _spans_by_pair_loop(sigma)
         assert [(p.v, p.w) for p in glue_candidates(sigma)] == [
-            (v, w) for v, w, _, _ in _pair_stream(ctx)]
+            (v, w) for v, w, _, _ in _pair_stream(form, reps, iso)]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the fast path called a routine of the oracle")
+
+
+def _walk(form, v, w):
+    """(m, k): the least m > 0 with m w in <v>, and the k < ord(v) with
+    m w = k v."""
+    multiples = {tuple(k * c % d for c, d in zip(v, form.orders)): k
+                 for k in range(element_order(form, v))}
+    m = 1
+    while tuple(m * c % d for c, d in zip(w, form.orders)) not in multiples:
+        m += 1
+    return m, multiples[tuple(m * c % d for c, d in zip(w, form.orders))]
+
+
+class TestOnePairStream:
+    # Pairs (v, w) with m w = k v for some m > 1 and k != 0, where the
+    # stream reads ord(w) off k.
+    WALK_COUNTS = {"2A3+A1": 4, "D5+A3": 4, "A7+A1": 2, "2A3+2A1": 24}
+
+    @pytest.mark.parametrize("text", sorted(WALK_COUNTS))
+    def test_every_isotropic_pair(self, text):
+        # check_pair enters the stream with one arbitrary, not
+        # necessarily canonical, pair; the stream must still give the
+        # literal subgroup and its Smith-form invariant factors.
+        sigma = T(text)
+        form, _ = disc_form_closed(sigma)
+        zero = (0,) * len(form.orders)
+        iso = sorted(isotropic_elements(form))
+        pairs = [(v, w) for v in iso for w in iso if eval_b(form, v, w) == 0]
+        walks = [_walk(form, v, w) for v, w in pairs]
+        assert sum(m > 1 and k != 0 for m, k in walks) \
+            == self.WALK_COUNTS[text]
+        assert any(v == zero and w != zero for v, w in pairs)
+        assert any(w not in (zero, v) and m == 1
+                   for (v, w), (m, _) in zip(pairs, walks))
+        for v, w in pairs:
+            [(v1, w1, sub, factors)] = list(_pair_stream(form, [v], [w]))
+            assert (v1, w1) == (v, w)
+            assert sub == span(form, [v, w])
+            assert factors == _invariant_factors(form, v, w)
+            entry = check_pair(sigma, pair(v, w))
+            # Negative and unreduced coefficients give the same entry.
+            v2 = [c - d for c, d in zip(v, form.orders)]
+            w2 = [c + 2 * d for c, d in zip(w, form.orders)]
+            assert check_pair(sigma, pair(v2, w2)) == entry
+            if text != "2A3+2A1":
+                assert entry == slow_check_pair(sigma, pair(v, w))
+
+    @pytest.mark.parametrize("text", ["6A3", "8A1", "12A1"])
+    def test_check_pair_without_span(self, monkeypatch, text):
+        sigma = T(text)
+        pairs = glue_candidates(sigma)
+        want = [check_pair(sigma, p) for p in pairs]
+        monkeypatch.setattr(classifier, "span", _refuse)
+        monkeypatch.setattr(classifier, "_invariant_factors", _refuse)
+        assert [check_pair(sigma, p) for p in pairs] == want
+        assert {e.group for e in want if e is not None} \
+            == CLASSIFY_ORACLES[text]
 
 
 class TestCheckPair:
@@ -499,10 +562,6 @@ class TestLowRankClassification:
         keys = [(e.type.sort_key(), e.group_order, e.group)
                 for e in entries]
         assert keys == sorted(keys)
-
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("the fast path built an explicit lattice")
 
 
 class TestLatticeFreeFastPath:

@@ -218,23 +218,33 @@ class TestRationalHelpers:
             int_inverse([[2, 0], [0, 1]])
 
 
-def fraction_inverse(a):
-    """Test-local Fraction Gauss-Jordan inverse; None when singular."""
+def fraction_model(a):
+    """Test-local Fraction Gauss-Jordan elimination of [a | I]:
+    (det, rank, inverse) of a square matrix, with det 0 and inverse
+    None when it is singular."""
     n = len(a)
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(a)]
+    det = Fraction(1)
+    rank = 0
     for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
+        piv = next((i for i in range(rank, n) if m[i][col]), None)
         if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        det *= m[rank][col]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
         for i in range(n):
-            if i != col and m[i][col]:
+            if i != rank and m[i][col]:
                 f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [row[n:] for row in m]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    if rank < n:
+        return 0, rank, None
+    return det, rank, [row[n:] for row in m]
 
 
 def _seeded_matrices():
@@ -272,6 +282,38 @@ def _seeded_matrices():
 
 
 GOOD_MATRICES, SINGULAR_MATRICES = _seeded_matrices()
+
+
+def _zero_lead_matrices():
+    """60 seeded nonsingular matrices of size 2-8 with a zero top-left
+    entry, so the first pivot needs a row swap."""
+    rng = random.Random("zero-lead")
+    out = []
+    while len(out) < 60:
+        n = rng.randint(2, 8)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        a[0][0] = 0
+        if fraction_model(a)[0]:
+            out.append(a)
+    return out
+
+
+def _rank_deficient_products():
+    """40 seeded square products A B of an n x k and a k x n matrix,
+    k < n, so the rank is at most k."""
+    rng = random.Random("rank-products")
+    out = []
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        k = rng.randint(1, n - 1)
+        a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        out.append(mat_mul(a, b))
+    return out
+
+
+ZERO_LEAD_MATRICES = _zero_lead_matrices()
+RANK_DEFICIENT_PRODUCTS = _rank_deficient_products()
 CARTAN_MATRICES = [cartan_gram(ADEType(((k, n),))) for k, n in
                    [("A", n) for n in range(1, 19)]
                    + [("D", n) for n in range(4, 19)]
@@ -286,13 +328,16 @@ class TestInverseAgainstFractionModel:
         assert any(d < -1 for d in dets) and any(d > 1 for d in dets)
         assert -1 in dets and 1 in dets
 
-    @pytest.mark.parametrize("source", ["seeded", "cartan"])
+    @pytest.mark.parametrize("source", ["seeded", "cartan", "zero-lead"])
     def test_rat_and_int_inverse(self, source):
-        mats = GOOD_MATRICES if source == "seeded" else CARTAN_MATRICES
+        mats = {"seeded": GOOD_MATRICES, "cartan": CARTAN_MATRICES,
+                "zero-lead": ZERO_LEAD_MATRICES}[source]
         for a in mats:
-            want = fraction_inverse(a)
+            det, rank, want = fraction_model(a)
+            assert int_det(a) == det
+            assert int_rank(a) == rank == len(a)
             assert rat_inverse(a) == want
-            if abs(int_det(a)) == 1:
+            if abs(det) == 1:
                 assert int_inverse(a) == [[int(x) for x in row]
                                           for row in want]
             else:
@@ -300,8 +345,11 @@ class TestInverseAgainstFractionModel:
                     int_inverse(a)
 
     def test_singular_raises(self):
-        for a in SINGULAR_MATRICES:
-            assert fraction_inverse(a) is None
+        for a in SINGULAR_MATRICES + RANK_DEFICIENT_PRODUCTS:
+            det, rank, want = fraction_model(a)
+            assert det == 0 and want is None
+            assert int_det(a) == 0
+            assert int_rank(a) == rank
             with pytest.raises(ValueError, match="singular"):
                 rat_inverse(a)
             with pytest.raises(ValueError, match="singular"):

@@ -20,7 +20,6 @@ from k3ade.fqf import (
     element_order,
     eval_b,
     eval_q,
-    exponent,
     form_on_generators,
     group_order,
     is_nondegenerate,
@@ -219,7 +218,7 @@ class TestDirectSum:
         form = direct_sum(discriminant_form(A2)[0], discriminant_form(A1)[0])
         assert form.orders == (3, 2)
         assert group_order(form) == 6
-        assert exponent(form) == 6
+        assert form.exp == 6
 
     @staticmethod
     def _stats(form):

@@ -50,10 +50,6 @@ class TestGramLattice:
         assert L.rank == 2 and L.det == 3
         assert L.pairing([1, 0], [0, 1]) == 1
 
-    def test_dual_basis(self):
-        L = lat("A1")
-        assert L.dual_basis() == [[HALF]]
-
     @pytest.mark.parametrize("gram", [
         [[2, 1], [0, 2]],        # not symmetric
         [[1]],                   # odd diagonal

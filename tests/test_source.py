@@ -1,11 +1,15 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import inspect
+import json
 from pathlib import Path
 
 import k3ade
 
 SOURCE = Path(k3ade.__file__).parent
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def _find(predicate):
@@ -54,3 +58,30 @@ def test_only_sources_and_data_in_package():
             continue
         stray.append(str(rel))
     assert stray == []
+
+
+def test_benchmark_reads_defined_names():
+    # A traced benchmark run reads each per-layer "<layer>.<fn>.calls" or
+    # ".self_s" figure from the spans of the wrapped function, and its
+    # tracer wraps only public, module-level, non-generator functions;
+    # it also reads the caches and the backend name below.  Deleting or
+    # reshaping one of these makes a traced run die with KeyError.
+    names = [m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]]
+    spans = [name.split(".") for name in names
+             if name.count(".") == 2 and name.endswith((".calls", ".self_s"))]
+    assert spans
+    broken = []
+    for layer, attr, _ in spans:
+        module = importlib.import_module(f"k3ade.{layer}")
+        fn = getattr(module, attr, None)
+        if (attr.startswith("_") or not inspect.isfunction(fn)
+                or fn.__module__ != module.__name__
+                or inspect.isgeneratorfunction(fn)):
+            broken.append(f"{layer}.{attr}")
+    assert broken == []
+
+    from k3ade import classifier, kernels, local_invariants
+    assert callable(classifier._exists_cached.cache_info)
+    for cache in ("_SET_CACHE", "_REC_CACHE"):
+        len(getattr(local_invariants, cache))
+    assert isinstance(kernels.backend(), str)
