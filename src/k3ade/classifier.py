@@ -40,6 +40,7 @@ from math import comb, gcd, lcm, prod
 from operator import add, mod
 from typing import Iterable, Iterator, Optional
 
+from . import ade_types, genus, lattice_ops, local_invariants
 from .ade_types import (ADEType, Component, act, cartan_gram,
                         disc_form_closed, disc_order, enumerate_candidates,
                         gamma_generators)
@@ -313,6 +314,25 @@ def glue_candidates(sigma: ADEType) -> list[GluePair]:
 
 
 _exists_cached = lru_cache(maxsize=None)(exists_even_lattice)
+
+
+def clear_caches() -> None:
+    """Empty every memo table the pipeline fills, from the type contexts
+    down to the local invariant sets, so the next call starts cold.
+
+    The tables are unbounded and live as long as the process; this is the
+    one way to drop them, e.g. between runs that must not share work.
+    """
+    for memo in (_context, _component_theta, _component_min_table,
+                 _exists_cached, genus._local_data,
+                 local_invariants.unimodular_set, ade_types._component_gram,
+                 ade_types.component_inverse, ade_types._component_disc,
+                 ade_types._component_gamma,
+                 ade_types._allowed_replacements):
+        memo.cache_clear()
+    for table in (local_invariants._SET_CACHE, local_invariants._REC_CACHE,
+                  lattice_ops._ROOT_TYPE_CACHE):
+        table.clear()
 
 
 def _invariant_factors(form: FiniteQuadraticForm, v: FqfElement,

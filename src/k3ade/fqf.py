@@ -49,7 +49,9 @@ class FiniteQuadraticForm:
     FiniteQuadraticForm(orders, qdiag, bmat) takes Fraction (or int)
     values; FiniteQuadraticForm.from_scaled(orders, qs, bs) takes the
     scaled integers.  Both run the same checks and reject a malformed
-    presentation with ValueError.  Instances are immutable.
+    presentation with ValueError.  The forms that p_part, direct_sum and
+    form_on_generators (without orders) compute from a valid form are
+    valid by construction and skip them.  Instances are immutable.
     """
 
     __slots__ = ("orders", "exp", "qs", "bs", "_hash")
@@ -153,12 +155,27 @@ def _set_presentation(form: FiniteQuadraticForm, orders: tuple[int, ...],
             # Rows before i have been checked for size already.
             if j < i and bij != bs[j][i]:
                 raise ValueError("b must be symmetric")
+    _store(form, orders, e, qs, bs)
+
+
+def _store(form: FiniteQuadraticForm, orders: tuple[int, ...], e: int,
+           qs: tuple[int, ...], bs: tuple[tuple[int, ...], ...]) -> None:
     setter = object.__setattr__
     setter(form, "orders", orders)
     setter(form, "exp", e)
     setter(form, "qs", qs)
     setter(form, "bs", bs)
     setter(form, "_hash", hash((orders, qs, bs)))
+
+
+def _derived(orders: Sequence[int], e: int, qs: Sequence[int],
+             bs: Sequence[Sequence[int]]) -> FiniteQuadraticForm:
+    """A form computed from a valid one by a map that preserves every
+    presentation invariant (e = lcm(orders), values reduced, q and b
+    consistent), so the checks of _set_presentation are skipped."""
+    form = object.__new__(FiniteQuadraticForm)
+    _store(form, tuple(orders), e, tuple(qs), tuple(tuple(row) for row in bs))
+    return form
 
 
 TRIVIAL_FORM = FiniteQuadraticForm((), (), ())
@@ -235,7 +252,7 @@ def direct_sum(q1: FiniteQuadraticForm,
     qs = [q * s1 for q in q1.qs] + [q * s2 for q in q2.qs]
     bs = [[b * s1 for b in row] + [0] * n2 for row in q1.bs]
     bs += [[0] * n1 + [b * s2 for b in row] for row in q2.bs]
-    return FiniteQuadraticForm.from_scaled(q1.orders + q2.orders, qs, bs)
+    return _derived(q1.orders + q2.orders, e, qs, bs)
 
 
 def p_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
@@ -267,7 +284,7 @@ def p_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
           for i, m in zip(idx, mult)]
     bs = [[_rescale(mi * mj * form.bs[i][j], e, ep) % ep
            for j, mj in zip(idx, mult)] for i, mi in zip(idx, mult)]
-    return FiniteQuadraticForm.from_scaled(pord, qs, bs)
+    return _derived(pord, ep, qs, bs)
 
 
 def _reduce(form: FiniteQuadraticForm, x: Sequence[int]) -> FqfElement:
@@ -473,16 +490,23 @@ def form_on_generators(form: FiniteQuadraticForm,
     ones.  When the rows span D and are independent this re-presents the
     form.  orders are the orders of the new generators, recomputed from
     the rows when not supplied; subquotient passes their orders modulo H.
+    With supplied orders the result runs every check of from_scaled; with
+    derived ones each check holds by construction once no row is zero.
     """
     xs = [_reduce(form, row) for row in rows]
-    if orders is None:
+    derived = orders is None
+    if derived:
         orders = [element_order(form, x) for x in xs]
+        if 1 in orders:
+            raise ValueError("generator orders must be at least 2")
     # The values move from the exponent of the form to lcm(orders).
     e = form.exp
     e2 = lcm(*orders)
     qs = [_rescale(_q_scaled(form, x), e, e2) % (2 * e2) for x in xs]
     bs = [[_rescale(_b_scaled(form, x, y), e, e2) % e2 for y in xs]
           for x in xs]
+    if derived:
+        return _derived(orders, e2, qs, bs)
     return FiniteQuadraticForm.from_scaled(orders, qs, bs)
 
 

@@ -6,13 +6,29 @@ d = (-1)^s |D|, some p-adic lattice of rank n = r + s realizes the p-part
 of q with reduced discriminant matching the unit part of d, and the
 excesses can be chosen to satisfy the global relation
 r - s + sum_p excess_p = n mod 8.  No witness lattice is ever built.
+
+The decision is split in two.  Per form, once: for each such prime p, the
+unit part delta_p of |D| at p, the minimal number l_p of generators of
+q_p and the invariant pairs of rank-l_p lattices with form q_p, grouped
+by reduced discriminant.  None of this depends on (r, s).  Per question:
+a rank-n lattice is a rank-l_p one plus a unimodular complement of rank
+n - l_p, whose invariant pairs take at most two values (e_u, u_u), so the
+excesses matching the wanted class want = (-1)^s delta_p are the
+e + e_u mod 8 over the rank-l_p pairs with reduced discriminant
+want * u_u (square classes are their own inverses).
 """
 
 from __future__ import annotations
 
-from .exact_linalg import prime_factors, square_class
+from functools import lru_cache
+
+from .exact_linalg import SquareClass, prime_factors, square_class
 from .fqf import FiniteQuadraticForm, group_order, p_part
-from .local_invariants import local_invariant_set
+from .local_invariants import minimal_rank_set, unimodular_set
+
+#: Per prime p dividing 2|D|: (p, delta_p, l_p, {reddisc: excesses}).
+LocalData = tuple[tuple[int, int, int, dict[SquareClass, frozenset[int]]],
+                  ...]
 
 
 def exists_even_lattice(r: int, s: int, q: FiniteQuadraticForm) -> bool:
@@ -27,20 +43,39 @@ def exists_even_lattice(r: int, s: int, q: FiniteQuadraticForm) -> bool:
     n = r + s
     if n == 0:
         raise ValueError("rank must be positive")
-    d = (-1) ** s * group_order(q)
-    primes = sorted(set([2] + prime_factors(d)))
+    sign = -1 if s % 2 else 1
     sigmas = []
-    for p in primes:
-        delta = d
-        while delta % p == 0:
-            delta //= p
-        want = square_class(delta, p)
-        local = local_invariant_set(p, n, p_part(q, p))
-        choices = {inv.excess for inv in local if inv.reddisc == want}
+    for p, delta, l, by_disc in _local_data(q):
+        if n < l:
+            return False
+        want = square_class(sign * delta, p)
+        choices = set()
+        for unimodular in unimodular_set(p, n - l):
+            choices.update(
+                (e + unimodular.excess) % 8
+                for e in by_disc.get(want * unimodular.reddisc, ()))
         if not choices:
             return False
         sigmas.append(choices)
     return _sum_hits(sigmas, (n - r + s) % 8)
+
+
+@lru_cache(maxsize=None)
+def _local_data(q: FiniteQuadraticForm) -> LocalData:
+    """The part of the decision that depends on q alone (see above)."""
+    order = group_order(q)
+    data = []
+    for p in sorted(set([2] + prime_factors(order))):
+        delta = order
+        while delta % p == 0:
+            delta //= p
+        l, base = minimal_rank_set(p, p_part(q, p))
+        by_disc: dict[SquareClass, set[int]] = {}
+        for inv in base:
+            by_disc.setdefault(inv.reddisc, set()).add(inv.excess)
+        data.append((p, delta, l,
+                     {u: frozenset(es) for u, es in by_disc.items()}))
+    return tuple(data)
 
 
 def _sum_hits(choice_sets: list[set[int]], target: int) -> bool:

@@ -9,13 +9,16 @@ unit blocks and, at p = 2, the even 2x2 blocks U and V.
 local_invariant_set(p, n, q) returns every pair [excess, reduced
 discriminant] realized by a p-adic lattice of rank n whose discriminant
 form is the given p-group form q.  It combines the invariant set of a
-unimodular complement with a recursion that splits generators off the
-form one or two at a time until the closed rank <= 2 tables apply.
+unimodular complement of rank n - l with the set in the minimal rank l
+(minimal_rank_set), which a recursion builds by splitting generators off
+the form one or two at a time until the closed rank <= 2 tables apply.
+The rank-l set is computed once per (p, q) and does not depend on n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .exact_linalg import SquareClass, legendre_symbol, square_class
@@ -125,6 +128,7 @@ def identity_set(p: int) -> LocalInvariantSet:
     return frozenset({LocalInvariant(0, SquareClass.identity(p))})
 
 
+@lru_cache(maxsize=None)
 def unimodular_set(p: int, k: int) -> LocalInvariantSet:
     """Invariant pairs of unimodular p-adic lattices of rank k.
 
@@ -214,6 +218,28 @@ _REC_CACHE: dict = {}
 _SET_CACHE: dict = {}
 
 
+def minimal_rank_set(p: int,
+                     q_p: FiniteQuadraticForm) -> tuple[int, LocalInvariantSet]:
+    """(l, set) for the minimal number l of generators of the p-group
+    form q_p and all pairs [excess, reddisc] of rank-l p-adic lattices
+    with form q_p.
+
+    This is the part of local_invariant_set that does not depend on the
+    rank, computed once per (p, q_p).
+    """
+    key = (p, q_p)
+    cached = _SET_CACHE.get(key)
+    if cached is not None:
+        return cached
+    gens = reduced_generators(q_p)  # also validates the p-group shape
+    for d in q_p.orders:
+        if d % p != 0:
+            raise ValueError(f"form is not a {p}-group form")
+    result = (len(gens), _split_set(p, form_on_generators(q_p, gens)))
+    _SET_CACHE[key] = result
+    return result
+
+
 def local_invariant_set(p: int, n: int,
                         q_p: FiniteQuadraticForm) -> LocalInvariantSet:
     """All pairs [excess, reddisc] of rank-n p-adic lattices with form q_p.
@@ -222,22 +248,10 @@ def local_invariant_set(p: int, n: int,
     group; otherwise the set for a rank-l lattice combined (via star) with
     the unimodular possibilities in rank n - l.
     """
-    key = (p, n, q_p)
-    cached = _SET_CACHE.get(key)
-    if cached is not None:
-        return cached
-    gens = reduced_generators(q_p)  # also validates the p-group shape
-    for d in q_p.orders:
-        if d % p != 0:
-            raise ValueError(f"form is not a {p}-group form")
-    l = len(gens)
+    l, base = minimal_rank_set(p, q_p)
     if n < l:
-        result = frozenset()
-    else:
-        sorted_form = form_on_generators(q_p, gens)
-        result = star(unimodular_set(p, n - l), _split_set(p, sorted_form))
-    _SET_CACHE[key] = result
-    return result
+        return frozenset()
+    return star(unimodular_set(p, n - l), base)
 
 
 def _split_set(p: int, form: FiniteQuadraticForm) -> LocalInvariantSet:

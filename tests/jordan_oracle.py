@@ -1,12 +1,17 @@
-"""Exact Jordan decompositions of integer Gram matrices over Z_p.
+"""Exact Jordan decompositions of integer Gram matrices over Z_p, and
+the signature mod 8 of a discriminant form from its Gauss sum.
 
-Test-only oracle: the package itself never decomposes a lattice p-adically;
-these routines provide independent expected values for the local-invariant
-machinery on small random lattices.
+Test-only oracle: the package itself never decomposes a lattice p-adically
+and never sums over the group; these routines provide independent expected
+values for the local-invariant machinery and the genus decision on small
+random lattices.
 """
 
+import cmath
+import math
 from fractions import Fraction
 
+from k3ade.fqf import elements, eval_q, group_order
 from k3ade.local_invariants import U_BLOCK, UNIT, V_BLOCK, JordanBlock
 
 
@@ -139,3 +144,17 @@ def jordan_blocks(gram, p: int) -> list[JordanBlock]:
             blocks.append(JordanBlock(vo, V_BLOCK if odd_diag else U_BLOCK))
             _eliminate_pair(m, n, active, i, j)
     return sorted(blocks, key=lambda b: (b.nu, b.kind, b.a or 0))
+
+
+def gauss_signature(form) -> int:
+    """Signature mod 8 from the quadratic Gauss sum of the form (Milgram:
+    the sum over D of exp(pi i q(x)) is sqrt|D| exp(pi i (r - s) / 4))."""
+    total = complex(0.0)
+    for e in elements(form):
+        total += cmath.exp(1j * math.pi * float(eval_q(form, e)))
+    scale = math.sqrt(group_order(form))
+    assert abs(abs(total) - scale) < 1e-6 * scale
+    angle = cmath.phase(total) * 4.0 / math.pi
+    nearest = round(angle)
+    assert abs(angle - nearest) < 1e-6
+    return nearest % 8

@@ -9,8 +9,6 @@ rational arithmetic; there are no tolerances.
 
 from __future__ import annotations
 
-import cmath
-import math
 import random
 import subprocess
 import sys
@@ -21,6 +19,7 @@ from itertools import combinations, product
 
 import pytest
 
+from jordan_oracle import gauss_signature
 from k3ade.ade_types import (
     cartan_gram,
     closure,
@@ -241,19 +240,6 @@ def _exact_signature(gram):
     return pos, neg
 
 
-def _gauss_signature(form):
-    """Signature mod 8 from the quadratic Gauss sum of the form."""
-    total = complex(0.0)
-    for e in elements(form):
-        total += cmath.exp(1j * math.pi * float(eval_q(form, e)))
-    scale = math.sqrt(group_order(form))
-    assert abs(abs(total) - scale) < 1e-6 * scale
-    angle = cmath.phase(total) * 4.0 / math.pi
-    nearest = round(angle)
-    assert abs(angle - nearest) < 1e-6
-    return nearest % 8
-
-
 def test_criterion_09c_random_lattice_genus_invariants():
     rng = random.Random(181818)
     checked = 0
@@ -271,7 +257,7 @@ def test_criterion_09c_random_lattice_genus_invariants():
         assert r + s == n
         form, _ = discriminant_form(gram)
         assert exists_even_lattice(r, s, form) is True
-        assert _gauss_signature(form) == (r - s) % 8
+        assert gauss_signature(form) == (r - s) % 8
     assert checked == 500
 
 

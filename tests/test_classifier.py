@@ -5,6 +5,7 @@ path."""
 
 import cmath
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -572,8 +573,7 @@ class TestLatticeFreeFastPath:
         monkeypatch.setattr(classifier, "overlattice", _refuse)
         monkeypatch.setattr(classifier, "GramLattice", _refuse)
         monkeypatch.setattr(lattice_ops, "short_vectors", _refuse)
-        _context.cache_clear()
-        _component_theta.cache_clear()
+        classifier.clear_caches()
         try:
             sigma = T(text)
             published = {g for t, g in refdata.load_reference_pairs()
@@ -581,7 +581,27 @@ class TestLatticeFreeFastPath:
             assert published
             assert classify_type(sigma) == published
         finally:
-            _context.cache_clear()
+            classifier.clear_caches()
+
+
+class TestClearCaches:
+    def test_every_memo_table_empties(self):
+        # Every lru_cache and every *_CACHE table of the package, found
+        # by scanning the modules, so a memo added later is covered too.
+        classify_type(T("2A3"))
+        exists_even_lattice(3, 1, disc_form_closed(T("A3"))[0])
+        modules = [m for name, m in sorted(sys.modules.items())
+                   if name.startswith("k3ade.")]
+        memos = {id(v): v for m in modules for v in vars(m).values()
+                 if callable(getattr(v, "cache_info", None))}
+        tables = {id(v): v for m in modules
+                  for name, v in vars(m).items()
+                  if name.endswith("_CACHE") and isinstance(v, dict)}
+        assert any(m.cache_info().currsize for m in memos.values())
+        assert any(tables.values())
+        classifier.clear_caches()
+        assert [m for m in memos.values() if m.cache_info().currsize] == []
+        assert [t for t in tables.values() if t] == []
 
 
 def _gauss_sum(form):

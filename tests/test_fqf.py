@@ -664,6 +664,29 @@ class TestValidation:
             assert hash(scaled) == hash(fractional)
             assert pickle.loads(pickle.dumps(scaled)) == fractional
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_derived_forms_pass_full_validation(self, seed):
+        # p_part, direct_sum and form_on_generators without orders skip
+        # the checks; what they build must pass them all the same.
+        rng, forms = random_model_forms(f"derived:{seed}", 60)
+        built = [FiniteQuadraticForm(*f) for f in forms]
+        derived = []
+        for form, other in zip(built, built[1:]):
+            derived += [p_part(form, p) for p in (2, 3, 5, 7)]
+            derived.append(direct_sum(form, other))
+            rows = [x for x in small_elements(rng, form.orders, 6)
+                    if element_order(form, x) > 1][:rng.randint(1, 4)]
+            derived.append(form_on_generators(form, rows))
+        for f in derived:
+            checked = FiniteQuadraticForm.from_scaled(f.orders, f.qs, f.bs)
+            assert checked == f
+            assert (checked.exp, hash(checked)) == (f.exp, hash(f))
+
+    def test_derived_zero_generator_rejected(self):
+        form = discriminant_form(A2)[0]
+        with pytest.raises(ValueError, match="at least 2"):
+            form_on_generators(form, [(1,), (0,)])
+
     def test_equality_sees_values(self):
         a1 = FiniteQuadraticForm((2,), (F(1, 2),), ((F(1, 2),),))
         e7 = FiniteQuadraticForm.from_scaled((2,), (3,), ((1,),))

@@ -1,19 +1,23 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jordan_oracle import signature
-from k3ade.exact_linalg import int_det
+from jordan_oracle import gauss_signature, signature
+from k3ade import classifier, genus, local_invariants
+from k3ade.exact_linalg import int_det, prime_factors, square_class
 from k3ade.fqf import (
     TRIVIAL_FORM,
     discriminant_form,
     form_on_generators,
     group_order,
     make_form,
+    p_part,
 )
-from k3ade.genus import exists_even_lattice
+from k3ade.genus import _sum_hits, exists_even_lattice
+from k3ade.local_invariants import local_invariant_set
 
 
 def rank1_form(d, num):
@@ -117,3 +121,101 @@ class TestLargePrime:
         # division in the primality check).
         form, _ = discriminant_form([[2 * 10000019]])
         assert exists_even_lattice(1, 0, form) is True
+
+
+def model_exists(r, s, q):
+    """The decision asked afresh per question: for each p, the rank-n
+    invariant set of the p-part filtered by the wanted reduced
+    discriminant, then the global relation on the excesses."""
+    n = r + s
+    d = (-1) ** s * group_order(q)
+    sigmas = []
+    for p in sorted(set([2] + prime_factors(d))):
+        delta = d
+        while delta % p == 0:
+            delta //= p
+        want = square_class(delta, p)
+        choices = {inv.excess for inv in local_invariant_set(p, n, p_part(q, p))
+                   if inv.reddisc == want}
+        if not choices:
+            return False
+        sigmas.append(choices)
+    return _sum_hits(sigmas, (n - r + s) % 8)
+
+
+def seeded_forms(seed, count):
+    """Discriminant forms of random nondegenerate even lattices of rank
+    1-6, with the exact signature of each."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 6)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = 2 * rng.randint(-6, 6)
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.randint(-2, 2)
+        if int_det(gram) != 0:
+            out.append((discriminant_form(gram)[0], signature(gram)))
+    return out
+
+
+SIGNATURES = [(r, n - r) for n in range(1, 27) for r in range(n + 1)]
+
+
+def cache_sizes():
+    return (genus._local_data.cache_info().currsize,
+            len(local_invariants._SET_CACHE),
+            len(local_invariants._REC_CACHE),
+            local_invariants.unimodular_set.cache_info().currsize,
+            classifier._exists_cached.cache_info().currsize)
+
+
+class TestPerFormLookup:
+    def test_matches_per_question_model(self):
+        forms = seeded_forms("genus-lookup", 300)
+        questions = [(k, r, s) for k in range(len(forms))
+                     for r, s in SIGNATURES]
+        rng = random.Random("genus-lookup-order")
+        classifier.clear_caches()
+        answers = {}
+        for warm in (False, True):
+            rng.shuffle(questions)
+            for k, r, s in questions:
+                got = exists_even_lattice(r, s, forms[k][0])
+                if warm:
+                    assert got is answers[k, r, s], (k, r, s, warm)
+                else:
+                    answers[k, r, s] = got
+        mismatches = [key for key, got in answers.items()
+                      if model_exists(key[1], key[2], forms[key[0]][0])
+                      is not got]
+        assert mismatches == []
+        # The lattice each form comes from answers yes.
+        assert all(answers[k, r, s] for k, (_, (r, s)) in enumerate(forms))
+        assert 0 < sum(answers.values()) < len(answers)
+
+    def test_every_yes_meets_milgram(self):
+        # A second route to every "yes" that uses no local invariant:
+        # the Gauss sum of q fixes r - s mod 8.
+        checked = 0
+        for form, _ in seeded_forms("genus-milgram", 300):
+            if group_order(form) > 500:
+                continue
+            yes = [(r, s) for r, s in SIGNATURES
+                   if exists_even_lattice(r, s, form)]
+            assert yes
+            sig = gauss_signature(form)
+            assert [rs for rs in yes if (rs[0] - rs[1]) % 8 != sig] == []
+            checked += 1
+        assert checked >= 150
+
+    @pytest.mark.parametrize("r,s", [(-1, 3), (2, -1), (0, 0)])
+    def test_bad_signature_touches_no_cache(self, r, s):
+        form, _ = seeded_forms(f"genus-bad:{r}:{s}", 1)[0]
+        before = cache_sizes()
+        with pytest.raises(ValueError):
+            exists_even_lattice(r, s, form)
+        with pytest.raises(ValueError):
+            classifier._exists_cached(r, s, form)
+        assert cache_sizes() == before
