@@ -9,9 +9,14 @@ For every workload and side the summary gives the seeds, the number of
 rounds of each run, the ``src_sha256`` of the code measured, whether
 every run passed its output checks, and for each end-to-end metric of
 ``BENCHMARK.json`` the value of each run, their median and quartiles.
+Next to ``setup_s`` stand two figures of the rounds, each run's value
+being its median over its rounds: ``raw_setup_s``, the set-up as measured,
+and ``slice_median_s``, the median reference slice by which the set-up
+is scaled into ``setup_s``.  A work that gets shorter has fewer and
+shorter slices, so ``setup_s`` can move while ``raw_setup_s`` stays.
 Where both sides ran a seed, the pair counts as a win for the side whose
 value is better.  The relative change of the medians is given next to
-the metric's bound.
+the metric's bound (none for the round figures).
 
 Exits 2 when a side has no records or its records come from more than
 one version of the code.
@@ -27,6 +32,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: Figures read from every round of a record rather than from its result.
+ROUND_FIGURES = [{"name": name, "unit": "s", "better": "lower", "bound": None}
+                 for name in ("raw_setup_s", "slice_median_s")]
+
 
 def load_runs(root: Path) -> dict[str, dict[int, dict]]:
     """workload -> seed -> record of the untraced runs under root."""
@@ -35,6 +44,14 @@ def load_runs(root: Path) -> dict[str, dict[int, dict]]:
         record = json.loads(path.read_text())
         runs.setdefault(record["workload"], {})[record["seed"]] = record
     return runs
+
+
+def run_value(record: dict, name: str) -> float:
+    """A run's value of a metric: its end-to-end figure, or the median
+    over its rounds of a round figure."""
+    if name in record["result"]["metrics"]:
+        return record["result"]["metrics"][name]["value"]
+    return statistics.median(r[name] for r in record["rounds"])
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -57,8 +74,7 @@ def side_summary(records: dict[int, dict], metrics: list[dict]) -> dict:
         "metrics": {},
     }
     for m in metrics:
-        values = [records[s]["result"]["metrics"][m["name"]]["value"]
-                  for s in seeds]
+        values = [run_value(records[s], m["name"]) for s in seeds]
         q1, median, q3 = quartiles(values)
         out["metrics"][m["name"]] = {"unit": m["unit"], "runs": values,
                                      "median": median, "q1": q1, "q3": q3}
@@ -76,8 +92,8 @@ def compare(parent: dict[int, dict], change: dict[int, dict],
         sign = 1 if m["better"] == "lower" else -1
         wins = losses = 0
         for seed in shared:
-            pv = parent[seed]["result"]["metrics"][name]["value"]
-            cv = change[seed]["result"]["metrics"][name]["value"]
+            pv = run_value(parent[seed], name)
+            cv = run_value(change[seed], name)
             wins += sign * (pv - cv) > 0
             losses += sign * (cv - pv) > 0
         p, c = p_side["metrics"][name], c_side["metrics"][name]
@@ -100,6 +116,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, help="write here, not to stdout")
     args = ap.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics += ROUND_FIGURES
     parent, change = load_runs(args.parent), load_runs(args.change)
     summary = {}
     for workload in sorted(set(parent) | set(change)):

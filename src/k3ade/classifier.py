@@ -9,25 +9,27 @@ transcendental-partner lattice of signature (2, 18 - rank) exists for
 the glued discriminant form.  Accepted subgroups are recorded by their
 invariant factors.
 
-There are two routes.  The fast one is _pair_stream, which builds each
-glue subgroup <v, w> once per representative v as a union of cosets of
-<v> and reads its invariant factors off the orders of v and w, followed
-by _accept, which decides it on integers in the discriminant group D
-alone: the glued form H^perp / H comes from fqf.subquotient and the root
-condition reads closed-form coset minima.  classify_type feeds the
-stream every orbit representative; check_pair feeds it one pair.  The
-oracle, slow_check_pair, builds the explicit overlattice, takes the
-glued form from its Gram matrix, finds its roots by vector enumeration
-and takes the invariant factors from the Smith form of the relations of
-fqf.span; the tests compare the two routes.
+The root condition needs no vector of the glued lattice.  The coset of
+a glue class decomposes over the components, so its minimal norm is the
+sum of the textbook coset minima of the A, D and E components, held as
+integers scaled by the exponent E of the discriminant group D.  A
+nonzero class whose sum is exactly 2E is a root class, and a subgroup
+gains roots exactly when it holds one.  Each type context marks the
+root classes in one table over D; the other isotropic classes form the
+root-free pool, read off that table in one numpy lookup.
 
-The root condition is decided without enumerating vectors of the glued
-lattice: the coset of a glue class decomposes over the components, so
-its minimal norm is the sum of per-component coset minima, and new
-roots appear exactly when that sum equals 2.  The per-component minima
-are the textbook coset minima of the A, D and E lattices; each type
-context holds them scaled by the exponent E of D, so the sums are
-integers compared against 2E.
+There are two routes.  The fast one works on integers in D alone.
+_pair_stream walks b w, b < m, until m w lands in <v>; the walk gives
+the invariant factors of H = <v, w>, and a skip hook passes over the
+pair on them before H is built from the cosets of <v>.  classify_type
+is one lazy loop over the stream on the orbit representatives of the
+pool: it skips factors already accepted or failing the p-rank prune,
+requires H inside the pool, then asks for the partner of the glued form
+H^perp / H from fqf.subquotient.  check_pair runs the same tests on one
+pair.  The oracle, slow_check_pair, builds the explicit overlattice,
+takes the glued form from its Gram matrix, finds its roots by vector
+enumeration and takes the invariant factors from the Smith form of the
+relations of fqf.span; the tests compare the two routes.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from math import comb, gcd, lcm, prod
 from operator import add, mod
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from . import ade_types, genus, lattice_ops, local_invariants
 from .ade_types import (ADEType, Component, act, cartan_gram,
@@ -97,26 +101,21 @@ class GluePair:
 
 
 class _TypeContext:
-    __slots__ = ("sigma", "form", "spec", "theta", "pranks")
+    __slots__ = ("sigma", "form", "spec", "roots", "pranks")
 
     def __init__(self, sigma: ADEType):
         self.sigma = sigma
         self.form, _ = disc_form_closed(sigma)
-        self.spec = gamma_generators(sigma)
-        # Per component: the coset minima at most 2, scaled by E.
-        e = self.form.exp
-        theta = []
-        for comp in self.spec.components:
-            table = {}
-            for cls, (mu, _) in _component_theta(comp).items():
-                if (mu * e).denominator != 1:
-                    raise RuntimeError(f"coset minimum {mu} of {comp} is "
-                                       f"not a multiple of 1/{e}")
-                table[cls] = int(mu * e)
-            theta.append(table)
-        self.theta = tuple(theta)
-        primes = {p for d in self.form.orders for p in prime_factors(d)}
-        self.pranks = {p: sum(1 for d in self.form.orders if d % p == 0)
+        spec = self.spec = gamma_generators(sigma)
+        # Over D: E times the sum of the per-component coset minima; the
+        # root classes are the nonzero classes where it is 2E.
+        e, orders = self.form.exp, self.form.orders
+        norms = np.zeros((), np.int64)
+        for comp in spec.components:
+            norms = np.add.outer(norms, _scaled_minima(comp, e))
+        self.roots = norms == 2 * e
+        primes = {p for d in orders for p in prime_factors(d)}
+        self.pranks = {p: sum(1 for d in orders if d % p == 0)
                        for p in primes}
         if sigma.euler <= 24 and group_order(self.form) > MAX_DISC_ORDER:
             raise RuntimeError(f"discriminant group of {sigma} exceeds "
@@ -133,11 +132,13 @@ def _context(sigma: ADEType) -> _TypeContext:
 
 
 @lru_cache(maxsize=None)
-def _component_theta(comp: Component) -> dict:
-    """Per nonzero discriminant class of a single component: the
-    minimal norm over the corresponding coset of the component lattice
-    and the number of vectors attaining it, restricted to minima at
-    most 2 (larger minima never produce roots).
+def _component_theta(comp: Component) -> tuple[int, dict]:
+    """(d, table) for a single component: per nonzero discriminant
+    class, d times the minimal norm over the corresponding coset of the
+    component lattice and the number of vectors attaining it, restricted
+    to minima at most 2 (larger minima never produce roots).  The
+    denominator d is l+1 for A_l, 4 for D_n, 3 for E6, 2 for E7 and 1
+    for E8, so every entry is an integer.
 
     The classes are coefficient tuples on the generators of
     disc_form_closed, and the values are the closed forms of
@@ -149,11 +150,10 @@ def _component_theta(comp: Component) -> dict:
     """
     kind, n = comp
     if kind == "A":
-        table = {(k,): (Fraction(k * (n + 1 - k), n + 1), comb(n + 1, k))
-                 for k in range(1, n + 1)}
+        den, table = n + 1, {(k,): (k * (n + 1 - k), comb(n + 1, k))
+                             for k in range(1, n + 1)}
     elif kind == "D":
-        vector = (Fraction(1), 2 * n)
-        spinor = (Fraction(n, 4), 2 ** (n - 1))
+        den, vector, spinor = 4, (4, 2 * n), (n, 2 ** (n - 1))
         if n % 2:
             # One generator of order 4, the dual of the spinor node 1.
             table = {(1,): spinor, (2,): vector, (3,): spinor}
@@ -161,38 +161,37 @@ def _component_theta(comp: Component) -> dict:
             # The duals of the spinor node 1 and of the chain end n.
             table = {(1, 0): spinor, (0, 1): vector, (1, 1): spinor}
     elif n == 6:
-        table = {(1,): (Fraction(4, 3), 27), (2,): (Fraction(4, 3), 27)}
+        den, table = 3, {(1,): (4, 27), (2,): (4, 27)}
     elif n == 7:
-        table = {(1,): (Fraction(3, 2), 56)}
+        den, table = 2, {(1,): (3, 56)}
     else:
-        table = {}
-    return {cls: entry for cls, entry in table.items() if entry[0] <= 2}
+        den, table = 1, {}
+    return den, {cls: entry for cls, entry in table.items()
+                 if entry[0] <= 2 * den}
 
 
-def _roots_stay(ctx: _TypeContext, subgroup: Iterable[FqfElement]) -> bool:
-    """True when no nonzero class of the glue subgroup has coset
-    minimum exactly 2, i.e. the glued lattice keeps the root type."""
-    spec = ctx.spec
-    two = 2 * ctx.form.exp
-    slices = tuple(zip(ctx.theta, spec.gen_offsets, spec.gen_counts))
-    for h in subgroup:
-        if not any(h):
-            continue
-        total = 0
-        for table, off, cnt in slices:
-            piece = h[off:off + cnt]
-            if not any(piece):
-                continue
-            mu = table.get(piece)
-            if mu is None:
-                break
-            total += mu
-            if total > two:
-                break
-        else:
-            if total == two:
-                return False
-    return True
+@lru_cache(maxsize=None)
+def _scaled_minima(comp: Component, e: int) -> np.ndarray:
+    """E times the coset minimum of each discriminant class of a single
+    component, as an array indexed by the class: 0 for the zero class
+    and 2E + 1 for a minimum above 2."""
+    den, table = _component_theta(comp)
+    orders = disc_form_closed(ADEType((comp,)))[0].orders
+    minima = []
+    for piece in product(*(range(d) for d in orders)):
+        num = (table[piece][0] * e if piece in table
+               else (2 * e + 1) * den if any(piece) else 0)
+        if num % den:
+            raise RuntimeError(f"coset minimum {Fraction(num, den * e)} of "
+                               f"{comp} is not a multiple of 1/{e}")
+        minima.append(num // den)
+    return np.reshape(minima, orders)
+
+
+def _root_free(ctx: _TypeContext, classes: list[FqfElement]) -> np.ndarray:
+    """Mask of the classes that are not root classes (see the module doc)."""
+    xs = np.array(classes, np.int64).reshape(len(classes), -1)
+    return ~ctx.roots[tuple(xs.T)].reshape(len(classes))
 
 
 @lru_cache(maxsize=None)
@@ -221,23 +220,21 @@ def _component_min_table(comp: Component) -> dict:
     return table
 
 
-def _canonical(spec, x: FqfElement) -> FqfElement:
-    """Canonical orbit representative: per-component minimal image,
-    then sorted within each block of equal components."""
-    pieces = []
-    for ci, comp in enumerate(spec.components):
-        off = spec.gen_offsets[ci]
-        cnt = spec.gen_counts[ci]
-        pieces.append(_component_min_table(comp)[x[off:off + cnt]])
-    out: list[int] = []
-    for start, count in spec.blocks:
-        for piece in sorted(pieces[start:start + count]):
-            out.extend(piece)
-    return tuple(out)
-
-
 def _orbit_reps(spec, iso: list[FqfElement]) -> list[FqfElement]:
-    return sorted({_canonical(spec, x) for x in iso})
+    """Canonical representatives of the orbits met in iso: per-component
+    minimal images, sorted within each block of equal components."""
+    slots = [(_component_min_table(comp), off, off + cnt)
+             for comp, off, cnt in zip(spec.components, spec.gen_offsets,
+                                       spec.gen_counts)]
+    reps = set()
+    for x in iso:
+        pieces = [table[x[a:b]] for table, a, b in slots]
+        out: list[int] = []
+        for start, count in spec.blocks:
+            for piece in sorted(pieces[start:start + count]):
+                out.extend(piece)
+        reps.add(tuple(out))
+    return sorted(reps)
 
 
 def orbit_reps_isotropic(sigma: ADEType) -> list[FqfElement]:
@@ -248,15 +245,16 @@ def orbit_reps_isotropic(sigma: ADEType) -> list[FqfElement]:
 
 
 def _pair_stream(form: FiniteQuadraticForm, reps: list[FqfElement],
-                 pool: list[FqfElement]) -> Iterator[tuple]:
+                 pool: list[FqfElement], skip=None) -> Iterator[tuple]:
     """Yield (v, w, subgroup, factors) for each v in reps and each w in
     the pool orthogonal to v, each literal subgroup at most once;
     factors are the subgroup's invariant factors.  Elements must be
-    reduced.
+    reduced.  Pairs whose factors satisfy skip are never built.
 
     The subgroup H = <v, w> is the union of the cosets b w + <v>,
     b < m, where m is the least positive integer with m w in <v>, say
-    m w = k v; then ord(w) = m ord(v) / gcd(k, ord(v)).  Every element
+    m w = k v; then H has order m ord(v) and exponent lcm(ord(v),
+    ord(w)), with ord(w) = m ord(v) / gcd(k, ord(v)).  Every element
     of a coset with gcd(b, m) = 1 generates H together with v, so those
     cosets are marked done and H is built once per v.
     """
@@ -275,16 +273,19 @@ def _pair_stream(form: FiniteQuadraticForm, reps: list[FqfElement],
         for w in orthogonal_filter(form, pool, v):
             if w in done:
                 continue
-            cosets = []
-            bw = zero
-            while True:
-                cosets.append([tuple(map(mod, map(add, bw, u), orders))
-                               for u in multiples])
+            shifts = [zero]
+            bw = w
+            while bw not in multiples:
+                shifts.append(bw)
                 bw = tuple(map(mod, map(add, bw, w), orders))
-                k = multiples.get(bw)
-                if k is not None:
-                    break
-            m = len(cosets)
+            m = len(shifts)
+            exp = lcm(ord_v, m * ord_v // gcd(multiples[bw], ord_v))
+            small = m * ord_v // exp
+            factors = (small, exp) if small > 1 else (exp,) if exp > 1 else ()
+            if skip is not None and skip(factors):
+                continue
+            cosets = [[tuple(map(mod, map(add, shift, u), orders))
+                       for u in multiples] for shift in shifts]
             for b, coset in enumerate(cosets):
                 if gcd(b, m) == 1:
                     done.update(coset)
@@ -294,8 +295,6 @@ def _pair_stream(form: FiniteQuadraticForm, reps: list[FqfElement],
             if sub in seen:
                 continue
             seen.add(sub)
-            exp = lcm(ord_v, m * ord_v // gcd(k, ord_v))
-            factors = tuple(f for f in (len(sub) // exp, exp) if f > 1)
             yield v, w, sub, factors
 
 
@@ -323,8 +322,8 @@ def clear_caches() -> None:
     The tables are unbounded and live as long as the process; this is the
     one way to drop them, e.g. between runs that must not share work.
     """
-    for memo in (_context, _component_theta, _component_min_table,
-                 _exists_cached, genus._local_data,
+    for memo in (_context, _component_theta, _scaled_minima,
+                 _component_min_table, _exists_cached, genus._local_data,
                  local_invariants.unimodular_set, ade_types._component_gram,
                  ade_types.component_inverse, ade_types._component_disc,
                  ade_types._component_gamma,
@@ -365,20 +364,19 @@ def _glue_lift(lifts: list[RatVector], x: FqfElement) -> RatVector:
             for j in range(len(lifts[0]))]
 
 
-def _accept(ctx: _TypeContext, v: FqfElement, w: FqfElement,
-            sub: frozenset, factors: FactorTuple) -> bool:
-    """Decide one glue subgroup: no new roots, then existence of the
-    signature (2, 18 - rank) partner for the glued form H^perp / H."""
-    # The glued form has p-rank at least rank_p(D) - 2 rank_p(H): each
-    # of restricting to the orthogonal complement of H and quotienting
-    # by H lowers the p-rank by at most rank_p(H).  A lattice of rank
-    # n = 2 + (18 - rank) cannot carry a form of larger p-rank.
+def _prank_fails(ctx: _TypeContext, factors: FactorTuple) -> bool:
+    """The p-rank prune.  Each of restricting to H^perp and quotienting
+    by H lowers the p-rank by at most rank_p(H), and a lattice of rank
+    n = 2 + (18 - rank) cannot carry a form of p-rank above n."""
     n = 20 - ctx.sigma.rank
-    for p, rank_p in ctx.pranks.items():
-        if rank_p - 2 * sum(1 for f in factors if f % p == 0) > n:
-            return False
-    if not _roots_stay(ctx, sub):
-        return False
+    return any(rank_p - 2 * sum(1 for f in factors if f % p == 0) > n
+               for p, rank_p in ctx.pranks.items())
+
+
+def _partner_exists(ctx: _TypeContext, v: FqfElement, w: FqfElement,
+                    sub: frozenset) -> bool:
+    """Whether the signature (2, 18 - rank) partner of the glued form
+    H^perp / H of H = <v, w> exists."""
     glued = subquotient(ctx.form, (v, w))
     if group_order(glued) * len(sub) ** 2 != group_order(ctx.form):
         raise RuntimeError("glued form order disagrees with the subgroup")
@@ -387,7 +385,7 @@ def _accept(ctx: _TypeContext, v: FqfElement, w: FqfElement,
 
 def check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:
     """Run the acceptance test on one glue pair, through the subgroup
-    stream of classify_type."""
+    stream and the tests of classify_type."""
     ctx = _context(sigma)
     form = ctx.form
     for g in (pair.v, pair.w):
@@ -397,25 +395,28 @@ def check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:
         raise ValueError("glue classes do not pair to zero")
     v, w = (tuple(map(mod, g, form.orders)) for g in (pair.v, pair.w))
     _, _, sub, factors = next(_pair_stream(form, [v], [w]))
-    if not _accept(ctx, v, w, sub, factors):
+    if (_prank_fails(ctx, factors) or any(ctx.roots[h] for h in sub)
+            or not _partner_exists(ctx, v, w, sub)):
         return None
     return ClassEntry(sigma, factors)
 
 
 def classify_type(sigma: ADEType) -> set[FactorTuple]:
-    """All torsion groups realizable together with the given type."""
+    """All torsion groups realizable together with the given type, by
+    one lazy loop over the root-free pool (see the module docstring)."""
     ctx = _context(sigma)
     iso = isotropic_list(ctx.form)
-    by_factors: dict[FactorTuple, list[tuple]] = {}
-    for v, w, sub, f in _pair_stream(ctx.form, _orbit_reps(ctx.spec, iso),
-                                     iso):
-        by_factors.setdefault(f, []).append((v, w, sub))
+    pool = list(compress(iso, _root_free(ctx, iso).tolist()))
+    root_free = set(pool)
     out: set[FactorTuple] = set()
-    for f in sorted(by_factors):
-        for v, w, sub in by_factors[f]:
-            if _accept(ctx, v, w, sub, f):
-                out.add(f)
-                break
+
+    def skip(factors: FactorTuple) -> bool:
+        return factors in out or _prank_fails(ctx, factors)
+
+    for v, w, sub, factors in _pair_stream(
+            ctx.form, _orbit_reps(ctx.spec, pool), pool, skip):
+        if sub <= root_free and _partner_exists(ctx, v, w, sub):
+            out.add(factors)
     return out
 
 

@@ -189,7 +189,7 @@ def legendre_symbol(u: int, p: int) -> int:
     raise ValueError(f"{p} is not prime")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SquareClass:
     """An element of Z_p^x / (Z_p^x)^2.
 

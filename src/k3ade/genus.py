@@ -8,14 +8,14 @@ excesses can be chosen to satisfy the global relation
 r - s + sum_p excess_p = n mod 8.  No witness lattice is ever built.
 
 The decision is split in two.  Per form, once: for each such prime p, the
-unit part delta_p of |D| at p, the minimal number l_p of generators of
-q_p and the invariant pairs of rank-l_p lattices with form q_p, grouped
-by reduced discriminant.  None of this depends on (r, s).  Per question:
-a rank-n lattice is a rank-l_p one plus a unimodular complement of rank
-n - l_p, whose invariant pairs take at most two values (e_u, u_u), so the
-excesses matching the wanted class want = (-1)^s delta_p are the
-e + e_u mod 8 over the rank-l_p pairs with reduced discriminant
-want * u_u (square classes are their own inverses).
+square classes of +-delta_p (delta_p the unit part of |D| at p), the least
+number l_p of generators of q_p and the invariant pairs of rank-l_p
+lattices with form q_p, by reduced discriminant.  None of this depends on
+(r, s).  Per question: a rank-n lattice is a rank-l_p one plus a
+unimodular complement of rank n - l_p, whose invariant pairs take at most
+two values (e_u, u_u), so the excesses matching the wanted class
+want = (-1)^s delta_p are the e + e_u mod 8 over the rank-l_p pairs with
+reduced discriminant want * u_u (square classes are their own inverses).
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .exact_linalg import SquareClass, prime_factors, square_class
 from .fqf import FiniteQuadraticForm, group_order, p_part
 from .local_invariants import minimal_rank_set, unimodular_set
 
-#: Per prime p dividing 2|D|: (p, delta_p, l_p, {reddisc: excesses}).
-LocalData = tuple[tuple[int, int, int, dict[SquareClass, frozenset[int]]],
-                  ...]
+#: Per prime p | 2|D|: (p, classes of +-delta_p, l_p, {reddisc: excesses}).
+LocalData = tuple[tuple[int, tuple[SquareClass, SquareClass], int,
+                        dict[SquareClass, frozenset[int]]], ...]
 
 
 def exists_even_lattice(r: int, s: int, q: FiniteQuadraticForm) -> bool:
@@ -43,12 +43,11 @@ def exists_even_lattice(r: int, s: int, q: FiniteQuadraticForm) -> bool:
     n = r + s
     if n == 0:
         raise ValueError("rank must be positive")
-    sign = -1 if s % 2 else 1
     sigmas = []
-    for p, delta, l, by_disc in _local_data(q):
+    for p, wants, l, by_disc in _local_data(q):
         if n < l:
             return False
-        want = square_class(sign * delta, p)
+        want = wants[s % 2]
         choices = set()
         for unimodular in unimodular_set(p, n - l):
             choices.update(
@@ -73,7 +72,7 @@ def _local_data(q: FiniteQuadraticForm) -> LocalData:
         by_disc: dict[SquareClass, set[int]] = {}
         for inv in base:
             by_disc.setdefault(inv.reddisc, set()).add(inv.excess)
-        data.append((p, delta, l,
+        data.append((p, (square_class(delta, p), square_class(-delta, p)), l,
                      {u: frozenset(es) for u, es in by_disc.items()}))
     return tuple(data)
 

@@ -156,6 +156,13 @@ def enumerated_theta(comp):
             for cls, (num, cnt) in least.items()}
 
 
+def theta_fractions(comp):
+    """_component_theta with each minimum as a Fraction."""
+    den, table = _component_theta(comp)
+    return {cls: (Fraction(num, den), cnt)
+            for cls, (num, cnt) in table.items()}
+
+
 class TestThetaAgainstEnumeration:
     @pytest.mark.parametrize("comp", ALL_COMPONENTS,
                              ids=lambda c: f"{c[0]}{c[1]}")
@@ -163,7 +170,7 @@ class TestThetaAgainstEnumeration:
         # Minima and counts of the closed forms equal those found by
         # enumerating the scaled dual lattice, class by class, and each
         # minimum is q of its class modulo 2.
-        table = _component_theta(comp)
+        table = theta_fractions(comp)
         assert table == enumerated_theta(comp)
         form, _ = disc_form_closed(ADEType((comp,)))
         for cls, (mu, _) in table.items():
@@ -173,23 +180,23 @@ class TestThetaAgainstEnumeration:
 
 class TestThetaTables:
     def test_a1(self):
-        assert _component_theta(("A", 1)) == {(1,): (Fraction(1, 2), 2)}
+        assert theta_fractions(("A", 1)) == {(1,): (Fraction(1, 2), 2)}
 
     def test_a2(self):
-        assert _component_theta(("A", 2)) == {
+        assert theta_fractions(("A", 2)) == {
             (1,): (Fraction(2, 3), 3),
             (2,): (Fraction(2, 3), 3),
         }
 
     def test_d4(self):
-        assert _component_theta(("D", 4)) == {
+        assert theta_fractions(("D", 4)) == {
             (0, 1): (Fraction(1), 8),
             (1, 0): (Fraction(1), 8),
             (1, 1): (Fraction(1), 8),
         }
 
     def test_d5(self):
-        assert _component_theta(("D", 5)) == {
+        assert theta_fractions(("D", 5)) == {
             (1,): (Fraction(5, 4), 16),
             (2,): (Fraction(1), 10),
             (3,): (Fraction(5, 4), 16),
@@ -197,19 +204,32 @@ class TestThetaTables:
 
     def test_d9_drops_spinor_classes(self):
         # The spinor cosets of D9 have minimum 9/4 > 2 and are omitted.
-        assert _component_theta(("D", 9)) == {(2,): (Fraction(1), 18)}
+        assert theta_fractions(("D", 9)) == {(2,): (Fraction(1), 18)}
 
     def test_e7(self):
-        assert _component_theta(("E", 7)) == {(1,): (Fraction(3, 2), 56)}
+        assert theta_fractions(("E", 7)) == {(1,): (Fraction(3, 2), 56)}
 
     def test_e8(self):
-        assert _component_theta(("E", 8)) == {}
+        assert theta_fractions(("E", 8)) == {}
+
+    def test_integer_numerators_over_one_denominator(self):
+        for kind, n in ALL_COMPONENTS:
+            den, table = _component_theta((kind, n))
+            want = n + 1 if kind == "A" else 4 if kind == "D" else 9 - n
+            assert den == want, (kind, n)
+            assert all(type(num) is int and type(cnt) is int
+                       for num, cnt in table.values())
+
+    def test_minimum_off_the_scale_raises(self):
+        # The minima 2/3 of A2 are not multiples of 1/2.
+        with pytest.raises(RuntimeError, match="not a multiple of 1/2"):
+            classifier._scaled_minima(("A", 2), 2)
 
     @pytest.mark.parametrize("l", range(1, 19))
     def test_a_series_law(self, l):
         # Coset k of A_l has minimum k(l+1-k)/(l+1), attained by the
         # C(l+1, k) vectors of the corresponding weight orbit.
-        table = _component_theta(("A", l))
+        table = theta_fractions(("A", l))
         for k in range(1, l + 1):
             mu = Fraction(k * (l + 1 - k), l + 1)
             if mu <= 2:
@@ -258,7 +278,7 @@ class TestThetaClosedForms:
         "comp", [("D", n) for n in range(4, 19)] + [("E", 6), ("E", 7)],
         ids=lambda c: f"{c[0]}{c[1]}")
     def test_minima_and_counts(self, comp):
-        table = _component_theta(comp)
+        table = theta_fractions(comp)
         expected = sorted(e for e in closed_coset_minima(comp)
                           if e[0] <= 2)
         assert sorted(table.values()) == expected
@@ -534,6 +554,122 @@ class TestClassifyType:
         for text, groups in CLASSIFY_ORACLES.items():
             for g in groups:
                 ClassEntry(T(text), g)
+
+
+def enumerated_norm(sigma, x):
+    """The sum over the components of the enumerated coset minima of the
+    pieces of the class x; None when a piece has minimum above 2."""
+    spec = _context(sigma).spec
+    total = Fraction(0)
+    for comp, off, cnt in zip(spec.components, spec.gen_offsets,
+                              spec.gen_counts):
+        piece = x[off:off + cnt]
+        if any(piece):
+            entry = enumerated_theta(comp).get(piece)
+            if entry is None:
+                return None
+            total += entry[0]
+    return total
+
+
+def _prank_bound(sigma, form, factors):
+    n = 20 - sigma.rank
+    for p in {p for d in form.orders for p in prime_factors(d)}:
+        rank = sum(1 for d in form.orders if d % p == 0)
+        if rank - 2 * sum(1 for f in factors if f % p == 0) > n:
+            return False
+    return True
+
+
+def eager_classify(sigma):
+    """The eager loop that classify_type replaced, as (accepted factors,
+    genus questions asked).  Every subgroup of the stream on all the
+    isotropic classes is built and grouped by its invariant factors;
+    the groups are then decided in sorted order, each up to its first
+    accepted subgroup.  Roots are found from the enumerated minima."""
+    form = _context(sigma).form
+    iso = isotropic_list(form)
+    norms = {x: enumerated_norm(sigma, x) for x in iso}
+    by_factors = {}
+    for v, w, sub, f in _pair_stream(form, orbit_reps_isotropic(sigma), iso):
+        by_factors.setdefault(f, []).append((v, w, sub))
+    out, asked = set(), 0
+    for f in sorted(by_factors):
+        if not _prank_bound(sigma, form, f):
+            continue
+        for v, w, sub in by_factors[f]:
+            if any(norms[h] == 2 for h in sub):
+                continue
+            asked += 1
+            if exists_even_lattice(2, 18 - sigma.rank,
+                                   subquotient(form, (v, w))):
+                out.add(f)
+                break
+    return out, asked
+
+
+class TestRootFreePool:
+    def test_pool_drops_exactly_the_norm_two_classes(self):
+        # The one numpy lookup against coset minima found by enumerating
+        # short vectors, on every 7th type and every single component.
+        types = (enumerate_candidates(18, 24)[::7]
+                 + [ADEType((comp,)) for comp in ALL_COMPONENTS])
+        dropped = 0
+        for sigma in types:
+            iso = isotropic_list(_context(sigma).form)
+            mask = classifier._root_free(_context(sigma), iso).tolist()
+            assert mask == [enumerated_norm(sigma, x) != 2 for x in iso], \
+                sigma
+            dropped += mask.count(False)
+        assert len(types) == 563 + 36
+        assert dropped > 0
+
+    def test_check_pair_reads_the_pool_table(self, monkeypatch):
+        # A root class of the pool's table rejects its one-class
+        # subgroup; with the table patched to hold none, it is accepted.
+        sigma = T("A7+A1")
+        ctx = _context(sigma)
+        iso = isotropic_list(ctx.form)
+        mask = classifier._root_free(ctx, iso).tolist()
+        root = next(x for x, keep in zip(iso, mask) if not keep)
+        zero = (0,) * len(ctx.form.orders)
+        assert check_pair(sigma, pair(root, zero)) is None
+        monkeypatch.setattr(ctx, "roots", np.zeros_like(ctx.roots))
+        assert check_pair(sigma, pair(root, zero)) is not None
+
+
+class TestLazyLoop:
+    # Over the 197 types of every 20th candidate: the subgroups the
+    # stream builds and yields to classify_type, and its genus questions.
+    TABLE_COUNTS = (1139, 189)
+
+    @pytest.mark.parametrize("start", range(0, 25, 5))
+    def test_matches_eager_loop(self, start):
+        for sigma in enumerate_candidates(18, 24)[start::25]:
+            assert classify_type(sigma) == eager_classify(sigma)[0], sigma
+
+    def test_pinned_counts(self, monkeypatch):
+        stream, exists = classifier._pair_stream, classifier._exists_cached
+        counts = [0, 0]
+
+        def counted_stream(*args):
+            for item in stream(*args):
+                counts[0] += 1
+                yield item
+
+        def counted_exists(*args):
+            counts[1] += 1
+            return exists(*args)
+
+        monkeypatch.setattr(classifier, "_pair_stream", counted_stream)
+        monkeypatch.setattr(classifier, "_exists_cached", counted_exists)
+        types = enumerate_candidates(18, 24)[::20]
+        for sigma in types:
+            classify_type(sigma)
+        monkeypatch.undo()
+        assert len(types) == 197
+        assert tuple(counts) == self.TABLE_COUNTS
+        assert counts[1] == sum(eager_classify(t)[1] for t in types)
 
 
 class TestLowRankClassification:
