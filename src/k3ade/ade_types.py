@@ -246,50 +246,55 @@ def component_inverse(comp: Component) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _component_disc(comp: Component) -> tuple[FiniteQuadraticForm,
-                                              tuple[tuple[Fraction, ...], ...]]:
-    """Closed-form discriminant data of one component.
+def _component_form(comp: Component) -> FiniteQuadraticForm:
+    """Closed-form discriminant form of one component on its standard
+    generators (see _component_lifts)."""
+    kind, n = _check_component(comp)
+    half = Fraction(1, 2)
+    if kind == "A":
+        return make_form((n + 1,), (Fraction(n, n + 1),),
+                         ((Fraction(n, n + 1),),))
+    if kind == "D":
+        if n % 2 == 0:
+            q1 = Fraction(n, 4)
+            return make_form((2, 2), (q1, 1), ((q1, half), (half, 1)))
+        return make_form((4,), (Fraction(n, 4),), ((Fraction(n, 4),),))
+    if n == 6:
+        return make_form((3,), (Fraction(4, 3),), ((Fraction(4, 3),),))
+    if n == 7:
+        return make_form((2,), (Fraction(3, 2),), ((Fraction(3, 2),),))
+    return TRIVIAL_FORM
 
-    Returns the form on the standard generators together with their
-    lifts (columns of the inverse Gram matrix): for A_l the dual of
-    vertex l, for D_m the duals of vertices 1 and m (only vertex 1
-    when m is odd, where it already generates the cyclic group), for
-    E_6 and E_7 the dual of the last chain vertex, nothing for E_8.
+
+@lru_cache(maxsize=None)
+def _component_lifts(comp: Component) -> tuple[tuple[Fraction, ...], ...]:
+    """Lifts of the standard generators of _component_form (columns of
+    the inverse Gram matrix): for A_l the dual of vertex l, for D_m the
+    duals of vertices 1 and m (only vertex 1 when m is odd, where it
+    already generates the cyclic group), for E_6 and E_7 the dual of the
+    last chain vertex, nothing for E_8.
     """
     kind, n = _check_component(comp)
     inv = component_inverse(comp)
-
-    def col(j: int) -> tuple[Fraction, ...]:
-        return tuple(inv[i][j - 1] for i in range(n))
-
-    half = Fraction(1, 2)
-    if kind == "A":
-        form = make_form((n + 1,), (Fraction(n, n + 1),),
-                         ((Fraction(n, n + 1),),))
-        lifts = (col(n),)
-    elif kind == "D":
-        if n % 2 == 0:
-            q1 = Fraction(n, 4)
-            form = make_form((2, 2), (q1, 1), ((q1, half), (half, 1)))
-            lifts = (col(1), col(n))
-        else:
-            form = make_form((4,), (Fraction(n, 4),), ((Fraction(n, 4),),))
-            lifts = (col(1),)
-    elif n == 6:
-        form = make_form((3,), (Fraction(4, 3),), ((Fraction(4, 3),),))
-        lifts = (col(6),)
-    elif n == 7:
-        form = make_form((2,), (Fraction(3, 2),), ((Fraction(3, 2),),))
-        lifts = (col(7),)
+    if kind == "D":
+        nodes = (1, n) if n % 2 == 0 else (1,)
     else:
-        form, lifts = TRIVIAL_FORM, ()
-    return form, lifts
+        nodes = (n,) if kind == "A" or n < 8 else ()
+    return tuple(tuple(inv[i][j - 1] for i in range(n)) for j in nodes)
 
 
 def disc_order(sigma: ADEType) -> int:
     """Order of the discriminant group of the root lattice of sigma."""
-    return prod(prod(_component_disc(comp)[0].orders)
+    return prod(prod(_component_form(comp).orders)
                 for comp in sigma.components)
+
+
+def closed_form(sigma: ADEType) -> FiniteQuadraticForm:
+    """The form of disc_form_closed alone, without building any lift."""
+    form = TRIVIAL_FORM
+    for comp in sigma.components:
+        form = direct_sum(form, _component_form(comp))
+    return form
 
 
 def disc_form_closed(sigma: ADEType) -> tuple[FiniteQuadraticForm,
@@ -302,19 +307,16 @@ def disc_form_closed(sigma: ADEType) -> tuple[FiniteQuadraticForm,
     ``discriminant_form(cartan_gram(sigma))``.
     """
     total = sigma.rank
-    form = TRIVIAL_FORM
     lifts: list[RatVector] = []
     base = 0
     zero = Fraction(0)
     for comp in sigma.components:
-        cform, clifts = _component_disc(comp)
-        form = direct_sum(form, cform)
         n = comp[1]
-        for lift in clifts:
+        for lift in _component_lifts(comp):
             lifts.append([zero] * base + list(lift)
                          + [zero] * (total - base - n))
         base += n
-    return form, lifts
+    return closed_form(sigma), lifts
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +376,11 @@ def gamma_generators(sigma: ADEType) -> ActionSpec:
     gens: list[tuple[GenMatrix, ...]] = []
     pos = 0
     for comp in sigma.components:
-        cform, _ = _component_disc(comp)
+        count = len(_component_form(comp).orders)
         offsets.append(pos)
-        counts.append(len(cform.orders))
+        counts.append(count)
         gens.append(_component_gamma(comp))
-        pos += len(cform.orders)
+        pos += count
     blocks: list[tuple[int, int]] = []
     start = 0
     for comp, count in sigma.runs():

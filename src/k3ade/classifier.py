@@ -30,6 +30,18 @@ pair.  The oracle, slow_check_pair, builds the explicit overlattice,
 takes the glued form from its Gram matrix, finds its roots by vector
 enumeration and takes the invariant factors from the Smith form of the
 relations of fqf.span; the tests compare the two routes.
+
+Most partner questions are decided by a length count.  By Nikulin's
+Cor. 1.10.2, an even lattice of signature (r, s) with form q exists
+when n = r + s exceeds the length of the group of q and r - s = sign(q)
+mod 8.  The root lattice is positive definite, so the Gauss sum of its
+form gives sign = rank mod 8, and by Milgram's formula H^perp / H keeps
+that sum for isotropic H.  With n = 20 - rank and r - s = rank - 16 the
+congruence always holds.  So the answer is yes when, at each prime of
+D, fewer than n orders of the glued form are divisible by p; only the
+other questions reach genus.exists_even_lattice, which keeps its full
+local test because it also serves signatures where the congruence
+fails.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import ade_types, genus, lattice_ops, local_invariants
-from .ade_types import (ADEType, Component, act, cartan_gram,
+from .ade_types import (ADEType, Component, act, cartan_gram, closed_form,
                         disc_form_closed, disc_order, enumerate_candidates,
                         gamma_generators)
 from .exact_linalg import prime_factors, smith_normal_form
@@ -105,7 +117,7 @@ class _TypeContext:
 
     def __init__(self, sigma: ADEType):
         self.sigma = sigma
-        self.form, _ = disc_form_closed(sigma)
+        self.form = closed_form(sigma)
         spec = self.spec = gamma_generators(sigma)
         # Over D: E times the sum of the per-component coset minima; the
         # root classes are the nonzero classes where it is 2E.
@@ -176,7 +188,7 @@ def _scaled_minima(comp: Component, e: int) -> np.ndarray:
     component, as an array indexed by the class: 0 for the zero class
     and 2E + 1 for a minimum above 2."""
     den, table = _component_theta(comp)
-    orders = disc_form_closed(ADEType((comp,)))[0].orders
+    orders = closed_form(ADEType((comp,))).orders
     minima = []
     for piece in product(*(range(d) for d in orders)):
         num = (table[piece][0] * e if piece in table
@@ -199,7 +211,7 @@ def _component_min_table(comp: Component) -> dict:
     """Map each component discriminant element to the minimum of its
     orbit under the component's stable automorphisms."""
     single = ADEType((comp,))
-    form, _ = disc_form_closed(single)
+    form = closed_form(single)
     gens = gamma_generators(single).comp_gens[0]
     table: dict = {}
     for piece in product(*(range(d) for d in form.orders)):
@@ -325,7 +337,8 @@ def clear_caches() -> None:
     for memo in (_context, _component_theta, _scaled_minima,
                  _component_min_table, _exists_cached, genus._local_data,
                  local_invariants.unimodular_set, ade_types._component_gram,
-                 ade_types.component_inverse, ade_types._component_disc,
+                 ade_types.component_inverse, ade_types._component_form,
+                 ade_types._component_lifts,
                  ade_types._component_gamma,
                  ade_types._allowed_replacements):
         memo.cache_clear()
@@ -376,11 +389,16 @@ def _prank_fails(ctx: _TypeContext, factors: FactorTuple) -> bool:
 def _partner_exists(ctx: _TypeContext, v: FqfElement, w: FqfElement,
                     sub: frozenset) -> bool:
     """Whether the signature (2, 18 - rank) partner of the glued form
-    H^perp / H of H = <v, w> exists."""
+    H^perp / H of H = <v, w> exists; yes outright when the partner rank
+    exceeds the length of the glued group (see the module docstring)."""
     glued = subquotient(ctx.form, (v, w))
     if group_order(glued) * len(sub) ** 2 != group_order(ctx.form):
         raise RuntimeError("glued form order disagrees with the subgroup")
-    return _exists_cached(2, 18 - ctx.sigma.rank, glued)
+    n = 20 - ctx.sigma.rank
+    if all(sum(1 for d in glued.orders if d % p == 0) < n
+           for p in ctx.pranks):
+        return True
+    return _exists_cached(2, n - 2, glued)
 
 
 def check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:

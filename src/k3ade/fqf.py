@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .exact_linalg import (
@@ -481,6 +482,15 @@ def reduced_generators(form: FiniteQuadraticForm) -> list[FqfElement]:
     return out
 
 
+def sorted_presentation(form: FiniteQuadraticForm) -> FiniteQuadraticForm:
+    """form_on_generators(form, reduced_generators(form)), which only
+    permutes the presentation, so no pairing is evaluated."""
+    idx = [g.index(1) for g in reduced_generators(form)]
+    return _derived([form.orders[i] for i in idx], form.exp,
+                    [form.qs[i] for i in idx],
+                    [[form.bs[i][j] for j in idx] for i in idx])
+
+
 def form_on_generators(form: FiniteQuadraticForm,
                        rows: Sequence[Sequence[int]],
                        orders: Sequence[int] | None = None) -> FiniteQuadraticForm:
@@ -499,12 +509,15 @@ def form_on_generators(form: FiniteQuadraticForm,
         orders = [element_order(form, x) for x in xs]
         if 1 in orders:
             raise ValueError("generator orders must be at least 2")
-    # The values move from the exponent of the form to lcm(orders).
+    # The values move from the exponent of the form to lcm(orders).  Each
+    # new generator x gets its row E b(x, gamma_j) once (b is symmetric,
+    # so it is x times the rows of bs); b(x, y) is that row times y.
     e = form.exp
     e2 = lcm(*orders)
     qs = [_rescale(_q_scaled(form, x), e, e2) % (2 * e2) for x in xs]
-    bs = [[_rescale(_b_scaled(form, x, y), e, e2) % e2 for y in xs]
-          for x in xs]
+    pairings = [[sum(map(mul, x, row)) for row in form.bs] for x in xs]
+    bs = [[_rescale(sum(map(mul, row, y)) % e, e, e2) % e2 for y in xs]
+          for row in pairings]
     if derived:
         return _derived(orders, e2, qs, bs)
     return FiniteQuadraticForm.from_scaled(orders, qs, bs)

@@ -26,7 +26,7 @@ from .fqf import (
     FiniteQuadraticForm,
     eval_b,
     form_on_generators,
-    reduced_generators,
+    sorted_presentation,
 )
 
 UNIT, U_BLOCK, V_BLOCK = "unit", "U", "V"
@@ -231,11 +231,11 @@ def minimal_rank_set(p: int,
     cached = _SET_CACHE.get(key)
     if cached is not None:
         return cached
-    gens = reduced_generators(q_p)  # also validates the p-group shape
+    ordered = sorted_presentation(q_p)  # also validates the p-group shape
     for d in q_p.orders:
         if d % p != 0:
             raise ValueError(f"form is not a {p}-group form")
-    result = (len(gens), _split_set(p, form_on_generators(q_p, gens)))
+    result = (len(q_p.orders), _split_set(p, ordered))
     _SET_CACHE[key] = result
     return result
 
@@ -345,5 +345,4 @@ def _split_set_uncached(p, form):
 
 def _resorted(form, rows):
     """Build the form on the given generators, sorted by decreasing order."""
-    sub = form_on_generators(form, rows)
-    return form_on_generators(sub, reduced_generators(sub))
+    return sorted_presentation(form_on_generators(form, rows))

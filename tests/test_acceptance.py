@@ -20,6 +20,7 @@ from itertools import combinations, product
 import pytest
 
 from jordan_oracle import gauss_signature
+from k3ade import classifier
 from k3ade.ade_types import (
     cartan_gram,
     closure,
@@ -36,7 +37,7 @@ from k3ade.classifier import (
     classify_type,
     verify_reference,
 )
-from k3ade.exact_linalg import int_det
+from k3ade.exact_linalg import int_det, prime_factors
 from k3ade.fqf import (
     discriminant_form,
     elements,
@@ -75,10 +76,26 @@ HIGH_TORSION = {
 
 
 @pytest.fixture(scope="module")
-def classification():
-    start = time.perf_counter()
-    entries = classify_all()
-    elapsed = time.perf_counter() - start
+def partner_questions():
+    """(type, form, v, w, answer) per partner question of the full run,
+    filled by the classification fixture."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def classification(partner_questions):
+    decide = classifier._partner_exists
+
+    def recorded(ctx, v, w, sub):
+        answer = decide(ctx, v, w, sub)
+        partner_questions.append((ctx.sigma, ctx.form, v, w, answer))
+        return answer
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classifier, "_partner_exists", recorded)
+        start = time.perf_counter()
+        entries = classify_all()
+        elapsed = time.perf_counter() - start
     return entries, elapsed
 
 
@@ -149,6 +166,34 @@ def test_criterion_07_unique_high_torsion_types(classification):
 def test_criterion_08_reference_table_diff_empty(classification):
     entries, _ = classification
     assert verify_reference(entries, load_reference_pairs()) == []
+
+
+def test_partner_length_rule(classification, partner_questions):
+    # Every question of the full run that the length count decides is a
+    # "yes" of the full local decision, and a "no" once r - s is moved
+    # off rank(sigma) mod 8 by 4.  The glued lengths never exceed the
+    # type's p-ranks, so the type's primes are all the count needs.  On
+    # the questions of every 20th type, the Gauss sum of the glued form
+    # keeps the signature rank(sigma) mod 8 that the rule relies on.
+    table_types = set(enumerate_candidates(18, 24)[::20])
+    by_length = gauss_checked = 0
+    for sigma, form, v, w, answer in partner_questions:
+        glued = subquotient(form, (v, w))
+        n = 20 - rank(sigma)
+        lengths = Counter(p for d in glued.orders for p in prime_factors(d))
+        pranks = Counter(p for d in form.orders for p in prime_factors(d))
+        assert lengths <= pranks, sigma
+        if max(lengths.values(), default=0) < n:
+            by_length += 1
+            assert answer is True
+            assert exists_even_lattice(2, n - 2, glued) is True
+            assert exists_even_lattice(6, n - 2, glued) is False
+        if sigma in table_types:
+            gauss_checked += 1
+            assert gauss_signature(glued) == rank(sigma) % 8
+    assert len(partner_questions) == 4351
+    assert by_length == 2110
+    assert gauss_checked == 189
 
 
 def test_criterion_09a_root_type_round_trip():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3ade import classifier, lattice_ops, refdata
+from k3ade import ade_types, classifier, lattice_ops, refdata
 from k3ade.ade_types import (ADEType, act, cartan_gram, component_inverse,
                              disc_form_closed, enumerate_candidates,
                              gamma_generators, parse_type)
@@ -640,8 +640,10 @@ class TestRootFreePool:
 
 class TestLazyLoop:
     # Over the 197 types of every 20th candidate: the subgroups the
-    # stream builds and yields to classify_type, and its genus questions.
-    TABLE_COUNTS = (1139, 189)
+    # stream builds and yields to classify_type, the partner questions
+    # it decides, and the ones of those the length count leaves to the
+    # genus decision.
+    TABLE_COUNTS = (1139, 189, 84)
 
     @pytest.mark.parametrize("start", range(0, 25, 5))
     def test_matches_eager_loop(self, start):
@@ -649,20 +651,25 @@ class TestLazyLoop:
             assert classify_type(sigma) == eager_classify(sigma)[0], sigma
 
     def test_pinned_counts(self, monkeypatch):
-        stream, exists = classifier._pair_stream, classifier._exists_cached
-        counts = [0, 0]
+        stream = classifier._pair_stream
+        partner, exists = classifier._partner_exists, classifier._exists_cached
+        counts = [0, 0, 0]
 
         def counted_stream(*args):
             for item in stream(*args):
                 counts[0] += 1
                 yield item
 
-        def counted_exists(*args):
-            counts[1] += 1
-            return exists(*args)
+        def counted(slot, fn):
+            def call(*args):
+                counts[slot] += 1
+                return fn(*args)
+            return call
 
         monkeypatch.setattr(classifier, "_pair_stream", counted_stream)
-        monkeypatch.setattr(classifier, "_exists_cached", counted_exists)
+        monkeypatch.setattr(classifier, "_partner_exists",
+                            counted(1, partner))
+        monkeypatch.setattr(classifier, "_exists_cached", counted(2, exists))
         types = enumerate_candidates(18, 24)[::20]
         for sigma in types:
             classify_type(sigma)
@@ -738,6 +745,25 @@ class TestClearCaches:
         classifier.clear_caches()
         assert [m for m in memos.values() if m.cache_info().currsize] == []
         assert [t for t in tables.values() if t] == []
+
+    def test_component_forms_empty(self):
+        classifier.clear_caches()
+        classify_type(T("E7+D5+A3"))
+        assert ade_types._component_form.cache_info().currsize == 3
+        classifier.clear_caches()
+        assert ade_types._component_form.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("text", ["2A3", "E7+D5+A3", "2D4+E6+A1"])
+    def test_cold_fast_path_builds_no_lift(self, text):
+        # The type context reads the closed forms only: no Fraction
+        # inverse of a Cartan matrix and no generator lift is made.
+        classifier.clear_caches()
+        try:
+            classify_type(T(text))
+            assert ade_types.component_inverse.cache_info().currsize == 0
+            assert ade_types._component_lifts.cache_info().currsize == 0
+        finally:
+            classifier.clear_caches()
 
 
 def _gauss_sum(form):

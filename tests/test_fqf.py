@@ -13,6 +13,8 @@ from k3ade.exact_linalg import (int_det, int_inverse, rat_inverse,
 from k3ade.fqf import (
     TRIVIAL_FORM,
     FiniteQuadraticForm,
+    _b_scaled,
+    _q_scaled,
     direct_sum,
     discriminant_form,
     dump_form,
@@ -397,6 +399,27 @@ class TestFormOnGenerators:
     def test_identity_rebase(self):
         form = discriminant_form(D4)[0]
         assert form_on_generators(form, [(1, 0), (0, 1)]) == form
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_pair_model(self, seed):
+        # The pairing rows against one _b_scaled call per pair of new
+        # generators, on presentations of rank up to 6 and up to 8 rows.
+        rng = random.Random(f"pairing-rows:{seed}")
+        for _ in range(40):
+            form = FiniteQuadraticForm(
+                *random_presentation(rng, FQF_ORDERS, 6))
+            orders = form.orders
+            rows = [x for x in small_elements(rng, orders, 10)
+                    if element_order(form, x) > 1]
+            rows = rng.sample(rows, rng.randint(1, min(8, len(rows))))
+            xs = [tuple(c % d for c, d in zip(x, orders)) for x in rows]
+            got = form_on_generators(form, rows)
+            e, e2 = form.exp, got.exp
+            assert e2 == lcm(*(element_order(form, x) for x in xs))
+            assert got.qs == tuple(_q_scaled(form, x) * e2 // e % (2 * e2)
+                                   for x in xs)
+            assert got.bs == tuple(tuple(_b_scaled(form, x, y) * e2 // e
+                                         % e2 for y in xs) for x in xs)
 
 
 class TestTextFormat:

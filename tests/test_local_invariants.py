@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jordan_oracle import jordan_blocks, signature
+from k3ade import local_invariants
 from k3ade.exact_linalg import SquareClass, int_det, square_class
 from k3ade.fqf import (
     TRIVIAL_FORM,
@@ -13,6 +15,8 @@ from k3ade.fqf import (
     group_order,
     make_form,
     p_part,
+    reduced_generators,
+    sorted_presentation,
 )
 from k3ade.local_invariants import (
     U_BLOCK,
@@ -22,6 +26,7 @@ from k3ade.local_invariants import (
     LocalInvariant,
     identity_set,
     local_invariant_set,
+    minimal_rank_set,
     p_excess,
     rank_le2_set,
     reddisc,
@@ -278,6 +283,46 @@ class TestLocalInvariantSet:
         for n in (l, l + 1, l + 2):
             assert (local_invariant_set(p, n, qp)
                     == local_invariant_set(p, n, shuffled))
+
+
+class TestSortedPresentation:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permutation_equals_unit_vector_rebase(self, seed):
+        # On the p-parts of random even lattices of rank up to 7, the
+        # permuted presentation equals the one form_on_generators builds
+        # on reduced_generators, hash included, and the recursion keys
+        # minimal_rank_set stores are that presentation.
+        rng = random.Random(f"sorted-presentation:{seed}")
+        checked = 0
+        while checked < 40:
+            n = rng.randint(1, 7)
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                gram[i][i] = 2 * rng.randint(-6, 6)
+                for j in range(i):
+                    gram[i][j] = gram[j][i] = rng.randint(-9, 9)
+            if int_det(gram) == 0:
+                continue
+            form, _ = discriminant_form(gram)
+            for p in primes_of(group_order(form)):
+                qp = p_part(form, p)
+                want = form_on_generators(qp, reduced_generators(qp))
+                got = sorted_presentation(qp)
+                assert (got.orders, got.exp, got.qs, got.bs) == (
+                    want.orders, want.exp, want.qs, want.bs)
+                assert hash(got) == hash(want)
+                local_invariants._SET_CACHE.clear()
+                local_invariants._REC_CACHE.clear()
+                minimal_rank_set(p, qp)
+                assert list(local_invariants._SET_CACHE) == [(p, qp)]
+                assert (p, want) in local_invariants._REC_CACHE
+                checked += 1
+
+    def test_rejects_mixed_orders(self):
+        with pytest.raises(ValueError, match="p-group"):
+            sorted_presentation(make_form([2, 3], [1, F(2, 3)],
+                                          [[0, 0], [0, F(2, 3)]]))
+        assert sorted_presentation(TRIVIAL_FORM) == TRIVIAL_FORM
 
 
 class TestJordanOracleAgreement:
