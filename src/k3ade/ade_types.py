@@ -291,10 +291,7 @@ def disc_order(sigma: ADEType) -> int:
 
 def closed_form(sigma: ADEType) -> FiniteQuadraticForm:
     """The form of disc_form_closed alone, without building any lift."""
-    form = TRIVIAL_FORM
-    for comp in sigma.components:
-        form = direct_sum(form, _component_form(comp))
-    return form
+    return direct_sum(*map(_component_form, sigma.components))
 
 
 def disc_form_closed(sigma: ADEType) -> tuple[FiniteQuadraticForm,

@@ -16,7 +16,7 @@ integers scaled by the exponent E of the discriminant group D.  A
 nonzero class whose sum is exactly 2E is a root class, and a subgroup
 gains roots exactly when it holds one.  Each type context marks the
 root classes in one table over D; the other isotropic classes form the
-root-free pool, read off that table in one numpy lookup.
+root-free pool, read off that table class by class.
 
 There are two routes.  The fast one works on integers in D alone.
 _pair_stream walks b w, b < m, until m w lands in <v>; the walk gives
@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product
+from itertools import product
 from math import comb, gcd, lcm, prod
 from operator import add, mod
 from typing import Iterable, Iterator, Optional
@@ -57,7 +57,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import ade_types, genus, lattice_ops, local_invariants
-from .ade_types import (ADEType, Component, act, cartan_gram, closed_form,
+from .ade_types import (ADEType, Component, _component_form,
+                        _component_gamma, act, cartan_gram, closed_form,
                         disc_form_closed, disc_order, enumerate_candidates,
                         gamma_generators)
 from .exact_linalg import prime_factors, smith_normal_form
@@ -113,10 +114,12 @@ class GluePair:
 
 
 class _TypeContext:
-    __slots__ = ("sigma", "form", "spec", "roots", "pranks")
+    __slots__ = ("sigma", "n", "form", "spec", "roots", "pranks")
 
     def __init__(self, sigma: ADEType):
         self.sigma = sigma
+        # The rank of the transcendental partner, signature (2, 18 - rank).
+        self.n = 20 - sigma.rank
         self.form = closed_form(sigma)
         spec = self.spec = gamma_generators(sigma)
         # Over D: E times the sum of the per-component coset minima; the
@@ -188,7 +191,7 @@ def _scaled_minima(comp: Component, e: int) -> np.ndarray:
     component, as an array indexed by the class: 0 for the zero class
     and 2E + 1 for a minimum above 2."""
     den, table = _component_theta(comp)
-    orders = closed_form(ADEType((comp,))).orders
+    orders = _component_form(comp).orders
     minima = []
     for piece in product(*(range(d) for d in orders)):
         num = (table[piece][0] * e if piece in table
@@ -200,19 +203,12 @@ def _scaled_minima(comp: Component, e: int) -> np.ndarray:
     return np.reshape(minima, orders)
 
 
-def _root_free(ctx: _TypeContext, classes: list[FqfElement]) -> np.ndarray:
-    """Mask of the classes that are not root classes (see the module doc)."""
-    xs = np.array(classes, np.int64).reshape(len(classes), -1)
-    return ~ctx.roots[tuple(xs.T)].reshape(len(classes))
-
-
 @lru_cache(maxsize=None)
 def _component_min_table(comp: Component) -> dict:
     """Map each component discriminant element to the minimum of its
     orbit under the component's stable automorphisms."""
-    single = ADEType((comp,))
-    form = closed_form(single)
-    gens = gamma_generators(single).comp_gens[0]
+    form = _component_form(comp)
+    gens = _component_gamma(comp)
     table: dict = {}
     for piece in product(*(range(d) for d in form.orders)):
         if piece in table:
@@ -381,8 +377,7 @@ def _prank_fails(ctx: _TypeContext, factors: FactorTuple) -> bool:
     """The p-rank prune.  Each of restricting to H^perp and quotienting
     by H lowers the p-rank by at most rank_p(H), and a lattice of rank
     n = 2 + (18 - rank) cannot carry a form of p-rank above n."""
-    n = 20 - ctx.sigma.rank
-    return any(rank_p - 2 * sum(1 for f in factors if f % p == 0) > n
+    return any(rank_p - 2 * sum(1 for f in factors if f % p == 0) > ctx.n
                for p, rank_p in ctx.pranks.items())
 
 
@@ -394,11 +389,10 @@ def _partner_exists(ctx: _TypeContext, v: FqfElement, w: FqfElement,
     glued = subquotient(ctx.form, (v, w))
     if group_order(glued) * len(sub) ** 2 != group_order(ctx.form):
         raise RuntimeError("glued form order disagrees with the subgroup")
-    n = 20 - ctx.sigma.rank
-    if all(sum(1 for d in glued.orders if d % p == 0) < n
+    if all(sum(1 for d in glued.orders if d % p == 0) < ctx.n
            for p in ctx.pranks):
         return True
-    return _exists_cached(2, n - 2, glued)
+    return _exists_cached(2, ctx.n - 2, glued)
 
 
 def check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:
@@ -424,7 +418,7 @@ def classify_type(sigma: ADEType) -> set[FactorTuple]:
     one lazy loop over the root-free pool (see the module docstring)."""
     ctx = _context(sigma)
     iso = isotropic_list(ctx.form)
-    pool = list(compress(iso, _root_free(ctx, iso).tolist()))
+    pool = [x for x in iso if not ctx.roots[x]]
     root_free = set(pool)
     out: set[FactorTuple] = set()
 

@@ -16,6 +16,7 @@ import json
 import multiprocessing
 import sys
 from collections import Counter
+from contextlib import ExitStack
 
 from . import refdata
 from .ade_types import (ADEType, RULESETS, closure, enumerate_candidates,
@@ -57,11 +58,6 @@ def _ordered_groups(factor_sets) -> list:
     return sorted(factor_sets, key=refdata.group_sort_key, reverse=True)
 
 
-def _classify_worker(type_string: str) -> tuple[str, list]:
-    sigma = parse_type(type_string)
-    return type_string, _ordered_groups(classify_type(sigma))
-
-
 def _emit_classified(sigma: ADEType, groups, fmt: str) -> None:
     if fmt == "tsv":
         cell = refdata.format_group_list(groups) if groups else ""
@@ -92,18 +88,14 @@ def cmd_classify(args) -> int:
     types = enumerate_candidates(args.max_rank, args.max_euler)
     if args.format == "tsv":
         print("rank\ttype\tgroups")
-    names = [str(t) for t in types]
-    if args.jobs > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(args.jobs) as pool:
-            results = pool.imap(_classify_worker, names, chunksize=16)
-            for name, groups in results:
-                sigma = parse_type(name)
-                if groups:
-                    _emit_classified(sigma, groups, args.format)
-    else:
-        for sigma in types:
-            groups = _ordered_groups(classify_type(sigma))
+    with ExitStack() as stack:
+        results = map(classify_type, types)
+        if args.jobs > 1:
+            pool = stack.enter_context(
+                multiprocessing.get_context("fork").Pool(args.jobs))
+            results = pool.imap(classify_type, types, chunksize=16)
+        for sigma, found in zip(types, results):
+            groups = _ordered_groups(found)
             if groups:
                 _emit_classified(sigma, groups, args.format)
     return 0

@@ -13,7 +13,10 @@ values q(gamma_i) in Q/2Z, and the full symmetric matrix b(gamma_i,
 gamma_j) in Q/Z.  Every value is a multiple of 1/E for the exponent
 E = lcm(d_i), so the form stores only integers: q(gamma_i) * E mod 2E
 and b(gamma_i, gamma_j) * E mod E.  Elements are integer coefficient
-tuples, canonical when reduced into 0 <= c_i < d_i.  Fractions appear
+tuples, canonical when reduced into 0 <= c_i < d_i.  A presentation is
+used as it comes: no function sorts its generators or puts it into a
+normal form, and the invariants computed from a form do not depend on
+the order of its generators.  Fractions appear
 only at the edge: the Fraction constructor, the qdiag/bmat views and
 eval_q/eval_b, which return q in [0, 2) and b in [0, 1).
 """
@@ -243,17 +246,22 @@ def discriminant_form(gram: IntMatrix) -> tuple[FiniteQuadraticForm, list[RatVec
     return FiniteQuadraticForm.from_scaled(orders, qs, bs), lifts
 
 
-def direct_sum(q1: FiniteQuadraticForm,
-               q2: FiniteQuadraticForm) -> FiniteQuadraticForm:
-    """Orthogonal direct sum: concatenated generators, block-diagonal b."""
-    n1, n2 = len(q1.orders), len(q2.orders)
-    e = lcm(q1.exp, q2.exp)
-    # Both exponents divide e, so the values move up by integer factors.
-    s1, s2 = e // q1.exp, e // q2.exp
-    qs = [q * s1 for q in q1.qs] + [q * s2 for q in q2.qs]
-    bs = [[b * s1 for b in row] + [0] * n2 for row in q1.bs]
-    bs += [[0] * n1 + [b * s2 for b in row] for row in q2.bs]
-    return _derived(q1.orders + q2.orders, e, qs, bs)
+def direct_sum(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
+    """Orthogonal direct sum: concatenated generators, block-diagonal b.
+    The sum of no forms is the trivial form."""
+    e = lcm(*(form.exp for form in forms))
+    n = sum(len(form.orders) for form in forms)
+    orders, qs, bs = [], [], []
+    for form in forms:
+        # Every exponent divides e, so the values move up by integer
+        # factors.
+        s = e // form.exp
+        before, k = len(orders), len(form.orders)
+        orders += form.orders
+        qs += [q * s for q in form.qs]
+        bs += [[0] * before + [b * s for b in row] + [0] * (n - before - k)
+               for row in form.bs]
+    return _derived(orders, e, qs, bs)
 
 
 def p_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
@@ -456,39 +464,6 @@ def subquotient(form: FiniteQuadraticForm,
     if group_order(result) * order_h * order_h != group_order(form):
         raise RuntimeError("subquotient order mismatch; degenerate input?")
     return result
-
-
-def reduced_generators(form: FiniteQuadraticForm) -> list[FqfElement]:
-    """Generators of a p-group form sorted by weakly decreasing order.
-
-    The presentation generators already span independent cyclic factors,
-    so this just checks that all orders are powers of one prime and sorts.
-    Raises ValueError when the group is not a p-group.
-    """
-    p = None
-    for d in form.orders:
-        primes = prime_factors(d)
-        if p is None:
-            p = primes[0]
-        if primes != [p]:
-            raise ValueError("mixed-order input: not a p-group form")
-    order = sorted(range(len(form.orders)),
-                   key=lambda i: (-form.orders[i], i))
-    out = []
-    for i in order:
-        gen = [0] * len(form.orders)
-        gen[i] = 1
-        out.append(tuple(gen))
-    return out
-
-
-def sorted_presentation(form: FiniteQuadraticForm) -> FiniteQuadraticForm:
-    """form_on_generators(form, reduced_generators(form)), which only
-    permutes the presentation, so no pairing is evaluated."""
-    idx = [g.index(1) for g in reduced_generators(form)]
-    return _derived([form.orders[i] for i in idx], form.exp,
-                    [form.qs[i] for i in idx],
-                    [[form.bs[i][j] for j in idx] for i in idx])
 
 
 def form_on_generators(form: FiniteQuadraticForm,

@@ -20,14 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .exact_linalg import SquareClass, legendre_symbol, square_class
-from .fqf import (
-    FiniteQuadraticForm,
-    eval_b,
-    form_on_generators,
-    sorted_presentation,
-)
+from .fqf import FiniteQuadraticForm, form_on_generators
 
 UNIT, U_BLOCK, V_BLOCK = "unit", "U", "V"
 
@@ -166,7 +162,7 @@ def _prime_power_exponent(d: int, p: int) -> int:
         d //= p
         nu += 1
     if d != 1:
-        raise ValueError("order is not a power of the expected prime")
+        raise ValueError(f"order is not a power of {p}: not a p-group form")
     return nu
 
 
@@ -231,11 +227,9 @@ def minimal_rank_set(p: int,
     cached = _SET_CACHE.get(key)
     if cached is not None:
         return cached
-    ordered = sorted_presentation(q_p)  # also validates the p-group shape
     for d in q_p.orders:
-        if d % p != 0:
-            raise ValueError(f"form is not a {p}-group form")
-    result = (len(q_p.orders), _split_set(p, ordered))
+        _prime_power_exponent(d, p)
+    result = (len(q_p.orders), _split_set(p, q_p))
     _SET_CACHE[key] = result
     return result
 
@@ -257,10 +251,13 @@ def local_invariant_set(p: int, n: int,
 def _split_set(p: int, form: FiniteQuadraticForm) -> LocalInvariantSet:
     """Invariant set in rank exactly l, by recursive generator splitting.
 
-    The presentation must be sorted by weakly decreasing generator order.
-    Splits an orthogonal rank-1 block when some b(g_i, g_i) pairs at full
-    scale; otherwise repairs the top generator (odd p) or splits the even
-    rank-2 block it spans with its full-scale partner (p = 2).
+    Any presentation of a p-group form will do, with its generators in
+    any order: the set is an invariant of the form.  The top scale is the
+    exponent p^n of the group, the largest generator order.  Splits an
+    orthogonal rank-1 block when some b(g_i, g_i) pairs at full scale;
+    otherwise repairs a top-order generator (odd p) or splits the even
+    rank-2 block it spans with its full-scale partner (p = 2).  Every
+    check is an integer sum on the scaled pairings.
     """
     key = (p, form)
     cached = _REC_CACHE.get(key)
@@ -277,72 +274,52 @@ def _split_set_uncached(p, form):
         return identity_set(p)
     if l == 1:
         return rank_le2_set(p, form)
-    pn = form.orders[0]
-    e = form.exp
+    # Values are stored at the exponent pn, so bs[i][j] pairs at full
+    # scale exactly when it is prime to p.
+    pn = form.exp
     bs = form.bs
-    pivot = None
-    for i in range(l):
-        if e // gcd(bs[i][i], e) == pn:
-            pivot = i
-            break
+    pivot = next((i for i in range(l) if bs[i][i] % p), None)
     if pivot is not None:
-        u = _scaled_int(bs[pivot][pivot], e, pn)
-        uinv = pow(u, -1, pn)
-        head = [0] * l
-        head[pivot] = 1
+        uinv = pow(bs[pivot][pivot], -1, pn)
         rows = []
         for j in range(l):
             if j == pivot:
                 continue
-            c = uinv * _scaled_int(bs[pivot][j], e, pn) % pn
             row = [0] * l
             row[j] = 1
-            row[pivot] = -c
-            rows.append(row)
-            if eval_b(form, head, row) != 0:
+            row[pivot] = -(uinv * bs[pivot][j] % pn)
+            if sum(map(mul, bs[pivot], row)) % pn:
                 raise RuntimeError("rank-1 split is not orthogonal")
-        rank1 = form_on_generators(form, [head])
-        rest = _resorted(form, rows)
+            rows.append(row)
+        rank1 = form_on_generators(
+            form, [[int(j == pivot) for j in range(l)]])
+        rest = form_on_generators(form, rows)
         return star(rank_le2_set(p, rank1), _split_set(p, rest))
-    partner = None
-    for j in range(1, l):
-        if e // gcd(bs[0][j], e) == pn:
-            partner = j
-            break
+    top = form.orders.index(pn)
+    partner = next((j for j in range(l) if j != top and bs[top][j] % p),
+                   None)
     if partner is None:
         raise ValueError("degenerate form: top generator pairs below full scale")
     if p != 2:
-        rows = [[0] * l for _ in range(l)]
-        for j in range(l):
-            rows[j][j] = 1
-        rows[0][partner] = 1
+        rows = [[int(i == j) for j in range(l)] for i in range(l)]
+        rows[top][partner] = 1
         return _split_set(p, form_on_generators(form, rows))
-    u2 = _scaled_int(bs[0][0], e, pn)
-    v = _scaled_int(bs[0][partner], e, pn)
-    w2 = _scaled_int(bs[partner][partner], e, pn)
+    u2, v, w2 = bs[top][top], bs[top][partner], bs[partner][partner]
     t = pow(u2 * w2 - v * v, -1, pn)
-    head = [0] * l
-    head[0] = 1
-    second = [0] * l
-    second[partner] = 1
     rows = []
-    for j in range(1, l):
-        if j == partner:
+    for j in range(l):
+        if j in (top, partner):
             continue
-        s1 = _scaled_int(bs[0][j], e, pn)
-        s2 = _scaled_int(bs[partner][j], e, pn)
+        s1, s2 = bs[top][j], bs[partner][j]
         row = [0] * l
         row[j] = 1
-        row[0] = -(t * (w2 * s1 - v * s2) % pn)
+        row[top] = -(t * (w2 * s1 - v * s2) % pn)
         row[partner] = -(t * (u2 * s2 - v * s1) % pn)
-        rows.append(row)
-        if eval_b(form, head, row) != 0 or eval_b(form, second, row) != 0:
+        if (sum(map(mul, bs[top], row)) % pn
+                or sum(map(mul, bs[partner], row)) % pn):
             raise RuntimeError("rank-2 split is not orthogonal")
-    pair = form_on_generators(form, [head, second])
-    rest = _resorted(form, rows)
+        rows.append(row)
+    pair = form_on_generators(
+        form, [[int(j == i) for j in range(l)] for i in (top, partner)])
+    rest = form_on_generators(form, rows)
     return star(rank_le2_set(2, pair), _split_set(2, rest))
-
-
-def _resorted(form, rows):
-    """Build the form on the given generators, sorted by decreasing order."""
-    return sorted_presentation(form_on_generators(form, rows))

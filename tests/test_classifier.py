@@ -610,14 +610,15 @@ def eager_classify(sigma):
 
 class TestRootFreePool:
     def test_pool_drops_exactly_the_norm_two_classes(self):
-        # The one numpy lookup against coset minima found by enumerating
+        # The roots table against coset minima found by enumerating
         # short vectors, on every 7th type and every single component.
         types = (enumerate_candidates(18, 24)[::7]
                  + [ADEType((comp,)) for comp in ALL_COMPONENTS])
         dropped = 0
         for sigma in types:
-            iso = isotropic_list(_context(sigma).form)
-            mask = classifier._root_free(_context(sigma), iso).tolist()
+            ctx = _context(sigma)
+            iso = isotropic_list(ctx.form)
+            mask = [not ctx.roots[x] for x in iso]
             assert mask == [enumerated_norm(sigma, x) != 2 for x in iso], \
                 sigma
             dropped += mask.count(False)
@@ -630,8 +631,7 @@ class TestRootFreePool:
         sigma = T("A7+A1")
         ctx = _context(sigma)
         iso = isotropic_list(ctx.form)
-        mask = classifier._root_free(ctx, iso).tolist()
-        root = next(x for x, keep in zip(iso, mask) if not keep)
+        root = next(x for x in iso if ctx.roots[x])
         zero = (0,) * len(ctx.form.orders)
         assert check_pair(sigma, pair(root, zero)) is None
         monkeypatch.setattr(ctx, "roots", np.zeros_like(ctx.roots))

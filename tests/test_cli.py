@@ -119,6 +119,16 @@ class TestClassifyFull:
         assert serial == parallel
         assert len(serial.strip().splitlines()) - 1 == 157
 
+    def test_one_job_starts_no_pool(self, capsys, monkeypatch):
+        def no_pool(*args):
+            raise RuntimeError("a --jobs 1 run asked for a process pool")
+
+        monkeypatch.setattr("multiprocessing.get_context", no_pool)
+        code, out, _ = run_cli(capsys, ["classify", "--max-rank", "3",
+                                        "--jobs", "1"])
+        assert code == 0
+        assert len(out.strip().splitlines()) - 1 == 6
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("bound", ["19", "0", "-3"])
     def test_max_rank_out_of_range_exits_2(self, capsys, bound, jobs):

@@ -30,7 +30,6 @@ from k3ade.fqf import (
     orthogonal_complement,
     p_part,
     parse_form,
-    reduced_generators,
     span,
     subquotient,
 )
@@ -363,31 +362,6 @@ class TestSubquotient:
         assert sub == TRIVIAL_FORM
 
 
-class TestReducedGenerators:
-    def test_four_two(self):
-        form = direct_sum(discriminant_form(A3)[0], discriminant_form(A1)[0])
-        assert reduced_generators(form) == [(1, 0), (0, 1)]
-
-    def test_sorting(self):
-        form = direct_sum(discriminant_form(A1)[0], discriminant_form(A3)[0])
-        assert reduced_generators(form) == [(0, 1), (1, 0)]
-
-    def test_three_twos(self):
-        form = q_a1_powers(3)
-        assert reduced_generators(form) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-
-    def test_cyclic_nine(self):
-        form = make_form([9], [F(8, 9)], [[F(8, 9)]])
-        assert reduced_generators(form) == [(1,)]
-
-    def test_rejects_mixed(self):
-        with pytest.raises(ValueError):
-            reduced_generators(discriminant_form(A5)[0])
-
-    def test_trivial(self):
-        assert reduced_generators(TRIVIAL_FORM) == []
-
-
 class TestFormOnGenerators:
     def test_two_a1_rebased(self):
         form = q_a1_powers(2)
@@ -596,6 +570,26 @@ class TestAgainstFractionModel:
             assert got.bmat == (
                 tuple(row + (F(0),) * n2 for row in b1)
                 + tuple((F(0),) * n1 + row for row in b2))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_direct_sum_of_many(self, seed):
+        # The n-ary sum equals the pairwise fold, for zero to five forms.
+        rng, forms = random_model_forms(f"direct_sum_many:{seed}", 40)
+        forms = [FiniteQuadraticForm(*f) for f in forms]
+        for _ in range(20):
+            parts = rng.sample(forms, rng.randint(0, 5))
+            got = direct_sum(*parts)
+            want = reduce(direct_sum, parts, TRIVIAL_FORM)
+            assert (got.orders, got.exp, got.qs, got.bs) == (
+                want.orders, want.exp, want.qs, want.bs)
+            assert hash(got) == hash(want)
+
+    def test_direct_sum_of_none_and_one(self):
+        assert direct_sum() == TRIVIAL_FORM
+        form = FiniteQuadraticForm(*random_model_forms("one", 1)[1][0])
+        got = direct_sum(form)
+        assert (got.orders, got.exp, got.qs, got.bs) == (
+            form.orders, form.exp, form.qs, form.bs)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_form_on_generators(self, seed):

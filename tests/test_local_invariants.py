@@ -1,4 +1,4 @@
-import random
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jordan_oracle import jordan_blocks, signature
-from k3ade import local_invariants
 from k3ade.exact_linalg import SquareClass, int_det, square_class
 from k3ade.fqf import (
     TRIVIAL_FORM,
@@ -15,8 +14,6 @@ from k3ade.fqf import (
     group_order,
     make_form,
     p_part,
-    reduced_generators,
-    sorted_presentation,
 )
 from k3ade.local_invariants import (
     U_BLOCK,
@@ -285,44 +282,64 @@ class TestLocalInvariantSet:
                     == local_invariant_set(p, n, shuffled))
 
 
-class TestSortedPresentation:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_permutation_equals_unit_vector_rebase(self, seed):
-        # On the p-parts of random even lattices of rank up to 7, the
-        # permuted presentation equals the one form_on_generators builds
-        # on reduced_generators, hash included, and the recursion keys
-        # minimal_rank_set stores are that presentation.
-        rng = random.Random(f"sorted-presentation:{seed}")
-        checked = 0
-        while checked < 40:
-            n = rng.randint(1, 7)
-            gram = [[0] * n for _ in range(n)]
-            for i in range(n):
-                gram[i][i] = 2 * rng.randint(-6, 6)
-                for j in range(i):
-                    gram[i][j] = gram[j][i] = rng.randint(-9, 9)
-            if int_det(gram) == 0:
-                continue
-            form, _ = discriminant_form(gram)
-            for p in primes_of(group_order(form)):
-                qp = p_part(form, p)
-                want = form_on_generators(qp, reduced_generators(qp))
-                got = sorted_presentation(qp)
-                assert (got.orders, got.exp, got.qs, got.bs) == (
-                    want.orders, want.exp, want.qs, want.bs)
-                assert hash(got) == hash(want)
-                local_invariants._SET_CACHE.clear()
-                local_invariants._REC_CACHE.clear()
-                minimal_rank_set(p, qp)
-                assert list(local_invariants._SET_CACHE) == [(p, qp)]
-                assert (p, want) in local_invariants._REC_CACHE
-                checked += 1
+def permuted(form, perm):
+    """The form on its generators taken in the order perm."""
+    l = len(form.orders)
+    return form_on_generators(
+        form, [[int(j == i) for j in range(l)] for i in perm])
 
-    def test_rejects_mixed_orders(self):
+
+def oracle_invariant(gram, p):
+    blocks = jordan_blocks(gram, p)
+    return LocalInvariant(p_excess(blocks, p), reddisc(blocks, p))
+
+
+def direct_gram(*grams):
+    n = sum(map(len, grams))
+    out = [[0] * n for _ in range(n)]
+    base = 0
+    for g in grams:
+        for i, row in enumerate(g):
+            out[base + i][base:base + len(row)] = row
+        base += len(g)
+    return out
+
+
+class TestUnsortedSplit:
+    # The split reads the presentation as given: a top-order generator
+    # that is not first is found from the exponent, in every order of
+    # the generators, with the set the Jordan oracle gives.
+
+    def test_rejects_order_not_a_power_of_p(self):
         with pytest.raises(ValueError, match="p-group"):
-            sorted_presentation(make_form([2, 3], [1, F(2, 3)],
-                                          [[0, 0], [0, F(2, 3)]]))
-        assert sorted_presentation(TRIVIAL_FORM) == TRIVIAL_FORM
+            minimal_rank_set(2, make_form([6], [F(1, 6)], [[F(1, 6)]]))
+
+    def test_rank2_split_with_top_order_second(self):
+        # <1/2> + the U-block of 8U at scale 8: no generator pairs with
+        # itself at full scale, so the split takes the 8-block.  Both
+        # rank-3 lattices [2] + 8U and [10] + 8U have this 2-part.
+        form = make_form([2, 8, 8], [F(1, 2), 0, 0],
+                         [[F(1, 2), 0, 0], [0, 0, F(1, 8)], [0, F(1, 8), 0]])
+        grams = [direct_gram([[a]], [[0, 8], [8, 0]]) for a in (2, 10)]
+        for g in grams:
+            assert p_part(discriminant_form(g)[0], 2).orders == (2, 8, 8)
+        want = frozenset(oracle_invariant(g, 2) for g in grams)
+        assert len(want) == 2
+        for perm in itertools.permutations(range(3)):
+            assert minimal_rank_set(2, permuted(form, perm)) == (3, want)
+
+    def test_odd_repair_with_top_order_second(self):
+        # <2/3> + the hyperbolic 9-block of 9U: no generator pairs with
+        # itself at full scale, so a 9-generator is repaired first.  It
+        # is the 3-part of the rank-3 lattice [6] + 9U.
+        form = make_form([3, 9, 9], [F(2, 3), 0, 0],
+                         [[F(2, 3), 0, 0], [0, 0, F(1, 9)], [0, F(1, 9), 0]])
+        gram = direct_gram([[6]], [[0, 9], [9, 0]])
+        lattice_form = p_part(discriminant_form(gram)[0], 3)
+        want = (3, frozenset({oracle_invariant(gram, 3)}))
+        assert minimal_rank_set(3, lattice_form) == want
+        for perm in itertools.permutations(range(3)):
+            assert minimal_rank_set(3, permuted(form, perm)) == want
 
 
 class TestJordanOracleAgreement:

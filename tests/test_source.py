@@ -85,3 +85,21 @@ def test_benchmark_reads_defined_names():
     for cache in ("_SET_CACHE", "_REC_CACHE"):
         len(getattr(local_invariants, cache))
     assert isinstance(kernels.backend(), str)
+
+
+def test_genus_path_stays_on_integers():
+    # The genus decision reads the scaled integers of a form; a Fraction
+    # or a Fraction-valued evaluation there would bring back the
+    # rational arithmetic the presentation was built to avoid.
+    banned = {"Fraction", "eval_q", "eval_b"}
+    found = []
+    for name in ("local_invariants.py", "genus.py"):
+        tree = ast.parse((SOURCE / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            used = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else None)
+            if used in banned:
+                found.append(f"{name}:{node.lineno} {used}")
+    assert found == []
