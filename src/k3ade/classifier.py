@@ -22,14 +22,26 @@ There are two routes.  The fast one works on integers in D alone.
 _pair_stream walks b w, b < m, until m w lands in <v>; the walk gives
 the invariant factors of H = <v, w>, and a skip hook passes over the
 pair on them before H is built from the cosets of <v>.  classify_type
-is one lazy loop over the stream on the orbit representatives of the
-pool: it skips factors already accepted or failing the p-rank prune,
+is one lazy loop over the stream on the reduced pairs of the pool
+(below): it skips factors already accepted or failing the p-rank prune,
 requires H inside the pool, then asks for the partner of the glued form
 H^perp / H from fqf.subquotient.  check_pair runs the same tests on one
 pair.  The oracle, slow_check_pair, builds the explicit overlattice,
 takes the glued form from its Gram matrix, finds its roots by vector
 enumeration and takes the invariant factors from the Smith form of the
 relations of fqf.span; the tests compare the two routes.
+
+The stream is reduced by the symmetries on both generators; a
+symmetry maps H to an isomorphic glue, with the same verdict and
+invariant factors (Nikulin 1979, Prop. 1.4.1).  v runs over the
+canonical representatives of the orbits of the pool: per-component
+least images, sorted within each block of equal components.  For each
+v, _candidates keeps only the orthogonal w that are least in their
+orbit under Stab'(v), the product of the per-component stabilisers of
+the pieces of v with the permutations of equal components whose pieces
+of v agree.  Stab'(v) fixes v, so every <v, w'> has an image <v, w>
+with a kept w.  Both choices are one table lookup and one sort per
+element, over codes of the component pieces (see _least).
 
 Most partner questions are decided by a length count.  By Nikulin's
 Cor. 1.10.2, an even lattice of signature (r, s) with form q exists
@@ -49,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import comb, gcd, lcm, prod
 from operator import add, mod
 from typing import Iterable, Iterator, Optional
@@ -65,7 +77,7 @@ from .exact_linalg import prime_factors, smith_normal_form
 from .fqf import (FiniteQuadraticForm, FqfElement, RatVector, element_order,
                   eval_b, eval_q, group_order, span, subquotient)
 from .genus import exists_even_lattice
-from .kernels import isotropic_list, orthogonal_filter
+from .kernels import isotropic_list, orthogonal_mask
 from .lattice_ops import GramLattice, overlattice, root_type
 
 FactorTuple = tuple[int, ...]
@@ -114,7 +126,8 @@ class GluePair:
 
 
 class _TypeContext:
-    __slots__ = ("sigma", "n", "form", "spec", "roots", "pranks")
+    __slots__ = ("sigma", "n", "form", "spec", "roots", "pranks", "codes",
+                 "sizes", "pairmin", "offsets", "bias")
 
     def __init__(self, sigma: ADEType):
         self.sigma = sigma
@@ -129,6 +142,29 @@ class _TypeContext:
         for comp in spec.components:
             norms = np.add.outer(norms, _scaled_minima(comp, e))
         self.roots = norms == 2 * e
+        # The symmetry data (see _least): x @ codes gives each component
+        # piece of x as its code, in odometer order, below the size K of
+        # that component's group; pairmin[offsets + a K + b] is the entry
+        # [a, b] of its _component_pair_min; bias keeps every block of
+        # equal components apart from the others in one sort of a row.
+        # Each is built as a list and converted once: most types have a
+        # one-class pool and never read them.
+        ncomp = len(spec.components)
+        codes = [[0] * ncomp for _ in orders]
+        for c, (off, cnt) in enumerate(zip(spec.gen_offsets,
+                                           spec.gen_counts)):
+            for i in range(off, off + cnt):
+                codes[i][c] = prod(orders[i + 1:off + cnt])
+        self.codes = np.array(codes, np.int64).reshape(len(orders), ncomp)
+        tables = [_component_pair_min(comp) for comp in spec.components]
+        sizes = [len(t) for t in tables]
+        self.sizes = np.array(sizes)
+        self.pairmin = np.concatenate(tables, axis=None)
+        self.offsets = np.array([0, *accumulate(k * k for k in sizes[:-1])])
+        scale = max(sizes) ** 2
+        self.bias = np.array([block * scale
+                              for block, (_, count) in enumerate(spec.blocks)
+                              for _ in range(count)])
         primes = {p for d in orders for p in prime_factors(d)}
         self.pranks = {p: sum(1 for d in orders if d % p == 0)
                        for p in primes}
@@ -204,60 +240,95 @@ def _scaled_minima(comp: Component, e: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _component_min_table(comp: Component) -> dict:
-    """Map each component discriminant element to the minimum of its
-    orbit under the component's stable automorphisms."""
-    form = _component_form(comp)
-    gens = _component_gamma(comp)
-    table: dict = {}
-    for piece in product(*(range(d) for d in form.orders)):
-        if piece in table:
+def _component_pair_min(comp: Component) -> np.ndarray:
+    """The K x K table of a single component whose entry [a, b] is the
+    least code of g b over the stable automorphisms g with g a = a;
+    codes number the K discriminant classes in odometer order.  Row 0
+    holds the least code of each orbit, since every g fixes 0.
+
+    (a, b') lies in the orbit of (a, b) under the diagonal action exactly
+    when some g fixes a and maps b to b', so one search over each pair
+    orbit fills its entries."""
+    orders = _component_form(comp).orders
+    pieces = list(product(*(range(d) for d in orders)))
+    code = {piece: k for k, piece in enumerate(pieces)}
+    moves = [[code[act(g, piece, orders)] for piece in pieces]
+             for g in _component_gamma(comp)]
+    table = np.full((len(pieces), len(pieces)), -1, np.int64)
+    for start in product(range(len(pieces)), repeat=2):
+        if table[start] >= 0:
             continue
-        orbit = {piece}
-        frontier = [piece]
+        orbit = {start}
+        frontier = [start]
         while frontier:
-            y = frontier.pop()
-            for g in gens:
-                z = act(g, y, form.orders)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        least = min(orbit)
-        for y in orbit:
-            table[y] = least
+            a, b = frontier.pop()
+            for move in moves:
+                image = (move[a], move[b])
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        least: dict[int, int] = {}
+        for a, b in orbit:
+            least[a] = min(least.get(a, b), b)
+        for a, b in orbit:
+            table[a, b] = least[a]
     return table
 
 
-def _orbit_reps(spec, iso: list[FqfElement]) -> list[FqfElement]:
-    """Canonical representatives of the orbits met in iso: per-component
-    minimal images, sorted within each block of equal components."""
-    slots = [(_component_min_table(comp), off, off + cnt)
-             for comp, off, cnt in zip(spec.components, spec.gen_offsets,
-                                       spec.gen_counts)]
-    reps = set()
-    for x in iso:
-        pieces = [table[x[a:b]] for table, a, b in slots]
-        out: list[int] = []
-        for start, count in spec.blocks:
-            for piece in sorted(pieces[start:start + count]):
-                out.extend(piece)
-        reps.add(tuple(out))
-    return sorted(reps)
+def _least(ctx: _TypeContext, vc, wc: np.ndarray) -> np.ndarray:
+    """Whether each w, given by its component codes wc, is least in its
+    orbit under Stab'(v) (see the module docstring), for v given by the
+    codes vc of a canonical element (broadcast against wc; 0 for v = 0).
+
+    The least image of w takes the pair minimum of each piece and sorts
+    the pieces inside each run of equal (component, v-piece).  v is
+    canonical, so those runs are contiguous and ordered, and one sort of
+    bias + v_c K + pairmin along the components sorts exactly inside
+    them; w is least when that sort gives bias + v_c K + w_c back.
+    """
+    lead = ctx.bias + vc * ctx.sizes
+    key = lead + ctx.pairmin[ctx.offsets + vc * ctx.sizes + wc]
+    return (np.sort(key, axis=1) == lead + wc).all(axis=1)
 
 
 def orbit_reps_isotropic(sigma: ADEType) -> list[FqfElement]:
     """Canonical representatives of the symmetry orbits of isotropic
     discriminant classes; always contains 0."""
     ctx = _context(sigma)
-    return _orbit_reps(ctx.spec, isotropic_list(ctx.form))
+    return [v for v, _ in _candidates(ctx, isotropic_list(ctx.form))]
 
 
-def _pair_stream(form: FiniteQuadraticForm, reps: list[FqfElement],
-                 pool: list[FqfElement], skip=None) -> Iterator[tuple]:
-    """Yield (v, w, subgroup, factors) for each v in reps and each w in
-    the pool orthogonal to v, each literal subgroup at most once;
+def _candidates(ctx: _TypeContext,
+                pool: list[FqfElement]) -> list[tuple]:
+    """(v, ws) for each canonical representative v of the symmetry
+    orbits met in the pool, with the w of the pool orthogonal to v that
+    are least in their orbit under Stab'(v), both in pool order.
+
+    The pool must be sorted, hold 0 and be closed under the symmetries,
+    as the isotropic classes and the root-free pool are; the
+    representatives are then the elements of the pool that are least
+    in their orbit, since Stab'(0) is the whole group.
+    """
+    if len(pool) == 1:
+        # A pool of one class holds only 0.
+        return [(pool[0], pool)]
+    xs = np.array(pool, dtype=np.int64)
+    codes = xs @ ctx.codes
+    reps = np.flatnonzero(_least(ctx, 0, codes))
+    rows, cols = np.nonzero(orthogonal_mask(ctx.form, xs[reps], xs))
+    keep = _least(ctx, codes[reps][rows], codes[cols])
+    cuts = np.searchsorted(rows[keep], np.arange(1, len(reps)))
+    return [(pool[i], [pool[j] for j in js.tolist()])
+            for i, js in zip(reps.tolist(), np.split(cols[keep], cuts))]
+
+
+def _pair_stream(form: FiniteQuadraticForm, candidates: Iterable[tuple],
+                 skip=None) -> Iterator[tuple]:
+    """Yield (v, w, subgroup, factors) for each (v, ws) of the
+    candidates and each w in ws, each literal subgroup at most once;
     factors are the subgroup's invariant factors.  Elements must be
-    reduced.  Pairs whose factors satisfy skip are never built.
+    reduced, and each w isotropic and orthogonal to its v.  Pairs whose
+    factors satisfy skip are never built.
 
     The subgroup H = <v, w> is the union of the cosets b w + <v>,
     b < m, where m is the least positive integer with m w in <v>, say
@@ -269,7 +340,7 @@ def _pair_stream(form: FiniteQuadraticForm, reps: list[FqfElement],
     orders = form.orders
     zero = (0,) * len(orders)
     seen: set[frozenset] = set()
-    for v in reps:
+    for v, ws in candidates:
         # k v -> k, for k < ord(v).
         multiples: dict[FqfElement, int] = {}
         u = zero
@@ -278,7 +349,7 @@ def _pair_stream(form: FiniteQuadraticForm, reps: list[FqfElement],
             u = tuple(map(mod, map(add, u, v), orders))
         ord_v = len(multiples)
         done: set[FqfElement] = set()
-        for w in orthogonal_filter(form, pool, v):
+        for w in ws:
             if w in done:
                 continue
             shifts = [zero]
@@ -312,12 +383,15 @@ def glue_candidates(sigma: ADEType) -> list[GluePair]:
 
     Every such subgroup maps to the span of some listed pair under a
     stable symmetry, which preserves the acceptance verdict and the
-    invariant factors; the pair (0, 0) is included.
+    invariant factors; the pair (0, 0) is included.  The family takes
+    one v per symmetry orbit and, with it, one w per orbit of the
+    stabiliser Stab'(v) (see the module docstring), so a subgroup may
+    still be listed in more than one of its images.
     """
     ctx = _context(sigma)
     iso = isotropic_list(ctx.form)
     return [GluePair(v, w) for v, w, _, _ in
-            _pair_stream(ctx.form, _orbit_reps(ctx.spec, iso), iso)]
+            _pair_stream(ctx.form, _candidates(ctx, iso))]
 
 
 _exists_cached = lru_cache(maxsize=None)(exists_even_lattice)
@@ -331,7 +405,7 @@ def clear_caches() -> None:
     one way to drop them, e.g. between runs that must not share work.
     """
     for memo in (_context, _component_theta, _scaled_minima,
-                 _component_min_table, _exists_cached, genus._local_data,
+                 _component_pair_min, _exists_cached, genus._local_data,
                  local_invariants.unimodular_set, ade_types._component_gram,
                  ade_types.component_inverse, ade_types._component_form,
                  ade_types._component_lifts,
@@ -406,7 +480,7 @@ def check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:
     if eval_b(form, pair.v, pair.w) != 0:
         raise ValueError("glue classes do not pair to zero")
     v, w = (tuple(map(mod, g, form.orders)) for g in (pair.v, pair.w))
-    _, _, sub, factors = next(_pair_stream(form, [v], [w]))
+    _, _, sub, factors = next(_pair_stream(form, [(v, [w])]))
     if (_prank_fails(ctx, factors) or any(ctx.roots[h] for h in sub)
             or not _partner_exists(ctx, v, w, sub)):
         return None
@@ -426,7 +500,7 @@ def classify_type(sigma: ADEType) -> set[FactorTuple]:
         return factors in out or _prank_fails(ctx, factors)
 
     for v, w, sub, factors in _pair_stream(
-            ctx.form, _orbit_reps(ctx.spec, pool), pool, skip):
+            ctx.form, _candidates(ctx, pool), skip):
         if sub <= root_free and _partner_exists(ctx, v, w, sub):
             out.add(factors)
     return out

@@ -4,13 +4,11 @@ The scans read the scaled integer values that FiniteQuadraticForm
 stores: with E = lcm(orders), form.qs[i] = q(g_i) * E mod 2E and
 form.bs[i][j] = b(g_i, g_j) * E mod E, so isotropy and orthogonality
 tests are pure integer arithmetic.  The isotropy scan evaluates q on
-the whole group in one int64 numpy product; orthogonal_filter is a
-plain loop over its pool.
+the whole group in one int64 numpy product, and the orthogonality
+test of many classes against a pool is one int64 matrix product.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 import numpy as np
 
@@ -48,12 +46,29 @@ def isotropic_list(form: FiniteQuadraticForm) -> list[FqfElement]:
     return list(map(tuple, xs[values % (2 * form.exp) == 0].tolist()))
 
 
+def orthogonal_mask(form: FiniteQuadraticForm, vs, pool) -> np.ndarray:
+    """The boolean matrix of b(v, w) = 0 in Q/Z, one row per v in vs and
+    one column per w in the pool; vs and pool are sequences of reduced
+    elements or integer arrays of them.
+
+    E b(v, w) = (v^T bs mod E) w mod E.  Every partial sum of either
+    product stays below n E max(orders); the kernel raises RuntimeError
+    when that bound does not fit in int64.
+    """
+    n = len(form.orders)
+    if n * form.exp * max(form.orders, default=1) > _INT64_MAX:
+        raise RuntimeError("the orthogonality test of this form would "
+                           "overflow int64")
+    bs = np.array(form.bs, dtype=np.int64).reshape(n, n)
+    vs = np.asarray(vs, dtype=np.int64).reshape(len(vs), n)
+    pool = np.asarray(pool, dtype=np.int64).reshape(len(pool), n)
+    return (vs @ bs % form.exp @ pool.T) % form.exp == 0
+
+
 def orthogonal_filter(form: FiniteQuadraticForm,
                       pool: list[FqfElement],
                       v: FqfElement) -> list[FqfElement]:
     """The elements w of the pool with b(v, w) = 0 in Q/Z, in pool
     order."""
-    e, bs = form.exp, form.bs
-    n = len(form.orders)
-    bv = [sum(v[i] * bs[i][j] for i in range(n)) % e for j in range(n)]
-    return [w for w in pool if sum(map(mul, bv, w)) % e == 0]
+    return [w for w, ok in zip(pool, orthogonal_mask(form, [v], pool)[0])
+            if ok]

@@ -191,9 +191,9 @@ def test_partner_length_rule(classification, partner_questions):
         if sigma in table_types:
             gauss_checked += 1
             assert gauss_signature(glued) == rank(sigma) % 8
-    assert len(partner_questions) == 4351
+    assert len(partner_questions) == 4017
     assert by_length == 2110
-    assert gauss_checked == 189
+    assert gauss_checked == 188
 
 
 def test_criterion_09a_root_type_round_trip():

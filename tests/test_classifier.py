@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3ade import ade_types, classifier, lattice_ops, refdata
-from k3ade.ade_types import (ADEType, act, cartan_gram, component_inverse,
+from k3ade.ade_types import (ADEType, _component_form, _component_gamma, act,
+                             cartan_gram, component_inverse,
                              disc_form_closed, enumerate_candidates,
                              gamma_generators, parse_type)
-from k3ade.classifier import (ClassEntry, GluePair, _component_theta,
+from k3ade.classifier import (ClassEntry, GluePair, _candidates,
+                              _component_pair_min, _component_theta,
                               _context, _invariant_factors, _pair_stream,
                               check_pair, classify_all, classify_type,
                               glue_candidates, orbit_reps_isotropic,
@@ -311,6 +313,75 @@ class TestOrbitReps:
         assert all(x in iso for x in reps)
         assert len(set(reps)) == len(reps)
 
+    def test_matches_per_class_loop(self):
+        # On the isotropic classes and the root-free pool of every 10th
+        # type, the representatives read off the least-element mask are
+        # those of the per-class loop, in the same order.
+        for sigma in enumerate_candidates(18, 24)[::10]:
+            ctx = _context(sigma)
+            iso = isotropic_list(ctx.form)
+            for xs in (iso, [x for x in iso if not ctx.roots[x]]):
+                assert [v for v, _ in _candidates(ctx, xs)] \
+                    == _model_orbit_reps(ctx.spec, xs), sigma
+
+
+class TestComponentPairMin:
+    @pytest.mark.parametrize("comp", ALL_COMPONENTS,
+                             ids=lambda c: f"{c[0]}{c[1]}")
+    def test_against_group_closure(self, comp):
+        # Entry [a, b] is the least code of g b over the g with g a = a,
+        # with the group closed by brute force from the generator
+        # matrices, each element held as its map of every class.
+        orders = _component_form(comp).orders
+        pieces = list(product(*(range(d) for d in orders)))
+        group = {tuple(pieces)}
+        frontier = list(group)
+        while frontier:
+            g = frontier.pop()
+            for mat in _component_gamma(comp):
+                h = tuple(act(mat, y, orders) for y in g)
+                if h not in group:
+                    group.add(h)
+                    frontier.append(h)
+        table = _component_pair_min(comp)
+        assert table.shape == (len(pieces), len(pieces))
+        for a, b in product(range(len(pieces)), repeat=2):
+            want = min(pieces.index(g[b]) for g in group
+                       if g[a] == pieces[a])
+            assert table[a, b] == want, (a, b)
+
+
+@lru_cache(maxsize=None)
+def _piece_orbit_min(comp, piece):
+    orders = _component_form(comp).orders
+    orbit, frontier = {piece}, [piece]
+    while frontier:
+        y = frontier.pop()
+        for mat in _component_gamma(comp):
+            z = act(mat, y, orders)
+            if z not in orbit:
+                orbit.add(z)
+                frontier.append(z)
+    return min(orbit)
+
+
+def _model_orbit_reps(spec, xs):
+    """The per-class loop: each component piece replaced by the least
+    element of its orbit, the pieces sorted within each block of equal
+    components, the images deduplicated and sorted."""
+    reps = set()
+    for x in xs:
+        pieces = [_piece_orbit_min(comp, x[off:off + cnt])
+                  for comp, off, cnt in zip(spec.components,
+                                            spec.gen_offsets,
+                                            spec.gen_counts)]
+        out = []
+        for start, count in spec.blocks:
+            for piece in sorted(pieces[start:start + count]):
+                out.extend(piece)
+        reps.add(tuple(out))
+    return sorted(reps)
+
 
 def _symmetry_moves(sigma):
     """Element maps generating the stable symmetry group: the
@@ -365,6 +436,13 @@ class TestGlueCandidates:
     def test_trivial_form_single_pair(self):
         assert glue_candidates(T("2E8+A2")) == [pair((0,), (0,))]
 
+    def test_no_generators(self):
+        # E8 components add no generator: the form of 2E8 has none, and
+        # its one pair and its one group are the trivial ones.
+        assert glue_candidates(T("2E8")) == [pair((), ())]
+        assert classify_type(T("2E8")) == {()}
+        assert classify_type(T("E8")) == {()}
+
     @pytest.mark.parametrize("text", ["4A1", "6A1", "4A2", "D4+2A1",
                                       "2A3+2A1", "A5+A2+A1"])
     def test_pairs_are_valid_and_spans_distinct(self, text):
@@ -396,36 +474,57 @@ class TestGlueCandidates:
 
 def _spans_by_pair_loop(sigma):
     """The literal subgroups <v, w> over every orbit representative v
-    and every isotropic w orthogonal to it, each built by fqf.span."""
+    and every isotropic w orthogonal to it, each built by fqf.span and
+    mapped to one such generating pair."""
     form, _ = disc_form_closed(sigma)
     iso = sorted(isotropic_elements(form))
-    return {span(form, [v, w]) for v in orbit_reps_isotropic(sigma)
+    return {span(form, [v, w]): (v, w) for v in orbit_reps_isotropic(sigma)
             for w in iso if eval_b(form, v, w) == 0}
 
 
 STREAM_TYPES = ["6A3", "12A1", "8A2"] + [
     str(t) for t in enumerate_candidates(18, 24)[::37]]
 
+# The types of STREAM_TYPES whose subgroup orbits stay small enough to
+# enumerate; the orbit check takes 37 s on 8A2 and 5.6 s on D4+9A1.
+ORBIT_TYPES = [t for t in STREAM_TYPES if t not in ("12A1", "8A2", "D4+9A1")]
+
 
 class TestCosetStream:
     @pytest.mark.parametrize("text", STREAM_TYPES)
     def test_same_subgroups_and_factors(self, text):
-        # The coset stream lists each subgroup of the plain pair loop
-        # once, and its arithmetic invariant factors agree with the
-        # Smith form of the relation lattice.
+        # The stream on the reduced candidates lists distinct literal
+        # subgroups, each with the Smith-form invariant factors of its
+        # span, and exactly the factor sets of the plain pair loop.
         sigma = T(text)
-        form = _context(sigma).form
+        ctx = _context(sigma)
+        form = ctx.form
         iso = isotropic_list(form)
-        reps = orbit_reps_isotropic(sigma)
+        cands = _candidates(ctx, iso)
         subs = []
-        for v, w, sub, factors in _pair_stream(form, reps, iso):
+        for v, w, sub, factors in _pair_stream(form, cands):
             assert sub == span(form, [v, w])
             assert factors == _invariant_factors(form, v, w)
             subs.append(sub)
         assert len(set(subs)) == len(subs)
-        assert set(subs) == _spans_by_pair_loop(sigma)
+        assert {_invariant_factors(form, v, w) for v, w in
+                _spans_by_pair_loop(sigma).values()} == {
+            factors for *_, factors in _pair_stream(form, cands)}
         assert [(p.v, p.w) for p in glue_candidates(sigma)] == [
-            (v, w) for v, w, _, _ in _pair_stream(form, reps, iso)]
+            (v, w) for v, w, _, _ in _pair_stream(form, cands)]
+
+    @pytest.mark.parametrize("text", ORBIT_TYPES)
+    def test_every_subgroup_has_a_listed_image(self, text):
+        # Each literal subgroup of the plain pair loop has a symmetry
+        # image among the subgroups of the reduced stream: it lies in
+        # the orbit of a listed one.
+        sigma = T(text)
+        moves = _symmetry_moves(sigma)
+        images = set()
+        for p in glue_candidates(sigma):
+            images |= _span_orbit(moves, span(_context(sigma).form,
+                                              [p.v, p.w]))
+        assert set(_spans_by_pair_loop(sigma)) <= images
 
 
 def _refuse(*args, **kwargs):
@@ -465,7 +564,8 @@ class TestOnePairStream:
         assert any(w not in (zero, v) and m == 1
                    for (v, w), (m, _) in zip(pairs, walks))
         for v, w in pairs:
-            [(v1, w1, sub, factors)] = list(_pair_stream(form, [v], [w]))
+            [(v1, w1, sub, factors)] = list(_pair_stream(form,
+                                                          [(v, [w])]))
             assert (v1, w1) == (v, w)
             assert sub == span(form, [v, w])
             assert factors == _invariant_factors(form, v, w)
@@ -584,14 +684,17 @@ def _prank_bound(sigma, form, factors):
 def eager_classify(sigma):
     """The eager loop that classify_type replaced, as (accepted factors,
     genus questions asked).  Every subgroup of the stream on all the
-    isotropic classes is built and grouped by its invariant factors;
+    isotropic classes, with every orthogonal w for each orbit
+    representative v, is built and grouped by its invariant factors;
     the groups are then decided in sorted order, each up to its first
     accepted subgroup.  Roots are found from the enumerated minima."""
     form = _context(sigma).form
     iso = isotropic_list(form)
     norms = {x: enumerated_norm(sigma, x) for x in iso}
     by_factors = {}
-    for v, w, sub, f in _pair_stream(form, orbit_reps_isotropic(sigma), iso):
+    for v, w, sub, f in _pair_stream(form, [
+            (v, orthogonal_filter(form, iso, v))
+            for v in orbit_reps_isotropic(sigma)]):
         by_factors.setdefault(f, []).append((v, w, sub))
     out, asked = set(), 0
     for f in sorted(by_factors):
@@ -643,7 +746,10 @@ class TestLazyLoop:
     # stream builds and yields to classify_type, the partner questions
     # it decides, and the ones of those the length count leaves to the
     # genus decision.
-    TABLE_COUNTS = (1139, 189, 84)
+    TABLE_COUNTS = (368, 188, 83)
+    # The genus questions of eager_classify, which reads every orthogonal
+    # w for each representative v, on the same types.
+    EAGER_ASKED = 189
 
     @pytest.mark.parametrize("start", range(0, 25, 5))
     def test_matches_eager_loop(self, start):
@@ -676,7 +782,7 @@ class TestLazyLoop:
         monkeypatch.undo()
         assert len(types) == 197
         assert tuple(counts) == self.TABLE_COUNTS
-        assert counts[1] == sum(eager_classify(t)[1] for t in types)
+        assert sum(eager_classify(t)[1] for t in types) == self.EAGER_ASKED
 
 
 class TestLowRankClassification:

@@ -121,7 +121,7 @@ class TestDiscriminantForm:
         assert group_order(form) == abs(int_det(gram))
 
     @given(even_grams())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_quadratic_form_axiom(self, gram):
         form, _ = discriminant_form(gram)
         assume(group_order(form) <= 512)

@@ -9,7 +9,8 @@ import pytest
 from k3ade.ade_types import disc_form_closed, parse_type
 from k3ade.fqf import (TRIVIAL_FORM, FiniteQuadraticForm, elements, eval_b,
                        eval_q, isotropic_elements)
-from k3ade.kernels import backend, isotropic_list, orthogonal_filter
+from k3ade.kernels import (backend, isotropic_list, orthogonal_filter,
+                           orthogonal_mask)
 from test_fqf import random_presentation
 
 
@@ -48,6 +49,17 @@ class TestAgainstGenericEvaluators:
             want = [w for w in iso if eval_b(form, v, w) == 0]
             assert got == want
 
+    @pytest.mark.parametrize("text", ["8A1", "4A2", "D4+2A1",
+                                      "A5+A2+A1", "D5+A3"])
+    def test_orthogonal_mask(self, text):
+        form = form_of(text)
+        iso = isotropic_list(form)
+        vs = iso[:5] + iso[-4:]
+        got = orthogonal_mask(form, vs, iso)
+        assert got.shape == (len(vs), len(iso))
+        assert got.tolist() == [[eval_b(form, v, w) == 0 for w in iso]
+                                for v in vs]
+
     def test_trivial_form(self):
         form = form_of("2E8+A2")
         # E8 contributes no generators; only the A2 part remains.
@@ -78,11 +90,26 @@ class TestNumpyScan:
             for v in pool[:: max(1, len(pool) // 7)]:
                 got = orthogonal_filter(form, pool, v)
                 assert got == [w for w in pool if eval_b(form, v, w) == 0]
+            vs = pool[:: max(1, len(pool) // 5)]
+            assert orthogonal_mask(form, vs, pool).tolist() == [
+                [eval_b(form, v, w) == 0 for w in pool] for v in vs]
 
     def test_no_generators(self):
         assert isotropic_list(TRIVIAL_FORM) == [()]
         assert orthogonal_filter(TRIVIAL_FORM, [()], ()) == [()]
         assert orthogonal_filter(form_of("8A1"), [], (1,) * 8) == []
+        assert orthogonal_mask(TRIVIAL_FORM, [(), ()], [()]).tolist() == [
+            [True], [True]]
+        assert orthogonal_mask(form_of("8A1"), [(1,) * 8], []).shape == (1, 0)
+
+    def test_orthogonal_int64_guard(self):
+        # The hyperbolic plane over Z/d, d = 3 * 10^9: n E max(orders)
+        # = 1.8 * 10^19 is past int64, although each pairing fits.
+        d = 3 * 10 ** 9
+        form = FiniteQuadraticForm.from_scaled((d, d), (0, 0),
+                                               ((0, 1), (1, 0)))
+        with pytest.raises(RuntimeError, match="int64"):
+            orthogonal_mask(form, [(0, 1)], [(1, 0)])
 
     def test_int64_guard(self):
         # Z/d with q(g) = (2d - 2)/d: the largest value of x^T M x is
