@@ -4,9 +4,11 @@ An ADE type is a finite multiset of simple root lattice components
 ``A_l`` (l >= 1), ``D_m`` (m >= 4) and ``E_n`` (n in {6, 7, 8}).  This
 module provides the type grammar, rank and Euler number, positive
 definite Cartan matrices, the closed-form discriminant quadratic form
-of each type, generators of the stable automorphism group acting on
-that form, and the one-step specialization relation (with optional
-torsion restrictions) together with its downward closure.
+of each type, the stable symmetries of each component's form as
+permutations of its classes, and the one-step specialization relation
+(with optional torsion restrictions) together with its downward
+closure.  The stable symmetries of a type are the products of its
+components' symmetries with the permutations of equal components.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import prod
 from typing import Iterable
 
@@ -319,82 +322,28 @@ def disc_form_closed(sigma: ADEType) -> tuple[FiniteQuadraticForm,
 # ---------------------------------------------------------------------------
 # Stable automorphisms of the discriminant form
 
-GenMatrix = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class ActionSpec:
-    """Generators of the stable symmetry group acting on the
-    discriminant form of a type.
-
-    ``components`` lists the components in canonical order;
-    ``gen_offsets``/``gen_counts`` locate each component's generator
-    block inside the direct-sum form of :func:`disc_form_closed`.
-    ``comp_gens`` holds, per component, matrices whose row i is the
-    image of that component's i-th generator (coefficients mod the
-    generator orders).  ``blocks`` marks runs ``(first, count)`` of
-    equal components; the full symmetric group on each run acts by
-    permuting the component blocks.  Every generator preserves q and b
-    exactly.
-    """
-
-    components: tuple[Component, ...]
-    gen_offsets: tuple[int, ...]
-    gen_counts: tuple[int, ...]
-    comp_gens: tuple[tuple[GenMatrix, ...], ...]
-    blocks: tuple[tuple[int, int], ...]
-
-
 @lru_cache(maxsize=None)
-def _component_gamma(comp: Component) -> tuple[GenMatrix, ...]:
+def _component_group(comp: Component) -> tuple[tuple[int, ...], ...]:
+    """The stable symmetries of one component's discriminant form, each
+    the permutation of its class codes that it induces, identity first.
+    Codes number the classes of _component_form in odometer order.
+
+    The group is +-1 on a cyclic group (A_l, D_m for odd m, E_6, E_7),
+    the swap of the two spinor classes for D_m with m even and m > 4,
+    and all six permutations of the nonzero classes for D_4; each is
+    additive and preserves q.
+    """
     kind, n = _check_component(comp)
-    if kind == "A":
-        if n == 1:
-            return ()
-        return (((n,),),)  # x -> -x mod n + 1
-    if kind == "D":
+    size = prod(_component_form(comp).orders)
+    identity = tuple(range(size))
+    if kind == "D" and n % 2 == 0:
+        # Codes 1, 2, 3: the vector class (0, 1) and the spinor classes
+        # (1, 0) and (1, 1).
         if n == 4:
-            # The two generators realize the full permutation group of
-            # the three nonzero classes.
-            return (((0, 1), (1, 0)), ((0, 1), (1, 1)))
-        if n % 2 == 0:
-            return (((1, 1), (0, 1)),)  # g1 -> g1 + g2, g2 fixed
-        return (((3,),),)  # x -> -x mod 4
-    if n == 6:
-        return (((2,),),)  # x -> -x mod 3
-    return ()  # E7, E8
-
-
-def gamma_generators(sigma: ADEType) -> ActionSpec:
-    """Stable automorphism generators for the form of
-    :func:`disc_form_closed`."""
-    offsets: list[int] = []
-    counts: list[int] = []
-    gens: list[tuple[GenMatrix, ...]] = []
-    pos = 0
-    for comp in sigma.components:
-        count = len(_component_form(comp).orders)
-        offsets.append(pos)
-        counts.append(count)
-        gens.append(_component_gamma(comp))
-        pos += count
-    blocks: list[tuple[int, int]] = []
-    start = 0
-    for comp, count in sigma.runs():
-        blocks.append((start, count))
-        start += count
-    return ActionSpec(sigma.components, tuple(offsets), tuple(counts),
-                      tuple(gens), tuple(blocks))
-
-
-def act(mat: GenMatrix, x: Iterable[int],
-        orders: Iterable[int]) -> tuple[int, ...]:
-    """Image of the element with coefficients x under the automorphism
-    whose row i is the image of generator i."""
-    xs = list(x)
-    ds = list(orders)
-    return tuple(sum(xs[i] * mat[i][j] for i in range(len(xs))) % ds[j]
-                 for j in range(len(ds)))
+            return tuple((0, *perm) for perm in permutations((1, 2, 3)))
+        return (identity, (0, 1, 3, 2))
+    negation = tuple(-k % size for k in identity)
+    return (identity, negation) if negation != identity else (identity,)
 
 
 # ---------------------------------------------------------------------------

@@ -31,17 +31,20 @@ takes the glued form from its Gram matrix, finds its roots by vector
 enumeration and takes the invariant factors from the Smith form of the
 relations of fqf.span; the tests compare the two routes.
 
-The stream is reduced by the symmetries on both generators; a
+The stream is reduced by the stable symmetries on both generators; a
 symmetry maps H to an isomorphic glue, with the same verdict and
-invariant factors (Nikulin 1979, Prop. 1.4.1).  v runs over the
-canonical representatives of the orbits of the pool: per-component
-least images, sorted within each block of equal components.  For each
-v, _candidates keeps only the orthogonal w that are least in their
-orbit under Stab'(v), the product of the per-component stabilisers of
-the pieces of v with the permutations of equal components whose pieces
-of v agree.  Stab'(v) fixes v, so every <v, w'> has an image <v, w>
+invariant factors (Nikulin 1979, Prop. 1.4.1).  They are the products
+of the per-component symmetries, each held as a permutation of that
+component's classes (ade_types._component_group), with the
+permutations of equal components.  v runs over the canonical
+representatives of the orbits of the pool: per-component least images,
+sorted within each block of equal components.  For each v, _candidates
+keeps only the orthogonal w that are least in their orbit under
+Stab'(v), the product of the per-component stabilisers of the pieces
+of v with the permutations of equal components whose pieces of v
+agree.  Stab'(v) fixes v, so every <v, w'> has an image <v, w>
 with a kept w.  Both choices are one table lookup and one sort per
-element, over codes of the component pieces (see _least).
+element, over codes of the component pieces (see _candidates).
 
 Most partner questions are decided by a length count.  By Nikulin's
 Cor. 1.10.2, an even lattice of signature (r, s) with form q exists
@@ -70,9 +73,8 @@ import numpy as np
 
 from . import ade_types, genus, lattice_ops, local_invariants
 from .ade_types import (ADEType, Component, _component_form,
-                        _component_gamma, act, cartan_gram, closed_form,
-                        disc_form_closed, disc_order, enumerate_candidates,
-                        gamma_generators)
+                        _component_group, cartan_gram, closed_form,
+                        disc_form_closed, disc_order, enumerate_candidates)
 from .exact_linalg import prime_factors, smith_normal_form
 from .fqf import (FiniteQuadraticForm, FqfElement, RatVector, element_order,
                   eval_b, eval_q, group_order, span, subquotient)
@@ -126,45 +128,20 @@ class GluePair:
 
 
 class _TypeContext:
-    __slots__ = ("sigma", "n", "form", "spec", "roots", "pranks", "codes",
-                 "sizes", "pairmin", "offsets", "bias")
+    __slots__ = ("sigma", "n", "form", "roots", "pranks")
 
     def __init__(self, sigma: ADEType):
         self.sigma = sigma
         # The rank of the transcendental partner, signature (2, 18 - rank).
         self.n = 20 - sigma.rank
         self.form = closed_form(sigma)
-        spec = self.spec = gamma_generators(sigma)
         # Over D: E times the sum of the per-component coset minima; the
         # root classes are the nonzero classes where it is 2E.
         e, orders = self.form.exp, self.form.orders
         norms = np.zeros((), np.int64)
-        for comp in spec.components:
+        for comp in sigma.components:
             norms = np.add.outer(norms, _scaled_minima(comp, e))
         self.roots = norms == 2 * e
-        # The symmetry data (see _least): x @ codes gives each component
-        # piece of x as its code, in odometer order, below the size K of
-        # that component's group; pairmin[offsets + a K + b] is the entry
-        # [a, b] of its _component_pair_min; bias keeps every block of
-        # equal components apart from the others in one sort of a row.
-        # Each is built as a list and converted once: most types have a
-        # one-class pool and never read them.
-        ncomp = len(spec.components)
-        codes = [[0] * ncomp for _ in orders]
-        for c, (off, cnt) in enumerate(zip(spec.gen_offsets,
-                                           spec.gen_counts)):
-            for i in range(off, off + cnt):
-                codes[i][c] = prod(orders[i + 1:off + cnt])
-        self.codes = np.array(codes, np.int64).reshape(len(orders), ncomp)
-        tables = [_component_pair_min(comp) for comp in spec.components]
-        sizes = [len(t) for t in tables]
-        self.sizes = np.array(sizes)
-        self.pairmin = np.concatenate(tables, axis=None)
-        self.offsets = np.array([0, *accumulate(k * k for k in sizes[:-1])])
-        scale = max(sizes) ** 2
-        self.bias = np.array([block * scale
-                              for block, (_, count) in enumerate(spec.blocks)
-                              for _ in range(count)])
         primes = {p for d in orders for p in prime_factors(d)}
         self.pranks = {p: sum(1 for d in orders if d % p == 0)
                        for p in primes}
@@ -242,60 +219,13 @@ def _scaled_minima(comp: Component, e: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _component_pair_min(comp: Component) -> np.ndarray:
     """The K x K table of a single component whose entry [a, b] is the
-    least code of g b over the stable automorphisms g with g a = a;
-    codes number the K discriminant classes in odometer order.  Row 0
-    holds the least code of each orbit, since every g fixes 0.
-
-    (a, b') lies in the orbit of (a, b) under the diagonal action exactly
-    when some g fixes a and maps b to b', so one search over each pair
-    orbit fills its entries."""
-    orders = _component_form(comp).orders
-    pieces = list(product(*(range(d) for d in orders)))
-    code = {piece: k for k, piece in enumerate(pieces)}
-    moves = [[code[act(g, piece, orders)] for piece in pieces]
-             for g in _component_gamma(comp)]
-    table = np.full((len(pieces), len(pieces)), -1, np.int64)
-    for start in product(range(len(pieces)), repeat=2):
-        if table[start] >= 0:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            a, b = frontier.pop()
-            for move in moves:
-                image = (move[a], move[b])
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
-        least: dict[int, int] = {}
-        for a, b in orbit:
-            least[a] = min(least.get(a, b), b)
-        for a, b in orbit:
-            table[a, b] = least[a]
-    return table
-
-
-def _least(ctx: _TypeContext, vc, wc: np.ndarray) -> np.ndarray:
-    """Whether each w, given by its component codes wc, is least in its
-    orbit under Stab'(v) (see the module docstring), for v given by the
-    codes vc of a canonical element (broadcast against wc; 0 for v = 0).
-
-    The least image of w takes the pair minimum of each piece and sorts
-    the pieces inside each run of equal (component, v-piece).  v is
-    canonical, so those runs are contiguous and ordered, and one sort of
-    bias + v_c K + pairmin along the components sorts exactly inside
-    them; w is least when that sort gives bias + v_c K + w_c back.
-    """
-    lead = ctx.bias + vc * ctx.sizes
-    key = lead + ctx.pairmin[ctx.offsets + vc * ctx.sizes + wc]
-    return (np.sort(key, axis=1) == lead + wc).all(axis=1)
-
-
-def orbit_reps_isotropic(sigma: ADEType) -> list[FqfElement]:
-    """Canonical representatives of the symmetry orbits of isotropic
-    discriminant classes; always contains 0."""
-    ctx = _context(sigma)
-    return [v for v, _ in _candidates(ctx, isotropic_list(ctx.form))]
+    least code of g b over its stable symmetries g with g a = a (see
+    _component_group).  Row 0 holds the least code of each orbit, since
+    every g fixes 0."""
+    group = _component_group(comp)
+    size = len(group[0])
+    return np.array([[min(g[b] for g in group if g[a] == a)
+                      for b in range(size)] for a in range(size)], np.int64)
 
 
 def _candidates(ctx: _TypeContext,
@@ -308,15 +238,45 @@ def _candidates(ctx: _TypeContext,
     as the isotropic classes and the root-free pool are; the
     representatives are then the elements of the pool that are least
     in their orbit, since Stab'(0) is the whole group.
+
+    Whether w, given by its component codes wc, is least in its orbit
+    under Stab'(v), for v given by the codes vc of a canonical element,
+    is one sort of a row.  The least image of w takes the pair minimum
+    of each piece and sorts the pieces inside each run of equal
+    (component, v-piece).  v is canonical, so those runs are contiguous
+    and ordered, and one sort of bias + v_c K + pairmin along the
+    components sorts exactly inside them; w is least when that sort
+    gives bias + v_c K + w_c back.
     """
     if len(pool) == 1:
         # A pool of one class holds only 0.
         return [(pool[0], pool)]
+    # x @ place gives each component piece of x as its code, in odometer
+    # order, below the size K of that component's group; pairmin[offsets
+    # + a K + b] is the entry [a, b] of its _component_pair_min; bias
+    # keeps every block of equal components apart from the others.
+    comps = ctx.sigma.components
+    orders = [_component_form(comp).orders for comp in comps]
+    place = np.array([[prod(ds[i + 1:]) if c == k else 0
+                       for k in range(len(comps))]
+                      for c, ds in enumerate(orders) for i in range(len(ds))])
+    tables = [_component_pair_min(comp) for comp in comps]
+    sizes = np.array([len(t) for t in tables])
+    pairmin = np.concatenate(tables, axis=None)
+    offsets = np.array([0, *accumulate(k * k for k in sizes[:-1])])
+    counts = [count for _, count in ctx.sigma.runs()]
+    bias = np.repeat(np.arange(len(counts)) * max(sizes) ** 2, counts)
+
+    def least(vc, wc: np.ndarray) -> np.ndarray:
+        lead = bias + vc * sizes
+        key = lead + pairmin[offsets + vc * sizes + wc]
+        return (np.sort(key, axis=1) == lead + wc).all(axis=1)
+
     xs = np.array(pool, dtype=np.int64)
-    codes = xs @ ctx.codes
-    reps = np.flatnonzero(_least(ctx, 0, codes))
+    codes = xs @ place
+    reps = np.flatnonzero(least(0, codes))
     rows, cols = np.nonzero(orthogonal_mask(ctx.form, xs[reps], xs))
-    keep = _least(ctx, codes[reps][rows], codes[cols])
+    keep = least(codes[reps][rows], codes[cols])
     cuts = np.searchsorted(rows[keep], np.arange(1, len(reps)))
     return [(pool[i], [pool[j] for j in js.tolist()])
             for i, js in zip(reps.tolist(), np.split(cols[keep], cuts))]
@@ -409,7 +369,7 @@ def clear_caches() -> None:
                  local_invariants.unimodular_set, ade_types._component_gram,
                  ade_types.component_inverse, ade_types._component_form,
                  ade_types._component_lifts,
-                 ade_types._component_gamma,
+                 ade_types._component_group,
                  ade_types._allowed_replacements):
         memo.cache_clear()
     for table in (local_invariants._SET_CACHE, local_invariants._REC_CACHE,

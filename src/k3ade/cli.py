@@ -35,6 +35,18 @@ def _parse_max_euler(value: str) -> int | None:
     return int(value)
 
 
+def _bound_below_one(args) -> bool:
+    """Report on stderr the first of --max-rank and --max-euler that is
+    below 1, which is bad input (--max-euler none drops the bound)."""
+    for flag, value in (("--max-rank", args.max_rank),
+                        ("--max-euler", args.max_euler)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be at least 1, got {value}",
+                  file=sys.stderr)
+            return True
+    return False
+
+
 def _type_row_json(sigma: ADEType, groups=None) -> str:
     row = {"type": str(sigma), "rank": sigma.rank, "euler": sigma.euler}
     if groups is not None:
@@ -43,6 +55,8 @@ def _type_row_json(sigma: ADEType, groups=None) -> str:
 
 
 def cmd_enumerate(args) -> int:
+    if _bound_below_one(args):
+        return 2
     types = enumerate_candidates(args.max_rank, args.max_euler)
     if args.format == "tsv":
         print("rank\teuler\ttype")
@@ -84,6 +98,8 @@ def cmd_classify(args) -> int:
     if not 1 <= args.max_rank <= 18:
         print(f"error: --max-rank must be between 1 and 18, got "
               f"{args.max_rank}", file=sys.stderr)
+        return 2
+    if _bound_below_one(args):
         return 2
     types = enumerate_candidates(args.max_rank, args.max_euler)
     if args.format == "tsv":

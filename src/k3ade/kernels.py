@@ -69,6 +69,12 @@ def orthogonal_filter(form: FiniteQuadraticForm,
                       pool: list[FqfElement],
                       v: FqfElement) -> list[FqfElement]:
     """The elements w of the pool with b(v, w) = 0 in Q/Z, in pool
-    order."""
+    order.
+
+    Nothing in the package calls it: the classifier tests orthogonality
+    with orthogonal_mask.  It stays because BENCHMARK.json names it as a
+    per-layer metric (kernels.orthogonal_filter.self_s); the tests still
+    call it.
+    """
     return [w for w, ok in zip(pool, orthogonal_mask(form, [v], pool)[0])
             if ok]

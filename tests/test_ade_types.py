@@ -4,19 +4,21 @@ data, stable automorphisms, and the specialization relation."""
 from collections import Counter
 from fractions import Fraction
 from importlib.resources import files
+from itertools import permutations
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3ade.ade_types import (ADEType, EMPTY_TYPE, RULESETS, act, cartan_gram,
-                             closure, disc_form_closed, elementary_children,
-                             enumerate_candidates, euler_number,
-                             gamma_generators, parse_type, rank,
+from k3ade.ade_types import (ADEType, EMPTY_TYPE, RULESETS, _component_group,
+                             cartan_gram, closure, disc_form_closed,
+                             elementary_children, enumerate_candidates,
+                             euler_number, parse_type, rank,
                              restricted_children)
 from k3ade.exact_linalg import int_det
 from k3ade.fqf import (TRIVIAL_FORM, discriminant_form, elements, eval_b,
                        eval_q, group_order)
+from symmetry_oracle import ALL_COMPONENTS, generated_group, pieces
 
 
 def load_types(name):
@@ -260,15 +262,26 @@ class TestDiscFormClosed:
         assert stats_closed == stats_computed
 
 
-GAMMA_SAMPLE = ["A1", "A2", "A3", "A5", "D4", "D5", "D6", "D8", "D9",
-                "E6", "E7", "E8"]
+COMPONENT_NAMES = [f"{kind}{n}" for kind, n in ALL_COMPONENTS]
+
+
+def _component_symmetries(text):
+    """The form of a one-component type, its classes in code order and
+    the permutations of _component_group, each as the tuple of images
+    of the classes."""
+    (comp,) = parse_type(text).components
+    classes = pieces(comp)
+    images = [tuple(classes[k] for k in g) for g in _component_group(comp)]
+    return comp, disc_form_closed(parse_type(text))[0], classes, images
 
 
 class TestGammaGenerators:
+    # The per-component permutation groups against the generator
+    # matrices of symmetry_oracle.py.
     @pytest.mark.parametrize("text", ["A1", "E7", "E8"])
     def test_trivial_action(self, text):
-        spec = gamma_generators(parse_type(text))
-        assert spec.comp_gens == ((),)
+        _, _, classes, images = _component_symmetries(text)
+        assert images == [tuple(classes)]
 
     @pytest.mark.parametrize("text,matrix", [
         ("A3", ((3,),)),
@@ -278,54 +291,57 @@ class TestGammaGenerators:
         ("D6", ((1, 1), (0, 1))),
     ])
     def test_single_generator(self, text, matrix):
-        assert gamma_generators(parse_type(text)).comp_gens == ((matrix,),)
+        comp, _, _, images = _component_symmetries(text)
+        assert len(images) == 2
+        assert set(images) == generated_group(comp, (matrix,))
 
     def test_d4_full_symmetric_group(self):
-        t = parse_type("D4")
-        form, _ = disc_form_closed(t)
-        gens = gamma_generators(t).comp_gens[0]
-        assert len(gens) == 2
-        nonzero = [e for e in elements(form) if e != (0, 0)]
-        perms = set()
-        frontier = [tuple(nonzero)]
-        while frontier:
-            state = frontier.pop()
-            if state in perms:
-                continue
-            perms.add(state)
-            for g in gens:
-                frontier.append(tuple(act(g, e, form.orders)
-                                      for e in state))
-        assert len(perms) == 6
+        _, _, classes, images = _component_symmetries("D4")
+        assert len(images) == 6
+        assert {g[1:] for g in images} == set(permutations(classes[1:]))
 
-    @pytest.mark.parametrize("text", GAMMA_SAMPLE)
+    @pytest.mark.parametrize("text", COMPONENT_NAMES)
+    def test_fixes_zero(self, text):
+        comp, _, _, _ = _component_symmetries(text)
+        assert all(g[0] == 0 for g in _component_group(comp))
+
+    @pytest.mark.parametrize("text", COMPONENT_NAMES)
+    def test_additive(self, text):
+        _, form, classes, images = _component_symmetries(text)
+
+        def add(x, y):
+            return tuple((a + b) % d for a, b, d in zip(x, y, form.orders))
+
+        for g in images:
+            image = dict(zip(classes, g))
+            for x in classes:
+                for y in classes:
+                    assert image[add(x, y)] == add(image[x], image[y])
+
+    @pytest.mark.parametrize("text", COMPONENT_NAMES)
     def test_preserves_q_and_b(self, text):
-        t = parse_type(text)
-        form, _ = disc_form_closed(t)
-        spec = gamma_generators(t)
-        for gens in spec.comp_gens:
-            for g in gens:
-                image = {e: act(g, e, form.orders) for e in elements(form)}
-                assert set(image.values()) == set(image)
-                for e, ie in image.items():
-                    assert eval_q(form, ie) == eval_q(form, e)
-                for e in image:
-                    for f in image:
-                        assert eval_b(form, image[e], image[f]) == \
-                            eval_b(form, e, f)
+        _, form, classes, images = _component_symmetries(text)
+        for g in images:
+            image = dict(zip(classes, g))
+            assert set(image.values()) == set(image)
+            for e, ie in image.items():
+                assert eval_q(form, ie) == eval_q(form, e)
+            for e in image:
+                for f in image:
+                    assert eval_b(form, image[e], image[f]) == \
+                        eval_b(form, e, f)
 
-    def test_layout(self):
-        spec = gamma_generators(parse_type("2E8+A2"))
-        assert spec.components == (("E", 8), ("E", 8), ("A", 2))
-        assert spec.gen_offsets == (0, 0, 0)
-        assert spec.gen_counts == (0, 0, 1)
-        assert spec.blocks == ((0, 2), (2, 1))
-
-    def test_layout_mixed(self):
-        spec = gamma_generators(parse_type("D4+2A3"))
-        assert spec.gen_offsets == (0, 2, 3)
-        assert spec.gen_counts == (2, 1, 1)
-        assert spec.blocks == ((0, 1), (1, 2))
+    @pytest.mark.parametrize("text", COMPONENT_NAMES)
+    def test_closed_and_generated(self, text):
+        # Identity first, no repeats, closed under composition, and the
+        # group that the oracle's matrices generate.
+        comp, _, classes, images = _component_symmetries(text)
+        group = _component_group(comp)
+        assert group[0] == tuple(range(len(classes)))
+        assert len(set(group)) == len(group)
+        assert {tuple(g[k] for k in h) for g in group for h in group} \
+            == set(group)
+        assert set(images) == generated_group(comp)
 
 
 class TestChildren:

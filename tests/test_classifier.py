@@ -16,16 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3ade import ade_types, classifier, lattice_ops, refdata
-from k3ade.ade_types import (ADEType, _component_form, _component_gamma, act,
-                             cartan_gram, component_inverse,
-                             disc_form_closed, enumerate_candidates,
-                             gamma_generators, parse_type)
+from k3ade.ade_types import (ADEType, _component_form, cartan_gram,
+                             component_inverse, disc_form_closed,
+                             enumerate_candidates, parse_type)
 from k3ade.classifier import (ClassEntry, GluePair, _candidates,
                               _component_pair_min, _component_theta,
                               _context, _invariant_factors, _pair_stream,
                               check_pair, classify_all, classify_type,
-                              glue_candidates, orbit_reps_isotropic,
-                              slow_check_pair, verify_reference)
+                              glue_candidates, slow_check_pair,
+                              verify_reference)
 from k3ade.exact_linalg import prime_factors
 from k3ade.fqf import (element_order, elements, eval_b, eval_q, group_order,
                        isotropic_elements, p_part, span, subquotient)
@@ -34,6 +33,8 @@ from k3ade.kernels import isotropic_list, orthogonal_filter
 from k3ade.lattice_ops import (GramLattice, overlattice, root_type,
                                short_vectors)
 from k3ade.local_invariants import local_invariant_set
+from symmetry_oracle import (ALL_COMPONENTS, act, blocks, component_gamma,
+                             generated_group, layout, pieces)
 
 
 def T(text):
@@ -93,11 +94,6 @@ class TestClassEntry:
         # disc(A1) = 2 is not divisible by 2^2.
         with pytest.raises(ValueError, match="divide"):
             ClassEntry(T("A1"), (2,))
-
-
-ALL_COMPONENTS = ([("A", n) for n in range(1, 19)]
-                  + [("D", n) for n in range(4, 19)]
-                  + [("E", 6), ("E", 7), ("E", 8)])
 
 
 @lru_cache(maxsize=None)
@@ -290,16 +286,23 @@ class TestThetaClosedForms:
             assert mu % 2 == eval_q(form, cls)
 
 
+def orbit_reps(sigma):
+    """The canonical representatives of the symmetry orbits of the
+    isotropic classes, as _candidates lists them; always contains 0."""
+    ctx = _context(sigma)
+    return [v for v, _ in _candidates(ctx, isotropic_list(ctx.form))]
+
+
 class TestOrbitReps:
     def test_a1(self):
-        assert orbit_reps_isotropic(T("A1")) == [(0,)]
+        assert orbit_reps(T("A1")) == [(0,)]
 
     def test_4a1(self):
-        assert orbit_reps_isotropic(T("4A1")) == [(0, 0, 0, 0),
+        assert orbit_reps(T("4A1")) == [(0, 0, 0, 0),
                                                   (1, 1, 1, 1)]
 
     def test_8a1(self):
-        assert orbit_reps_isotropic(T("8A1")) == [
+        assert orbit_reps(T("8A1")) == [
             (0,) * 8, (0,) * 4 + (1,) * 4, (1,) * 8]
 
     @pytest.mark.parametrize("text", ["A2", "6A1", "4A2", "D4+2A1",
@@ -307,7 +310,7 @@ class TestOrbitReps:
     def test_reps_are_isotropic_and_include_zero(self, text):
         sigma = T(text)
         form, _ = disc_form_closed(sigma)
-        reps = orbit_reps_isotropic(sigma)
+        reps = orbit_reps(sigma)
         iso = isotropic_elements(form)
         assert tuple([0] * len(form.orders)) in reps
         assert all(x in iso for x in reps)
@@ -322,7 +325,7 @@ class TestOrbitReps:
             iso = isotropic_list(ctx.form)
             for xs in (iso, [x for x in iso if not ctx.roots[x]]):
                 assert [v for v, _ in _candidates(ctx, xs)] \
-                    == _model_orbit_reps(ctx.spec, xs), sigma
+                    == _model_orbit_reps(sigma, xs), sigma
 
 
 class TestComponentPairMin:
@@ -330,24 +333,16 @@ class TestComponentPairMin:
                              ids=lambda c: f"{c[0]}{c[1]}")
     def test_against_group_closure(self, comp):
         # Entry [a, b] is the least code of g b over the g with g a = a,
-        # with the group closed by brute force from the generator
-        # matrices, each element held as its map of every class.
-        orders = _component_form(comp).orders
-        pieces = list(product(*(range(d) for d in orders)))
-        group = {tuple(pieces)}
-        frontier = list(group)
-        while frontier:
-            g = frontier.pop()
-            for mat in _component_gamma(comp):
-                h = tuple(act(mat, y, orders) for y in g)
-                if h not in group:
-                    group.add(h)
-                    frontier.append(h)
+        # with the group closed by brute force from the oracle's
+        # generator matrices, each element held as its map of every
+        # class.
+        classes = pieces(comp)
+        group = generated_group(comp)
         table = _component_pair_min(comp)
-        assert table.shape == (len(pieces), len(pieces))
-        for a, b in product(range(len(pieces)), repeat=2):
-            want = min(pieces.index(g[b]) for g in group
-                       if g[a] == pieces[a])
+        assert table.shape == (len(classes), len(classes))
+        for a, b in product(range(len(classes)), repeat=2):
+            want = min(classes.index(g[b]) for g in group
+                       if g[a] == classes[a])
             assert table[a, b] == want, (a, b)
 
 
@@ -357,7 +352,7 @@ def _piece_orbit_min(comp, piece):
     orbit, frontier = {piece}, [piece]
     while frontier:
         y = frontier.pop()
-        for mat in _component_gamma(comp):
+        for mat in component_gamma(comp):
             z = act(mat, y, orders)
             if z not in orbit:
                 orbit.add(z)
@@ -365,19 +360,17 @@ def _piece_orbit_min(comp, piece):
     return min(orbit)
 
 
-def _model_orbit_reps(spec, xs):
+def _model_orbit_reps(sigma, xs):
     """The per-class loop: each component piece replaced by the least
     element of its orbit, the pieces sorted within each block of equal
     components, the images deduplicated and sorted."""
     reps = set()
     for x in xs:
-        pieces = [_piece_orbit_min(comp, x[off:off + cnt])
-                  for comp, off, cnt in zip(spec.components,
-                                            spec.gen_offsets,
-                                            spec.gen_counts)]
+        least = [_piece_orbit_min(comp, x[off:off + cnt])
+                 for comp, off, cnt in layout(sigma)]
         out = []
-        for start, count in spec.blocks:
-            for piece in sorted(pieces[start:start + count]):
+        for start, count in blocks(sigma):
+            for piece in sorted(least[start:start + count]):
                 out.extend(piece)
         reps.add(tuple(out))
     return sorted(reps)
@@ -386,24 +379,24 @@ def _model_orbit_reps(spec, xs):
 def _symmetry_moves(sigma):
     """Element maps generating the stable symmetry group: the
     per-component generators and adjacent swaps of equal components."""
-    spec = gamma_generators(sigma)
     form, _ = disc_form_closed(sigma)
+    places = layout(sigma)
     moves = []
 
     def comp_image(x, ci, mat):
-        off, cnt = spec.gen_offsets[ci], spec.gen_counts[ci]
+        _, off, cnt = places[ci]
         piece = act(mat, x[off:off + cnt], form.orders[off:off + cnt])
         return x[:off] + piece + x[off + cnt:]
 
     def swap_image(x, ci):
-        o1, c = spec.gen_offsets[ci], spec.gen_counts[ci]
-        o2 = spec.gen_offsets[ci + 1]
+        _, o1, c = places[ci]
+        o2 = places[ci + 1][1]
         return x[:o1] + x[o2:o2 + c] + x[o1:o1 + c] + x[o2 + c:]
 
-    for ci in range(len(spec.components)):
-        for mat in spec.comp_gens[ci]:
+    for ci, (comp, _, _) in enumerate(places):
+        for mat in component_gamma(comp):
             moves.append(lambda x, ci=ci, mat=mat: comp_image(x, ci, mat))
-    for start, count in spec.blocks:
+    for start, count in blocks(sigma):
         for ci in range(start, start + count - 1):
             moves.append(lambda x, ci=ci: swap_image(x, ci))
     return moves
@@ -478,7 +471,7 @@ def _spans_by_pair_loop(sigma):
     mapped to one such generating pair."""
     form, _ = disc_form_closed(sigma)
     iso = sorted(isotropic_elements(form))
-    return {span(form, [v, w]): (v, w) for v in orbit_reps_isotropic(sigma)
+    return {span(form, [v, w]): (v, w) for v in orbit_reps(sigma)
             for w in iso if eval_b(form, v, w) == 0}
 
 
@@ -659,10 +652,8 @@ class TestClassifyType:
 def enumerated_norm(sigma, x):
     """The sum over the components of the enumerated coset minima of the
     pieces of the class x; None when a piece has minimum above 2."""
-    spec = _context(sigma).spec
     total = Fraction(0)
-    for comp, off, cnt in zip(spec.components, spec.gen_offsets,
-                              spec.gen_counts):
+    for comp, off, cnt in layout(sigma):
         piece = x[off:off + cnt]
         if any(piece):
             entry = enumerated_theta(comp).get(piece)
@@ -694,7 +685,7 @@ def eager_classify(sigma):
     by_factors = {}
     for v, w, sub, f in _pair_stream(form, [
             (v, orthogonal_filter(form, iso, v))
-            for v in orbit_reps_isotropic(sigma)]):
+            for v in orbit_reps(sigma)]):
         by_factors.setdefault(f, []).append((v, w, sub))
     out, asked = set(), 0
     for f in sorted(by_factors):
@@ -868,6 +859,21 @@ class TestClearCaches:
             classify_type(T(text))
             assert ade_types.component_inverse.cache_info().currsize == 0
             assert ade_types._component_lifts.cache_info().currsize == 0
+        finally:
+            classifier.clear_caches()
+
+    @pytest.mark.parametrize("text,run", [
+        ("E7+D5+A3", classify_type), ("2D4+E6+A1", classify_type),
+        ("2E8+A2", glue_candidates)], ids=["E7+D5+A3", "2D4+E6+A1",
+                                           "2E8+A2-candidates"])
+    def test_one_class_pool_builds_no_symmetry_table(self, text, run):
+        # The root-free pool of the first two types and the isotropic
+        # classes of the last are only 0, so no symmetry is read.
+        classifier.clear_caches()
+        try:
+            run(T(text))
+            assert _component_pair_min.cache_info().currsize == 0
+            assert ade_types._component_group.cache_info().currsize == 0
         finally:
             classifier.clear_caches()
 

@@ -52,9 +52,12 @@ class TestEnumerate:
         assert "19\t20\tA19" in out.splitlines()
 
     def test_zero_euler_bound(self, capsys):
-        code, out, _ = run_cli(capsys, ["enumerate", "--max-euler", "0"])
-        assert code == 0
-        assert out == "rank\teuler\ttype\n"
+        # A bound below 1 is bad input, not an empty table.
+        code, out, err = run_cli(capsys, ["enumerate", "--max-euler", "0"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "--max-euler" in err
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, ["enumerate", "--max-rank", "2",
@@ -277,10 +280,15 @@ class TestTransform:
     ["classify", "--jobs", "-2", "--max-rank", "1"],
     ["transform", "--ruleset", "2", "--seeds", "{missing}"],
     ["enumerate", "--max-rank", "x"],
+    ["enumerate", "--max-rank", "-3"],
+    ["enumerate", "--max-euler", "0"],
+    ["classify", "--max-rank", "3", "--max-euler", "-1"],
     ["verify", "--only", "tables"],
 ], ids=["signature-0,0", "missing-form", "degenerate-form", "bad-type",
         "max-rank-19", "jobs-0", "jobs-negative", "missing-seeds",
-        "enumerate-bad-int", "verify-bad-only"])
+        "enumerate-bad-int", "enumerate-max-rank-negative",
+        "enumerate-max-euler-0", "classify-max-euler-negative",
+        "verify-bad-only"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     # Bad input exits 2 with an error on stderr; it must never read as
     # the mathematical "no" (exit 1), nor escape as a traceback.

@@ -2,10 +2,11 @@ import pickle
 import random
 from fractions import Fraction as F
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from k3ade.exact_linalg import (int_det, int_inverse, rat_inverse,
@@ -61,6 +62,15 @@ def even_grams(draw, nmax=3):
             g[i][j] = g[j][i] = draw(st.integers(-3, 3))
     assume(int_det(g) != 0)
     return g
+
+
+# The seed that derandomize=True drew from the source of
+# test_quadratic_form_axiom when it called the Fraction evaluators on
+# every pair; pinned so that the scaled-integer body checks the same 60
+# examples.
+AXIOM_SEED = int("1298214035078500760698764905694134776614499066844"
+                 "6725921914465541935570944297919407673490169561302"
+                 "227242779153191298")
 
 
 class TestDiscriminantForm:
@@ -121,16 +131,24 @@ class TestDiscriminantForm:
         assert group_order(form) == abs(int_det(gram))
 
     @given(even_grams())
+    @seed(AXIOM_SEED)
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_quadratic_form_axiom(self, gram):
+        # q(x + y) - q(x) - q(y) = 2 b(x, y) mod 2 on every ordered
+        # pair, scaled by E: q is evaluated once per element, b from the
+        # scaled pairings, and x + y is looked up by its odometer index.
         form, _ = discriminant_form(gram)
         assume(group_order(form) <= 512)
-        elts = list(elements(form))
-        for x in elts:
-            for y in elts:
-                s = tuple((a + b) % d for a, b, d in zip(x, y, form.orders))
-                lhs = (eval_q(form, s) - eval_q(form, x) - eval_q(form, y)) % 2
-                assert lhs == 2 * eval_b(form, x, y) % 2
+        e, n = form.exp, len(form.orders)
+        q = np.array([int(eval_q(form, x) * e) for x in elements(form)])
+        xs = np.array(list(elements(form)), np.int64).reshape(len(q), n)
+        b = xs @ np.array(form.bs, np.int64).reshape(n, n) @ xs.T % e
+        place = np.array([prod(form.orders[i + 1:]) for i in range(n)],
+                         np.int64)
+        orders = np.array(form.orders, np.int64)
+        sums = (xs[:, None, :] + xs[None, :, :]) % orders @ place
+        assert ((q[sums] - q[:, None] - q[None, :] - 2 * b) % (2 * e)
+                == 0).all()
 
 
 def reference_discriminant_form(gram):
