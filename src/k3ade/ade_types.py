@@ -2,13 +2,14 @@
 
 An ADE type is a finite multiset of simple root lattice components
 ``A_l`` (l >= 1), ``D_m`` (m >= 4) and ``E_n`` (n in {6, 7, 8}).  This
-module provides the type grammar, rank and Euler number, positive
-definite Cartan matrices, the closed-form discriminant quadratic form
-of each type, the stable symmetries of each component's form as
-permutations of its classes, and the one-step specialization relation
-(with optional torsion restrictions) together with its downward
-closure.  The stable symmetries of a type are the products of its
-components' symmetries with the permutations of equal components.
+module provides the type grammar (rank and Euler number are properties
+of ADEType), positive definite Cartan matrices, the closed-form
+discriminant quadratic form of each type, the stable symmetries of
+each component's form as permutations of its classes, and the one-step
+specialization relation (with optional torsion restrictions) together
+with its downward closure.  The stable symmetries of a type are the
+products of its components' symmetries with the permutations of equal
+components.
 """
 
 from __future__ import annotations
@@ -84,8 +85,7 @@ class ADEType:
 
     @property
     def euler(self) -> int:
-        return sum(n + 1 if kind == "A" else n + 2
-                   for kind, n in self.components)
+        return sum(map(_component_euler, self.components))
 
     def runs(self) -> tuple[tuple[Component, int], ...]:
         """Distinct components with multiplicities, in canonical order."""
@@ -142,14 +142,6 @@ def parse_type(text: str) -> ADEType:
         comp = _check_component((body[0].upper(), int(body[1:])))
         comps.extend([comp] * count)
     return ADEType(tuple(comps))
-
-
-def rank(sigma: ADEType) -> int:
-    return sigma.rank
-
-
-def euler_number(sigma: ADEType) -> int:
-    return sigma.euler
 
 
 def enumerate_candidates(max_rank: int = 18,
@@ -439,8 +431,9 @@ def restricted_children(sigma: ADEType,
                         ruleset: str = "trivial") -> set[ADEType]:
     """Types obtained by one allowed substitution in one component.
 
-    Each child has rank exactly rank(sigma) - 1 and Euler number at
-    most euler(sigma).  The empty type is never returned.
+    Each child has rank exactly sigma.rank - 1 and Euler number at most
+    sigma.euler.  The empty type is never returned.  The default
+    ruleset "trivial" gives every one-step specialization.
     """
     if ruleset not in RULESETS:
         raise ValueError(f"unknown ruleset: {ruleset!r}")
@@ -457,11 +450,6 @@ def restricted_children(sigma: ADEType,
             if child:
                 out.add(ADEType(child))
     return out
-
-
-def elementary_children(sigma: ADEType) -> set[ADEType]:
-    """All one-step specializations, with no torsion restriction."""
-    return restricted_children(sigma, "trivial")
 
 
 def closure(seeds: Iterable[ADEType],

@@ -11,12 +11,14 @@ invariant factors.
 
 The root condition needs no vector of the glued lattice.  The coset of
 a glue class decomposes over the components, so its minimal norm is the
-sum of the textbook coset minima of the A, D and E components, held as
-integers scaled by the exponent E of the discriminant group D.  A
-nonzero class whose sum is exactly 2E is a root class, and a subgroup
-gains roots exactly when it holds one.  Each type context marks the
-root classes in one table over D; the other isotropic classes form the
-root-free pool, read off that table class by class.
+sum of the textbook coset minima of the A, D and E components
+(Conway-Sloane, SPLAG ch. 4).  _scaled_minima reads them from their
+closed forms, held as integers scaled by the exponent E of the
+discriminant group D.  A nonzero class whose sum is exactly 2E is a
+root class, and a subgroup gains roots exactly when it holds one.
+Each type context marks the root classes in one table over D; the
+other isotropic classes form the root-free pool, read off that table
+class by class.
 
 There are two routes.  The fast one works on integers in D alone.
 _pair_stream walks b w, b < m, until m w lands in <v>; the walk gives
@@ -64,8 +66,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
-from math import comb, gcd, lcm, prod
+from itertools import accumulate
+from math import gcd, lcm, prod
 from operator import add, mod
 from typing import Iterable, Iterator, Optional
 
@@ -160,60 +162,42 @@ def _context(sigma: ADEType) -> _TypeContext:
 
 
 @lru_cache(maxsize=None)
-def _component_theta(comp: Component) -> tuple[int, dict]:
-    """(d, table) for a single component: per nonzero discriminant
-    class, d times the minimal norm over the corresponding coset of the
-    component lattice and the number of vectors attaining it, restricted
-    to minima at most 2 (larger minima never produce roots).  The
-    denominator d is l+1 for A_l, 4 for D_n, 3 for E6, 2 for E7 and 1
-    for E8, so every entry is an integer.
-
-    The classes are coefficient tuples on the generators of
-    disc_form_closed, and the values are the closed forms of
-    Conway-Sloane (SPLAG ch. 4): class k of A_l has minimum
-    k(l+1-k)/(l+1), attained by C(l+1, k) vectors; the vector class of
-    D_n has minimum 1 (2n vectors) and each spinor class n/4 (2^(n-1)
-    vectors); the nonzero classes of E6 have 4/3 (27 vectors) and that
-    of E7 has 3/2 (56 vectors).
-    """
-    kind, n = comp
-    if kind == "A":
-        den, table = n + 1, {(k,): (k * (n + 1 - k), comb(n + 1, k))
-                             for k in range(1, n + 1)}
-    elif kind == "D":
-        den, vector, spinor = 4, (4, 2 * n), (n, 2 ** (n - 1))
-        if n % 2:
-            # One generator of order 4, the dual of the spinor node 1.
-            table = {(1,): spinor, (2,): vector, (3,): spinor}
-        else:
-            # The duals of the spinor node 1 and of the chain end n.
-            table = {(1, 0): spinor, (0, 1): vector, (1, 1): spinor}
-    elif n == 6:
-        den, table = 3, {(1,): (4, 27), (2,): (4, 27)}
-    elif n == 7:
-        den, table = 2, {(1,): (3, 56)}
-    else:
-        den, table = 1, {}
-    return den, {cls: entry for cls, entry in table.items()
-                 if entry[0] <= 2 * den}
-
-
-@lru_cache(maxsize=None)
 def _scaled_minima(comp: Component, e: int) -> np.ndarray:
     """E times the coset minimum of each discriminant class of a single
     component, as an array indexed by the class: 0 for the zero class
-    and 2E + 1 for a minimum above 2."""
-    den, table = _component_theta(comp)
-    orders = _component_form(comp).orders
-    minima = []
-    for piece in product(*(range(d) for d in orders)):
-        num = (table[piece][0] * e if piece in table
-               else (2 * e + 1) * den if any(piece) else 0)
-        if num % den:
-            raise RuntimeError(f"coset minimum {Fraction(num, den * e)} of "
+    and 2E + 1 for a minimum above 2, which never makes a root.
+
+    The classes are coefficient tuples on the generators of
+    _component_form, and the minima are the closed forms of
+    Conway-Sloane (SPLAG ch. 4): class k of A_l has minimum
+    k(l+1-k)/(l+1); the vector class of D_n has minimum 1 and each
+    spinor class n/4; the nonzero classes of E6 have 4/3 and that of
+    E7 has 3/2.
+    """
+    kind, n = comp
+    # Each minimum as (numerator, denominator).
+    if kind == "A":
+        minima = [(k * (n + 1 - k), n + 1) for k in range(n + 1)]
+    elif kind == "D":
+        # For odd n one generator of order 4, the dual of the spinor
+        # node 1, and 2 is the vector class; for even n the duals of
+        # node 1 and of the chain end n, and (0, 1) is the vector class.
+        spinor = (n, 4)
+        minima = ([(0, 1), spinor, (1, 1), spinor] if n % 2
+                  else [(0, 1), (1, 1), spinor, spinor])
+    else:
+        minima = {6: [(0, 1), (4, 3), (4, 3)], 7: [(0, 1), (3, 2)],
+                  8: [(0, 1)]}[n]
+    scaled = []
+    for num, den in minima:
+        if num > 2 * den:
+            scaled.append(2 * e + 1)
+        elif num * e % den:
+            raise RuntimeError(f"coset minimum {Fraction(num, den)} of "
                                f"{comp} is not a multiple of 1/{e}")
-        minima.append(num // den)
-    return np.reshape(minima, orders)
+        else:
+            scaled.append(num * e // den)
+    return np.reshape(scaled, _component_form(comp).orders)
 
 
 @lru_cache(maxsize=None)
@@ -364,7 +348,7 @@ def clear_caches() -> None:
     The tables are unbounded and live as long as the process; this is the
     one way to drop them, e.g. between runs that must not share work.
     """
-    for memo in (_context, _component_theta, _scaled_minima,
+    for memo in (_context, _scaled_minima,
                  _component_pair_min, _exists_cached, genus._local_data,
                  local_invariants.unimodular_set, ade_types._component_gram,
                  ade_types.component_inverse, ade_types._component_form,

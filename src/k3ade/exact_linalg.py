@@ -18,21 +18,6 @@ def mat_identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += c * bt[j]
-    return out
-
-
 def _find_pivot(a: IntMatrix, t: int):
     """Smallest nonzero |entry| in the trailing submatrix, earliest position."""
     best = None

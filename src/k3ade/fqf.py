@@ -364,11 +364,6 @@ def element_order(form: FiniteQuadraticForm, x: Sequence[int]) -> int:
     return lcm(*(d // gcd(c, d) for c, d in zip(x, form.orders))) if x else 1
 
 
-def isotropic_elements(form: FiniteQuadraticForm) -> set[FqfElement]:
-    """All x in D with q(x) = 0 in Q/2Z; always contains 0."""
-    return {x for x in elements(form) if _q_scaled(form, x) == 0}
-
-
 def span(form: FiniteQuadraticForm,
          gens: Iterable[Sequence[int]]) -> frozenset[FqfElement]:
     """The subgroup generated by the given elements."""
@@ -385,15 +380,6 @@ def span(form: FiniteQuadraticForm,
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
-
-
-def orthogonal_complement(form: FiniteQuadraticForm,
-                          subgroup: Iterable[Sequence[int]]) -> frozenset[FqfElement]:
-    """All y in D with b(x, y) = 0 for every generator x of the subgroup."""
-    gens = [_reduce(form, g) for g in subgroup]
-    return frozenset(
-        y for y in elements(form)
-        if all(_b_scaled(form, g, y) == 0 for g in gens))
 
 
 def _relation_rows(form: FiniteQuadraticForm) -> IntMatrix:

@@ -3,8 +3,10 @@
 Two invariants classify a p-adic lattice up to the data this package
 needs: the p-excess (an element of Z/8, called 2-excess at p = 2) and the
 reduced discriminant (the square class of the unit part of the
-determinant).  Both are computed from a Jordan decomposition into scaled
-unit blocks and, at p = 2, the even 2x2 blocks U and V.
+determinant).  Both add up over a Jordan decomposition into scaled unit
+blocks and, at p = 2, the even 2x2 blocks U and V (Conway-Sloane,
+SPLAG ch. 15).  No lattice is decomposed here: the sets below are read
+off the discriminant form, whose splits give the possible blocks.
 
 local_invariant_set(p, n, q) returns every pair [excess, reduced
 discriminant] realized by a p-adic lattice of rank n whose discriminant
@@ -22,32 +24,8 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .exact_linalg import SquareClass, legendre_symbol, square_class
+from .exact_linalg import SquareClass, legendre_symbol
 from .fqf import FiniteQuadraticForm, form_on_generators
-
-UNIT, U_BLOCK, V_BLOCK = "unit", "U", "V"
-
-
-@dataclass(frozen=True)
-class JordanBlock:
-    """One block of a p-adic Jordan decomposition, scaled by p^nu.
-
-    kind is "unit" for a rank-1 block <a * p^nu> with a a p-adic unit, or
-    (p = 2 only) "U" / "V" for the scaled even rank-2 blocks.
-    """
-
-    nu: int
-    kind: str
-    a: int | None = None
-
-    def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError("scale exponent must be nonnegative")
-        if self.kind == UNIT:
-            if self.a is None:
-                raise ValueError("unit block needs a unit residue")
-        elif self.kind not in (U_BLOCK, V_BLOCK):
-            raise ValueError(f"unknown block kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -70,47 +48,6 @@ def _unit_excess_2(nu: int, a: int) -> int:
     if nu % 2 == 0 or a % 8 in (1, 7):
         return (1 - a) % 8
     return (5 - a) % 8
-
-
-def p_excess(blocks: list[JordanBlock], p: int) -> int:
-    """p-excess (2-excess at p = 2) of a p-adic Jordan decomposition."""
-    if p == 2:
-        total = 0
-        for blk in blocks:
-            if blk.kind == UNIT:
-                if blk.a % 2 == 0:
-                    raise ValueError(f"{blk.a} is not a 2-adic unit")
-                total += _unit_excess_2(blk.nu, blk.a)
-            elif blk.kind == U_BLOCK:
-                total += 2
-            else:
-                total += 2 if blk.nu % 2 == 0 else 6
-        return total % 8
-    total = 0
-    for blk in blocks:
-        if blk.kind != UNIT:
-            raise ValueError("U/V blocks exist only at p = 2")
-        if blk.a % p == 0:
-            raise ValueError(f"{blk.a} is not a unit at {p}")
-        total += pow(p, blk.nu, 8) - 1
-        if blk.nu % 2 == 1 and legendre_symbol(blk.a, p) == -1:
-            total += 4
-    return total % 8
-
-
-def reddisc(blocks: list[JordanBlock], p: int) -> SquareClass:
-    """Square class of the product of the unit parts of the blocks."""
-    cls = SquareClass.identity(p)
-    for blk in blocks:
-        if blk.kind == UNIT:
-            cls = cls * square_class(blk.a, p)
-        elif p != 2:
-            raise ValueError("U/V blocks exist only at p = 2")
-        elif blk.kind == U_BLOCK:
-            cls = cls * SquareClass(2, 7)
-        else:
-            cls = cls * SquareClass(2, 3)
-    return cls
 
 
 def star(s1: LocalInvariantSet, s2: LocalInvariantSet) -> LocalInvariantSet:

@@ -1,18 +1,87 @@
-"""Exact Jordan decompositions of integer Gram matrices over Z_p, and
-the signature mod 8 of a discriminant form from its Gauss sum.
+"""Exact Jordan decompositions of integer Gram matrices over Z_p, the
+p-excess and reduced discriminant of a decomposition, and the signature
+mod 8 of a discriminant form from its Gauss sum.
 
 Test-only oracle: the package itself never decomposes a lattice p-adically
 and never sums over the group; these routines provide independent expected
 values for the local-invariant machinery and the genus decision on small
-random lattices.
+random lattices.  p_excess shares only the rank-1 2-excess table
+_unit_excess_2 with the package.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
+from k3ade.exact_linalg import SquareClass, legendre_symbol, square_class
 from k3ade.fqf import elements, eval_q, group_order
-from k3ade.local_invariants import U_BLOCK, UNIT, V_BLOCK, JordanBlock
+from k3ade.local_invariants import _unit_excess_2
+
+UNIT, U_BLOCK, V_BLOCK = "unit", "U", "V"
+
+
+@dataclass(frozen=True)
+class JordanBlock:
+    """One block of a p-adic Jordan decomposition, scaled by p^nu.
+
+    kind is "unit" for a rank-1 block <a * p^nu> with a a p-adic unit, or
+    (p = 2 only) "U" / "V" for the scaled even rank-2 blocks.
+    """
+
+    nu: int
+    kind: str
+    a: int | None = None
+
+    def __post_init__(self):
+        if self.nu < 0:
+            raise ValueError("scale exponent must be nonnegative")
+        if self.kind == UNIT:
+            if self.a is None:
+                raise ValueError("unit block needs a unit residue")
+        elif self.kind not in (U_BLOCK, V_BLOCK):
+            raise ValueError(f"unknown block kind {self.kind!r}")
+
+
+def p_excess(blocks: list[JordanBlock], p: int) -> int:
+    """p-excess (2-excess at p = 2) of a p-adic Jordan decomposition."""
+    if p == 2:
+        total = 0
+        for blk in blocks:
+            if blk.kind == UNIT:
+                if blk.a % 2 == 0:
+                    raise ValueError(f"{blk.a} is not a 2-adic unit")
+                total += _unit_excess_2(blk.nu, blk.a)
+            elif blk.kind == U_BLOCK:
+                total += 2
+            else:
+                total += 2 if blk.nu % 2 == 0 else 6
+        return total % 8
+    total = 0
+    for blk in blocks:
+        if blk.kind != UNIT:
+            raise ValueError("U/V blocks exist only at p = 2")
+        if blk.a % p == 0:
+            raise ValueError(f"{blk.a} is not a unit at {p}")
+        total += pow(p, blk.nu, 8) - 1
+        if blk.nu % 2 == 1 and legendre_symbol(blk.a, p) == -1:
+            total += 4
+    return total % 8
+
+
+def reddisc(blocks: list[JordanBlock], p: int) -> SquareClass:
+    """Square class of the product of the unit parts of the blocks."""
+    cls = SquareClass.identity(p)
+    for blk in blocks:
+        if blk.kind == UNIT:
+            cls = cls * square_class(blk.a, p)
+        elif p != 2:
+            raise ValueError("U/V blocks exist only at p = 2")
+        elif blk.kind == U_BLOCK:
+            cls = cls * SquareClass(2, 7)
+        else:
+            cls = cls * SquareClass(2, 3)
+    return cls
 
 
 def _val(x: Fraction, p: int) -> int:

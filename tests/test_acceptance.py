@@ -26,9 +26,7 @@ from k3ade.ade_types import (
     closure,
     disc_form_closed,
     enumerate_candidates,
-    euler_number,
     parse_type,
-    rank,
 )
 from k3ade.classifier import (
     GluePair,
@@ -44,7 +42,6 @@ from k3ade.fqf import (
     eval_b,
     eval_q,
     group_order,
-    isotropic_elements,
     span,
     subquotient,
 )
@@ -113,7 +110,7 @@ def test_criterion_02_group_totals(classification):
 
 def test_criterion_03_group_by_rank_tables(classification):
     entries, _ = classification
-    table = Counter((e.group, rank(e.type)) for e in entries)
+    table = Counter((e.group, e.type.rank) for e in entries)
     for group, row in GROUP_PER_RANK.items():
         got = tuple(table.get((group, r), 0) for r in range(1, 19))
         assert got == row, group
@@ -121,20 +118,20 @@ def test_criterion_03_group_by_rank_tables(classification):
 
 def test_criterion_04_candidate_enumeration_tables(classification):
     entries, _ = classification
-    capped = Counter(rank(t) for t in enumerate_candidates(18, 24))
+    capped = Counter(t.rank for t in enumerate_candidates(18, 24))
     assert tuple(capped.get(r, 0) for r in range(1, 19)) == CANDIDATES_PER_RANK
     assert sum(CANDIDATES_PER_RANK) == 3937
 
-    uncapped = Counter(rank(t) for t in enumerate_candidates(18, None))
+    uncapped = Counter(t.rank for t in enumerate_candidates(18, None))
     assert tuple(uncapped.get(r, 0) for r in range(1, 19)) == RANK_BOUND_PER_RANK
     assert sum(RANK_BOUND_PER_RANK) == 5366
 
     by_type: dict = {}
     for entry in entries:
         by_type.setdefault(entry.type, set()).add(entry.group)
-    realizable = Counter(rank(t) for t in by_type)
+    realizable = Counter(t.rank for t in by_type)
     assert tuple(realizable.get(r, 0) for r in range(1, 19)) == REALIZABLE_PER_RANK
-    trivial_only = Counter(rank(t) for t, gs in by_type.items() if gs == {()})
+    trivial_only = Counter(t.rank for t, gs in by_type.items() if gs == {()})
     assert tuple(trivial_only.get(r, 0) for r in range(1, 19)) == TRIVIAL_ONLY_PER_RANK
     assert sum(TRIVIAL_ONLY_PER_RANK) == 2360
 
@@ -143,7 +140,7 @@ def test_criterion_05_rank18_membership_lists(classification):
     entries, _ = classification
     for ruleset, group in RULESET_GROUPS.items():
         computed = {str(e.type) for e in entries
-                    if e.group == group and rank(e.type) == 18}
+                    if e.group == group and e.type.rank == 18}
         expected = {str(t) for t in load_rank18(ruleset)}
         assert len(expected) == RANK18_SIZES[ruleset]
         assert computed == expected, ruleset
@@ -171,15 +168,15 @@ def test_criterion_08_reference_table_diff_empty(classification):
 def test_partner_length_rule(classification, partner_questions):
     # Every question of the full run that the length count decides is a
     # "yes" of the full local decision, and a "no" once r - s is moved
-    # off rank(sigma) mod 8 by 4.  The glued lengths never exceed the
+    # off sigma.rank mod 8 by 4.  The glued lengths never exceed the
     # type's p-ranks, so the type's primes are all the count needs.  On
     # the questions of every 20th type, the Gauss sum of the glued form
-    # keeps the signature rank(sigma) mod 8 that the rule relies on.
+    # keeps the signature sigma.rank mod 8 that the rule relies on.
     table_types = set(enumerate_candidates(18, 24)[::20])
     by_length = gauss_checked = 0
     for sigma, form, v, w, answer in partner_questions:
         glued = subquotient(form, (v, w))
-        n = 20 - rank(sigma)
+        n = 20 - sigma.rank
         lengths = Counter(p for d in glued.orders for p in prime_factors(d))
         pranks = Counter(p for d in form.orders for p in prime_factors(d))
         assert lengths <= pranks, sigma
@@ -190,7 +187,7 @@ def test_partner_length_rule(classification, partner_questions):
             assert exists_even_lattice(6, n - 2, glued) is False
         if sigma in table_types:
             gauss_checked += 1
-            assert gauss_signature(glued) == rank(sigma) % 8
+            assert gauss_signature(glued) == sigma.rank % 8
     assert len(partner_questions) == 4017
     assert by_length == 2110
     assert gauss_checked == 188
@@ -306,6 +303,27 @@ def test_criterion_09c_random_lattice_genus_invariants():
     assert checked == 500
 
 
+def coset_closure(orders, v, w):
+    """The subgroup <v, w> of the group with the given generator orders:
+    the multiples of v, then the cosets b w + <v> for b = 1, 2, ...
+    until b w lands back in the set."""
+    def add(x, y):
+        return tuple((a + b) % d for a, b, d in zip(x, y, orders))
+
+    zero = (0,) * len(orders)
+    multiples = [zero]
+    x = v
+    while x != zero:
+        multiples.append(x)
+        x = add(x, v)
+    sub = set(multiples)
+    shift = w
+    while shift not in sub:
+        sub.update(add(shift, u) for u in multiples)
+        shift = add(shift, w)
+    return frozenset(sub)
+
+
 def test_criterion_09d_exhaustive_small_discriminant_glue(classification):
     entries, _ = classification
     expected: dict = {}
@@ -324,7 +342,7 @@ def test_criterion_09d_exhaustive_small_discriminant_glue(classification):
         got = set()
         for v in iso:
             for w in orthogonal_filter(form, iso, v):
-                sub = span(form, [v, w])
+                sub = coset_closure(form.orders, v, w)
                 if sub in seen:
                     continue
                 seen.add(sub)
@@ -342,13 +360,13 @@ def test_criterion_09d_exhaustive_small_discriminant_glue(classification):
 def test_criterion_09e_degenerate_rejections():
     for name in ("13A1", "14A1", "2D4+5A2"):
         sigma = parse_type(name)
-        assert euler_number(sigma) > 24
+        assert sigma.euler > 24
         assert classify_type(sigma) == set()
 
     sigma = parse_type("12A1")
     form, lifts = disc_form_closed(sigma)
     base = GramLattice(cartan_gram(sigma))
-    weight8 = [v for v in isotropic_elements(form) if sum(v) == 8]
+    weight8 = [v for v in isotropic_list(form) if sum(v) == 8]
     triples = []
     for a, b, c in combinations(sorted(weight8), 3):
         if eval_b(form, a, b) or eval_b(form, a, c) or eval_b(form, b, c):

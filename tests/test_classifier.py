@@ -9,7 +9,6 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
 
 import numpy as np
 import pytest
@@ -20,14 +19,14 @@ from k3ade.ade_types import (ADEType, _component_form, cartan_gram,
                              component_inverse, disc_form_closed,
                              enumerate_candidates, parse_type)
 from k3ade.classifier import (ClassEntry, GluePair, _candidates,
-                              _component_pair_min, _component_theta,
-                              _context, _invariant_factors, _pair_stream,
-                              check_pair, classify_all, classify_type,
-                              glue_candidates, slow_check_pair,
-                              verify_reference)
+                              _component_pair_min, _context,
+                              _invariant_factors, _pair_stream,
+                              _scaled_minima, check_pair, classify_all,
+                              classify_type, glue_candidates,
+                              slow_check_pair, verify_reference)
 from k3ade.exact_linalg import prime_factors
 from k3ade.fqf import (element_order, elements, eval_b, eval_q, group_order,
-                       isotropic_elements, p_part, span, subquotient)
+                       p_part, span, subquotient)
 from k3ade.genus import exists_even_lattice
 from k3ade.kernels import isotropic_list, orthogonal_filter
 from k3ade.lattice_ops import (GramLattice, overlattice, root_type,
@@ -122,11 +121,10 @@ def _dual_classes(comp):
 
 
 @lru_cache(maxsize=None)
-def enumerated_theta(comp):
-    """The oracle for _component_theta: per nonzero class, the least
-    norm over its coset and how many vectors attain it (minima at most
-    2), by enumerating the short vectors of the dual lattice scaled by
-    twice the largest generator order d."""
+def enumerated_minima(comp):
+    """The oracle for _scaled_minima: per nonzero class, the least norm
+    over its coset (minima at most 2), by enumerating the short vectors
+    of the dual lattice scaled by twice the largest generator order d."""
     form, ginv, classes = _dual_classes(comp)
     if not form.orders:
         return {}
@@ -143,108 +141,107 @@ def enumerated_theta(comp):
     least = {}
     for num, row in zip(nums, cls_rows):
         cls = tuple(row)
-        if not any(cls):
-            continue
-        mu, cnt = least.get(cls, (None, 0))
-        if mu is None or num < mu:
-            least[cls] = (num, 1)
-        elif num == mu:
-            least[cls] = (mu, cnt + 1)
-    return {cls: (Fraction(num, 2 * d), cnt)
-            for cls, (num, cnt) in least.items()}
+        if any(cls) and num < least.get(cls, 4 * d + 1):
+            least[cls] = num
+    return {cls: Fraction(num, 2 * d) for cls, num in least.items()}
 
 
-def theta_fractions(comp):
-    """_component_theta with each minimum as a Fraction."""
-    den, table = _component_theta(comp)
-    return {cls: (Fraction(num, den), cnt)
-            for cls, (num, cnt) in table.items()}
+def scaled(mu, e):
+    """A coset minimum as _scaled_minima stores it at exponent e."""
+    return 2 * e + 1 if mu > 2 else mu * e
+
+
+def nonzero_minima(comp, e):
+    """(class, minimum) for each nonzero class of a single component,
+    read from _scaled_minima at exponent e; None for a minimum above 2."""
+    minima = _scaled_minima(comp, e)
+    return [(cls, None if x > 2 * e else Fraction(int(x), e))
+            for cls, x in np.ndenumerate(minima) if any(cls)]
 
 
 class TestThetaAgainstEnumeration:
     @pytest.mark.parametrize("comp", ALL_COMPONENTS,
                              ids=lambda c: f"{c[0]}{c[1]}")
     def test_closed_forms_match_short_vectors(self, comp):
-        # Minima and counts of the closed forms equal those found by
-        # enumerating the scaled dual lattice, class by class, and each
-        # minimum is q of its class modulo 2.
-        table = theta_fractions(comp)
-        assert table == enumerated_theta(comp)
+        # The closed minima equal those found by enumerating the scaled
+        # dual lattice, class by class, at the component's exponent and
+        # at two multiples of it, and each minimum is q of its class
+        # modulo 2.
         form, _ = disc_form_closed(ADEType((comp,)))
-        for cls, (mu, _) in table.items():
-            assert mu <= 2
+        want = enumerated_minima(comp)
+        for e in (form.exp, 2 * form.exp, 6 * form.exp):
+            got = dict(nonzero_minima(comp, e))
+            assert {cls: mu for cls, mu in got.items()
+                    if mu is not None} == want
+            assert _scaled_minima(comp, e)[(0,) * len(form.orders)] == 0
+        for cls, mu in want.items():
             assert mu % 2 == eval_q(form, cls)
 
 
 class TestThetaTables:
+    # Each array is read at the component's exponent E: 0 for the zero
+    # class, E times the coset minimum, and 2E + 1 above 2.
+
     def test_a1(self):
-        assert theta_fractions(("A", 1)) == {(1,): (Fraction(1, 2), 2)}
+        assert _scaled_minima(("A", 1), 2).tolist() == [0, 1]
 
     def test_a2(self):
-        assert theta_fractions(("A", 2)) == {
-            (1,): (Fraction(2, 3), 3),
-            (2,): (Fraction(2, 3), 3),
-        }
+        assert _scaled_minima(("A", 2), 3).tolist() == [0, 2, 2]
 
     def test_d4(self):
-        assert theta_fractions(("D", 4)) == {
-            (0, 1): (Fraction(1), 8),
-            (1, 0): (Fraction(1), 8),
-            (1, 1): (Fraction(1), 8),
-        }
+        # The vector class (0, 1) and the spinor classes have minimum 1.
+        assert _scaled_minima(("D", 4), 2).tolist() == [[0, 2], [2, 2]]
 
     def test_d5(self):
-        assert theta_fractions(("D", 5)) == {
-            (1,): (Fraction(5, 4), 16),
-            (2,): (Fraction(1), 10),
-            (3,): (Fraction(5, 4), 16),
-        }
+        # Class 2 is the vector class (minimum 1), 1 and 3 the spinor
+        # classes (5/4).
+        assert _scaled_minima(("D", 5), 4).tolist() == [0, 5, 4, 5]
 
     def test_d9_drops_spinor_classes(self):
-        # The spinor cosets of D9 have minimum 9/4 > 2 and are omitted.
-        assert theta_fractions(("D", 9)) == {(2,): (Fraction(1), 18)}
+        # The spinor cosets of D9 have minimum 9/4 > 2 and read 2E + 1.
+        assert _scaled_minima(("D", 9), 4).tolist() == [0, 9, 4, 9]
 
     def test_e7(self):
-        assert theta_fractions(("E", 7)) == {(1,): (Fraction(3, 2), 56)}
+        assert _scaled_minima(("E", 7), 2).tolist() == [0, 3]
 
     def test_e8(self):
-        assert theta_fractions(("E", 8)) == {}
+        minima = _scaled_minima(("E", 8), 1)
+        assert minima.shape == () and minima == 0
 
     def test_integer_numerators_over_one_denominator(self):
+        # The exponent E of each component's form is the one denominator
+        # of its minima: l+1 for A_l, 4 or 2 for D_n with n odd or even,
+        # 3, 2 and 1 for E6, E7 and E8.
         for kind, n in ALL_COMPONENTS:
-            den, table = _component_theta((kind, n))
-            want = n + 1 if kind == "A" else 4 if kind == "D" else 9 - n
-            assert den == want, (kind, n)
-            assert all(type(num) is int and type(cnt) is int
-                       for num, cnt in table.values())
+            e = _component_form((kind, n)).exp
+            want = (n + 1 if kind == "A" else 2 + 2 * (n % 2) if kind == "D"
+                    else 9 - n)
+            assert e == want, (kind, n)
+            minima = _scaled_minima((kind, n), e)
+            assert minima.dtype == np.int64
+            assert ((0 <= minima) & (minima <= 2 * e + 1)).all()
 
     def test_minimum_off_the_scale_raises(self):
         # The minima 2/3 of A2 are not multiples of 1/2.
         with pytest.raises(RuntimeError, match="not a multiple of 1/2"):
-            classifier._scaled_minima(("A", 2), 2)
+            _scaled_minima(("A", 2), 2)
 
     @pytest.mark.parametrize("l", range(1, 19))
     def test_a_series_law(self, l):
-        # Coset k of A_l has minimum k(l+1-k)/(l+1), attained by the
-        # C(l+1, k) vectors of the corresponding weight orbit.
-        table = theta_fractions(("A", l))
-        for k in range(1, l + 1):
-            mu = Fraction(k * (l + 1 - k), l + 1)
-            if mu <= 2:
-                assert table[(k,)] == (mu, comb(l + 1, k))
-            else:
-                assert (k,) not in table
+        # Coset k of A_l has minimum k(l+1-k)/(l+1).
+        e = l + 1
+        assert _scaled_minima(("A", l), e).tolist() == [
+            scaled(Fraction(k * (l + 1 - k), l + 1), e) for k in range(l + 1)]
 
 
 def closed_coset_minima(comp):
-    """(minimum, count) of the nonzero cosets of an irreducible D or E
-    root lattice in its dual, by the closed forms of Conway-Sloane ch. 4
+    """The minima of the nonzero cosets of an irreducible D or E root
+    lattice in its dual, by the closed forms of Conway-Sloane ch. 4
     (the A series is checked class by class in TestThetaTables)."""
     kind, n = comp
     if kind == "D":
-        spinor = (Fraction(n, 4), 2 ** (n - 1))
-        return [(Fraction(1), 2 * n), spinor, spinor]
-    return {6: [(Fraction(4, 3), 27)] * 2, 7: [(Fraction(3, 2), 56)]}[n]
+        return [Fraction(1), Fraction(n, 4), Fraction(n, 4)]
+    return {6: [Fraction(4, 3)] * 2, 7: [Fraction(3, 2)]}[n]
 
 
 class TestDualClasses:
@@ -276,14 +273,15 @@ class TestThetaClosedForms:
         "comp", [("D", n) for n in range(4, 19)] + [("E", 6), ("E", 7)],
         ids=lambda c: f"{c[0]}{c[1]}")
     def test_minima_and_counts(self, comp):
-        table = theta_fractions(comp)
-        expected = sorted(e for e in closed_coset_minima(comp)
-                          if e[0] <= 2)
-        assert sorted(table.values()) == expected
+        # The minima of the nonzero classes, each with the number of
+        # classes that attain it; 12 is a multiple of every exponent.
+        got = _scaled_minima(comp, 12)
+        assert sorted(got.flat[1:]) == sorted(
+            scaled(mu, 12) for mu in closed_coset_minima(comp))
         form, _ = disc_form_closed(parse_type(f"{comp[0]}{comp[1]}"))
-        for cls, (mu, _) in table.items():
-            assert any(cls)
-            assert mu % 2 == eval_q(form, cls)
+        for cls, mu in nonzero_minima(comp, 12):
+            if mu is not None:
+                assert mu % 2 == eval_q(form, cls)
 
 
 def orbit_reps(sigma):
@@ -311,7 +309,7 @@ class TestOrbitReps:
         sigma = T(text)
         form, _ = disc_form_closed(sigma)
         reps = orbit_reps(sigma)
-        iso = isotropic_elements(form)
+        iso = set(isotropic_list(form))
         assert tuple([0] * len(form.orders)) in reps
         assert all(x in iso for x in reps)
         assert len(set(reps)) == len(reps)
@@ -416,7 +414,7 @@ def _span_orbit(moves, sub):
 
 
 def _all_isotropic_spans(form):
-    iso = sorted(isotropic_elements(form))
+    iso = isotropic_list(form)
     out = set()
     for v in iso:
         for w in iso:
@@ -470,7 +468,7 @@ def _spans_by_pair_loop(sigma):
     and every isotropic w orthogonal to it, each built by fqf.span and
     mapped to one such generating pair."""
     form, _ = disc_form_closed(sigma)
-    iso = sorted(isotropic_elements(form))
+    iso = isotropic_list(form)
     return {span(form, [v, w]): (v, w) for v in orbit_reps(sigma)
             for w in iso if eval_b(form, v, w) == 0}
 
@@ -548,7 +546,7 @@ class TestOnePairStream:
         sigma = T(text)
         form, _ = disc_form_closed(sigma)
         zero = (0,) * len(form.orders)
-        iso = sorted(isotropic_elements(form))
+        iso = isotropic_list(form)
         pairs = [(v, w) for v in iso for w in iso if eval_b(form, v, w) == 0]
         walks = [_walk(form, v, w) for v, w in pairs]
         assert sum(m > 1 and k != 0 for m, k in walks) \
@@ -656,10 +654,10 @@ def enumerated_norm(sigma, x):
     for comp, off, cnt in layout(sigma):
         piece = x[off:off + cnt]
         if any(piece):
-            entry = enumerated_theta(comp).get(piece)
-            if entry is None:
+            mu = enumerated_minima(comp).get(piece)
+            if mu is None:
                 return None
-            total += entry[0]
+            total += mu
     return total
 
 
@@ -940,7 +938,7 @@ class TestGluedFormRoutes:
         with pytest.raises(ValueError, match="not totally isotropic"):
             subquotient(form, [anisotropic])
         v = (2, 2, 0, 0, 0, 0)
-        w = next(x for x in isotropic_elements(form) if eval_b(form, v, x))
+        w = next(x for x in isotropic_list(form) if eval_b(form, v, x))
         assert eval_q(form, v) == 0
         with pytest.raises(ValueError, match="not totally isotropic"):
             subquotient(form, [v, w])
@@ -981,7 +979,7 @@ class TestBruteForceAgreement:
         # length <= 2, with no symmetry reduction.
         sigma = T(text)
         form, _ = disc_form_closed(sigma)
-        iso = sorted(isotropic_elements(form))
+        iso = isotropic_list(form)
         seen = {}
         for v in iso:
             for w in iso:
@@ -1007,7 +1005,7 @@ class TestLengthThreeSubgroups:
         sigma = T("12A1")
         form, lifts = disc_form_closed(sigma)
         base = GramLattice(cartan_gram(sigma))
-        weight8 = [v for v in isotropic_elements(form)
+        weight8 = [v for v in isotropic_list(form)
                    if sum(v) == 8]
         triples = []
         for a, b, c in combinations(sorted(weight8), 3):
@@ -1065,7 +1063,7 @@ def _agreement_pool():
     for text in ["6A1", "4A2", "A5+A2+A1"]:
         sigma = T(text)
         form, _ = disc_form_closed(sigma)
-        iso = sorted(isotropic_elements(form))
+        iso = isotropic_list(form)
         for v in iso:
             for w in iso:
                 if eval_b(form, v, w) == 0:

@@ -77,6 +77,10 @@ class TestClassifySingle:
         ("8A1", "8\t8A1\t[2],[1]"),
         ("A5+A2+A1", "8\tA5+A2+A1\t[1]"),
         ("12A1", "12\t12A1\t[2,2]"),
+        # No torsion group, not even the trivial one: an empty row and
+        # exit 0.  9A2 has Euler number 27, beyond the candidate bound.
+        ("E6+8A1", "14\tE6+8A1\t"),
+        ("9A2", "18\t9A2\t"),
     ])
     def test_tsv(self, capsys, text, line):
         code, out, _ = run_cli(capsys, ["classify", "--type", text])
@@ -95,6 +99,15 @@ class TestClassifySingle:
                                         "--format", "json"])
         assert code == 0
         assert json.loads(out)["groups"] == [[2], []]
+
+    @pytest.mark.parametrize("text,rank,euler", [("E6+8A1", 14, 24),
+                                                 ("9A2", 18, 27)])
+    def test_json_unrealizable(self, capsys, text, rank, euler):
+        code, out, _ = run_cli(capsys, ["classify", "--type", text,
+                                        "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == {"type": text, "rank": rank,
+                                   "euler": euler, "groups": []}
 
     @pytest.mark.parametrize("text", ["XYZ", "A0", "D19", "A1+", ""])
     def test_bad_type_exits_2(self, capsys, text):

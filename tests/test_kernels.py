@@ -8,7 +8,7 @@ import pytest
 
 from k3ade.ade_types import disc_form_closed, parse_type
 from k3ade.fqf import (TRIVIAL_FORM, FiniteQuadraticForm, elements, eval_b,
-                       eval_q, isotropic_elements)
+                       eval_q)
 from k3ade.kernels import (backend, isotropic_list, orthogonal_filter,
                            orthogonal_mask)
 from test_fqf import random_presentation
@@ -31,8 +31,7 @@ class TestAgainstGenericEvaluators:
         form = form_of(text)
         got = isotropic_list(form)
         assert len(set(got)) == len(got)
-        assert set(got) == isotropic_elements(form)
-        assert all(eval_q(form, x) == 0 for x in got)
+        assert set(got) == {x for x in elements(form) if eval_q(form, x) == 0}
 
     def test_isotropic_list_odometer_order(self):
         form = form_of("4A1")
@@ -75,13 +74,11 @@ def random_forms(seed, count, max_rank):
 class TestNumpyScan:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_presentations(self, seed):
-        # Against the Fraction evaluator over the odometer, and against
-        # fqf's own isotropic set.
+        # Against the Fraction evaluator over the odometer.
         for form in random_forms(seed, 40, 4):
             got = isotropic_list(form)
             assert got == [x for x in elements(form)
                            if eval_q(form, x) == 0]
-            assert got == sorted(isotropic_elements(form))
 
     @pytest.mark.parametrize("seed", range(2))
     def test_orthogonal_filter_random(self, seed):

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jordan_oracle import jordan_blocks, signature
+from jordan_oracle import (
+    U_BLOCK,
+    UNIT,
+    V_BLOCK,
+    JordanBlock,
+    jordan_blocks,
+    p_excess,
+    reddisc,
+    signature,
+)
 from k3ade.exact_linalg import SquareClass, int_det, square_class
 from k3ade.fqf import (
     TRIVIAL_FORM,
@@ -16,17 +25,11 @@ from k3ade.fqf import (
     p_part,
 )
 from k3ade.local_invariants import (
-    U_BLOCK,
-    UNIT,
-    V_BLOCK,
-    JordanBlock,
     LocalInvariant,
     identity_set,
     local_invariant_set,
     minimal_rank_set,
-    p_excess,
     rank_le2_set,
-    reddisc,
     star,
     unimodular_set,
 )

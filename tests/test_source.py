@@ -4,12 +4,24 @@ import ast
 import importlib
 import inspect
 import json
+import re
 from pathlib import Path
 
 import k3ade
 
 SOURCE = Path(k3ade.__file__).parent
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+#: Public names that nothing in the package reads, each with the reader
+#: it is kept for.
+READ_OUTSIDE = {
+    "check_pair": "the fast path on one pair, which the tests compare "
+                  "with the oracle",
+    "slow_check_pair": "the oracle that builds the glued overlattice",
+    "clear_caches": "the one way for a caller to drop the memo tables",
+    "dump_form": "the writer of the exists-lattice form file format",
+    "elements": "the odometer listing the tests' reference scans run on",
+}
 
 
 def _find(predicate):
@@ -103,3 +115,44 @@ def test_genus_path_stays_on_integers():
             if used in banned:
                 found.append(f"{name}:{node.lineno} {used}")
     assert found == []
+
+
+def _identifiers(node):
+    """Every name a syntax tree reads or binds: names, attributes and
+    imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def test_public_names_have_a_reader():
+    # src/ holds the classifier, its oracle and the CLI: a public
+    # module-level def or class that no other statement of the package
+    # reads, that the benchmark does not name and that READ_OUTSIDE
+    # does not list is read only by tests, and belongs in them.
+    statements = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        statements += [(path.name, stmt) for stmt in tree.body]
+    readers = [(stmt, _identifiers(stmt)) for _, stmt in statements]
+    bench = BENCHMARK.read_text() + "".join(
+        path.read_text()
+        for path in sorted((BENCHMARK.parent / "k3bench").glob("*.py")))
+    unread = []
+    for name, stmt in statements:
+        if (not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                or stmt.name.startswith("_") or stmt.name in READ_OUTSIDE):
+            continue
+        if any(stmt.name in ids for other, ids in readers
+               if other is not stmt):
+            continue
+        if re.search(rf"\b{stmt.name}\b", bench):
+            continue
+        unread.append(f"{name}:{stmt.lineno} {stmt.name}")
+    assert unread == []
