@@ -16,9 +16,10 @@ sum of the textbook coset minima of the A, D and E components
 closed forms, held as integers scaled by the exponent E of the
 discriminant group D.  A nonzero class whose sum is exactly 2E is a
 root class, and a subgroup gains roots exactly when it holds one.
-Each type context marks the root classes in one table over D; the
-other isotropic classes form the root-free pool, read off that table
-class by class.
+The test is asked only of isotropic classes, since the glue subgroup
+H is totally isotropic: each type context reads the minima of a
+class's component pieces by their codes, and the isotropic classes
+that are not root classes form the root-free pool.
 
 There are two routes.  The fast one works on integers in D alone.
 _pair_stream walks b w, b < m, until m w lands in <v>; the walk gives
@@ -45,8 +46,9 @@ keeps only the orthogonal w that are least in their orbit under
 Stab'(v), the product of the per-component stabilisers of the pieces
 of v with the permutations of equal components whose pieces of v
 agree.  Stab'(v) fixes v, so every <v, w'> has an image <v, w>
-with a kept w.  Both choices are one table lookup and one sort per
-element, over codes of the component pieces (see _candidates).
+with a kept w.  Both choices AND one bit mask per class, made once
+from the codes of its component pieces, with one mask per v (see
+_candidates).
 
 Most partner questions are decided by a length count.  By Nikulin's
 Cor. 1.10.2, an even lattice of signature (r, s) with form q exists
@@ -68,10 +70,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm, prod
-from operator import add, mod
+from operator import add, getitem, mod
 from typing import Iterable, Iterator, Optional
-
-import numpy as np
 
 from . import ade_types, genus, lattice_ops, local_invariants
 from .ade_types import (ADEType, Component, _component_form,
@@ -130,26 +130,47 @@ class GluePair:
 
 
 class _TypeContext:
-    __slots__ = ("sigma", "n", "form", "roots", "pranks")
+    __slots__ = ("sigma", "n", "form", "comps", "layout", "minima",
+                 "pranks")
 
     def __init__(self, sigma: ADEType):
         self.sigma = sigma
         # The rank of the transcendental partner, signature (2, 18 - rank).
         self.n = 20 - sigma.rank
         self.form = closed_form(sigma)
-        # Over D: E times the sum of the per-component coset minima; the
-        # root classes are the nonzero classes where it is 2E.
         e, orders = self.form.exp, self.form.orders
-        norms = np.zeros((), np.int64)
+        # The components with generators (an E8 has none: its one class
+        # is 0, with minimum 0), and for each the (i, d, j) that give the
+        # code x_i d + x_j of its piece of a class x, in the odometer
+        # order of the piece: (i, 0, i) for one generator, (i, d_{i+1},
+        # i + 1) for two (the two of order 2 of a D_n with n even).
+        self.comps, self.layout = [], []
+        start = 0
         for comp in sigma.components:
-            norms = np.add.outer(norms, _scaled_minima(comp, e))
-        self.roots = norms == 2 * e
+            width = len(_component_form(comp).orders)
+            if width:
+                self.comps.append(comp)
+                self.layout.append((start, 0, start) if width == 1 else
+                                   (start, orders[start + 1], start + 1))
+            start += width
+        # E times the coset minima of each piece, indexed by its code.
+        self.minima = tuple(_scaled_minima(comp, e) for comp in self.comps)
         primes = {p for d in orders for p in prime_factors(d)}
         self.pranks = {p: sum(1 for d in orders if d % p == 0)
                        for p in primes}
         if sigma.euler <= 24 and group_order(self.form) > MAX_DISC_ORDER:
             raise RuntimeError(f"discriminant group of {sigma} exceeds "
                                f"{MAX_DISC_ORDER}")
+
+    def codes(self, x: FqfElement) -> list[int]:
+        """The code of each piece of the class x, in self.comps order."""
+        return [x[i] * d + x[j] for i, d, j in self.layout]
+
+    def is_root(self, x: FqfElement) -> bool:
+        """Whether the class x is a root class: the sum of the coset
+        minima of its pieces is 2, i.e. 2E scaled."""
+        return (sum(map(getitem, self.minima, self.codes(x)))
+                == 2 * self.form.exp)
 
 
 @lru_cache(maxsize=None)
@@ -162,17 +183,17 @@ def _context(sigma: ADEType) -> _TypeContext:
 
 
 @lru_cache(maxsize=None)
-def _scaled_minima(comp: Component, e: int) -> np.ndarray:
+def _scaled_minima(comp: Component, e: int) -> tuple[int, ...]:
     """E times the coset minimum of each discriminant class of a single
-    component, as an array indexed by the class: 0 for the zero class
-    and 2E + 1 for a minimum above 2, which never makes a root.
+    component, indexed by the code of the class (its number in the
+    odometer order of the generators of _component_form): 0 for the
+    zero class and 2E + 1 for a minimum above 2, which never makes a
+    root.
 
-    The classes are coefficient tuples on the generators of
-    _component_form, and the minima are the closed forms of
-    Conway-Sloane (SPLAG ch. 4): class k of A_l has minimum
-    k(l+1-k)/(l+1); the vector class of D_n has minimum 1 and each
-    spinor class n/4; the nonzero classes of E6 have 4/3 and that of
-    E7 has 3/2.
+    The minima are the closed forms of Conway-Sloane (SPLAG ch. 4):
+    class k of A_l has minimum k(l+1-k)/(l+1); the vector class of D_n
+    has minimum 1 and each spinor class n/4; the nonzero classes of E6
+    have 4/3 and that of E7 has 3/2.
     """
     kind, n = comp
     # Each minimum as (numerator, denominator).
@@ -197,19 +218,29 @@ def _scaled_minima(comp: Component, e: int) -> np.ndarray:
                                f"{comp} is not a multiple of 1/{e}")
         else:
             scaled.append(num * e // den)
-    return np.reshape(scaled, _component_form(comp).orders)
+    return tuple(scaled)
 
 
 @lru_cache(maxsize=None)
-def _component_pair_min(comp: Component) -> np.ndarray:
+def _component_pair_min(comp: Component) -> tuple[tuple[int, ...], ...]:
     """The K x K table of a single component whose entry [a, b] is the
     least code of g b over its stable symmetries g with g a = a (see
     _component_group).  Row 0 holds the least code of each orbit, since
     every g fixes 0."""
     group = _component_group(comp)
     size = len(group[0])
-    return np.array([[min(g[b] for g in group if g[a] == a)
-                      for b in range(size)] for a in range(size)], np.int64)
+    return tuple(tuple(min(g[b] for g in group if g[a] == a)
+                       for b in range(size)) for a in range(size))
+
+
+@lru_cache(maxsize=None)
+def _component_fails(comp: Component) -> tuple[int, ...]:
+    """For each code b of a single component, the bits 1 << a of the
+    codes a with _component_pair_min(comp)[a][b] != b: the piece b is
+    not least under the stabiliser of a."""
+    table = _component_pair_min(comp)
+    return tuple(sum(1 << a for a, row in enumerate(table) if row[b] != b)
+                 for b in range(len(table)))
 
 
 def _candidates(ctx: _TypeContext,
@@ -223,47 +254,55 @@ def _candidates(ctx: _TypeContext,
     representatives are then the elements of the pool that are least
     in their orbit, since Stab'(0) is the whole group.
 
-    Whether w, given by its component codes wc, is least in its orbit
-    under Stab'(v), for v given by the codes vc of a canonical element,
-    is one sort of a row.  The least image of w takes the pair minimum
-    of each piece and sorts the pieces inside each run of equal
-    (component, v-piece).  v is canonical, so those runs are contiguous
-    and ordered, and one sort of bias + v_c K + pairmin along the
-    components sorts exactly inside them; w is least when that sort
-    gives bias + v_c K + w_c back.
+    Whether w is least in its orbit under Stab'(v), for a canonical v,
+    is one AND of two bit masks.  The least image of w takes the pair
+    minimum of each piece and sorts the pieces inside each run of equal
+    (component, v-piece); pairmin[a][b] <= b, since the identity fixes
+    a.  So w, with piece codes w_c, is least exactly when every w_c is
+    pairmin[v_c][w_c] and, inside each such run, the w-pieces do not
+    decrease.  Each class x gets a mask with bit (c, a) set when
+    pairmin[a][x_c] != x_c and bit r set when x's pieces decrease at
+    the r-th repeated component; v asks for the bits (c, v_c) and for
+    the r at which its own pieces agree.
     """
     if len(pool) == 1:
         # A pool of one class holds only 0.
         return [(pool[0], pool)]
-    # x @ place gives each component piece of x as its code, in odometer
-    # order, below the size K of that component's group; pairmin[offsets
-    # + a K + b] is the entry [a, b] of its _component_pair_min; bias
-    # keeps every block of equal components apart from the others.
-    comps = ctx.sigma.components
-    orders = [_component_form(comp).orders for comp in comps]
-    place = np.array([[prod(ds[i + 1:]) if c == k else 0
-                       for k in range(len(comps))]
-                      for c, ds in enumerate(orders) for i in range(len(ds))])
-    tables = [_component_pair_min(comp) for comp in comps]
-    sizes = np.array([len(t) for t in tables])
-    pairmin = np.concatenate(tables, axis=None)
-    offsets = np.array([0, *accumulate(k * k for k in sizes[:-1])])
-    counts = [count for _, count in ctx.sigma.runs()]
-    bias = np.repeat(np.arange(len(counts)) * max(sizes) ** 2, counts)
+    comps = ctx.comps
+    repeats = [c for c in range(1, len(comps)) if comps[c] == comps[c - 1]]
+    fails_of = [_component_fails(comp) for comp in comps]
+    # Bit offsets[c] + a stands for (c, a), bit top + r for repeat r.
+    offsets = [0, *accumulate(map(len, fails_of))]
+    top = offsets.pop()
+    fail_bits = [[bits << offset for bits in fails]
+                 for offset, fails in zip(offsets, fails_of)]
 
-    def least(vc, wc: np.ndarray) -> np.ndarray:
-        lead = bias + vc * sizes
-        key = lead + pairmin[offsets + vc * sizes + wc]
-        return (np.sort(key, axis=1) == lead + wc).all(axis=1)
+    def fails(xc: list[int]) -> int:
+        bits = sum(map(getitem, fail_bits, xc))
+        for r, c in enumerate(repeats):
+            if xc[c - 1] > xc[c]:
+                bits |= 1 << (top + r)
+        return bits
 
-    xs = np.array(pool, dtype=np.int64)
-    codes = xs @ place
-    reps = np.flatnonzero(least(0, codes))
-    rows, cols = np.nonzero(orthogonal_mask(ctx.form, xs[reps], xs))
-    keep = least(codes[reps][rows], codes[cols])
-    cuts = np.searchsorted(rows[keep], np.arange(1, len(reps)))
-    return [(pool[i], [pool[j] for j in js.tolist()])
-            for i, js in zip(reps.tolist(), np.split(cols[keep], cuts))]
+    def asks(vc: list[int]) -> int:
+        bits = sum(1 << (offset + a) for offset, a in zip(offsets, vc))
+        for r, c in enumerate(repeats):
+            if vc[c - 1] == vc[c]:
+                bits |= 1 << (top + r)
+        return bits
+
+    codes = list(map(ctx.codes, pool))
+    masks = list(map(fails, codes))
+    whole = asks([0] * len(comps))
+    out = []
+    for x, xc, bits in zip(pool, codes, masks):
+        if bits & whole:
+            continue
+        ask = asks(xc)
+        ws = [w for w, w_bits in zip(pool, masks) if not w_bits & ask]
+        row = orthogonal_mask(ctx.form, [x], ws)[0]
+        out.append((x, [w for w, ok in zip(ws, row) if ok]))
+    return out
 
 
 def _pair_stream(form: FiniteQuadraticForm, candidates: Iterable[tuple],
@@ -348,8 +387,8 @@ def clear_caches() -> None:
     The tables are unbounded and live as long as the process; this is the
     one way to drop them, e.g. between runs that must not share work.
     """
-    for memo in (_context, _scaled_minima,
-                 _component_pair_min, _exists_cached, genus._local_data,
+    for memo in (_context, _scaled_minima, _component_pair_min,
+                 _component_fails, _exists_cached, genus._local_data,
                  local_invariants.unimodular_set, ade_types._component_gram,
                  ade_types.component_inverse, ade_types._component_form,
                  ade_types._component_lifts,
@@ -425,7 +464,7 @@ def check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:
         raise ValueError("glue classes do not pair to zero")
     v, w = (tuple(map(mod, g, form.orders)) for g in (pair.v, pair.w))
     _, _, sub, factors = next(_pair_stream(form, [(v, [w])]))
-    if (_prank_fails(ctx, factors) or any(ctx.roots[h] for h in sub)
+    if (_prank_fails(ctx, factors) or any(map(ctx.is_root, sub))
             or not _partner_exists(ctx, v, w, sub)):
         return None
     return ClassEntry(sigma, factors)
@@ -436,7 +475,7 @@ def classify_type(sigma: ADEType) -> set[FactorTuple]:
     one lazy loop over the root-free pool (see the module docstring)."""
     ctx = _context(sigma)
     iso = isotropic_list(ctx.form)
-    pool = [x for x in iso if not ctx.roots[x]]
+    pool = [x for x in iso if not ctx.is_root(x)]
     root_free = set(pool)
     out: set[FactorTuple] = set()
 

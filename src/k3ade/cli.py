@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 from collections import Counter
 from contextlib import ExitStack
@@ -107,6 +106,9 @@ def cmd_classify(args) -> int:
     with ExitStack() as stack:
         results = map(classify_type, types)
         if args.jobs > 1:
+            # Imported here: it costs set-up time that a one-process
+            # run never needs.
+            import multiprocessing
             pool = stack.enter_context(
                 multiprocessing.get_context("fork").Pool(args.jobs))
             results = pool.imap(classify_type, types, chunksize=16)

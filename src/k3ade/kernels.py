@@ -3,66 +3,150 @@
 The scans read the scaled integer values that FiniteQuadraticForm
 stores: with E = lcm(orders), form.qs[i] = q(g_i) * E mod 2E and
 form.bs[i][j] = b(g_i, g_j) * E mod E, so isotropy and orthogonality
-tests are pure integer arithmetic.  The isotropy scan evaluates q on
-the whole group in one int64 numpy product, and the orthogonality
-test of many classes against a pool is one int64 matrix product.
+tests are exact integer arithmetic in plain Python, with no bound on
+the size of the values.  The isotropy scan meets in the middle (see
+isotropic_list); the orthogonality test of many classes against a pool
+reduces each class to one row of pairings and takes one dot product per
+element of the pool.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import product
+from math import prod
+from operator import mul
 
 from .fqf import FiniteQuadraticForm, FqfElement
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def backend() -> str:
     """Name of the scan implementation."""
-    return "numpy"
+    return "python"
+
+
+def _cuts(form: FiniteQuadraticForm, lo: int, hi: int) -> list[int]:
+    """The points lo <= c <= hi at which no generator of lo, ..., c - 1
+    pairs with one of c, ..., hi - 1; lo and hi are always among them."""
+    cuts, reach = [lo], lo
+    for i in range(lo, hi):
+        tail = form.bs[i][i + 1:hi]
+        if any(tail):
+            reach = max(reach, i + 1 + max(t for t, b in enumerate(tail) if b))
+        if reach <= i:
+            cuts.append(i + 1)
+    return cuts
+
+
+def _scaled_q(form: FiniteQuadraticForm, lo: int, hi: int) -> list[int]:
+    """E q(x), correct mod 2E but not reduced, for the elements x of the
+    subgroup on the generators lo, ..., hi - 1, in odometer order.
+
+    q is the sum of its values on the segments between the _cuts, each
+    evaluated element by element; the segments are combined with one
+    addition per element.
+    """
+    bs, qs, orders = form.bs, form.qs, form.orders
+    values = [0]
+    cuts = _cuts(form, lo, hi)
+    for start, stop in zip(cuts, cuts[1:]):
+        if stop == start + 1:
+            q = qs[start]
+            segment = [q * c * c for c in range(orders[start])]
+        else:
+            gens = range(start, stop)
+            pairs = [(a, b, 2 * bs[i][j]) for a, i in enumerate(gens)
+                     for b, j in enumerate(gens) if i < j and bs[i][j]]
+            segment = [sum(map(mul, qs[start:stop], map(mul, x, x)))
+                       + sum(t * x[a] * x[b] for a, b, t in pairs)
+                       for x in product(*(range(orders[i]) for i in gens))]
+        values = [u + s for u in values for s in segment]
+    return values
+
+
+def _best_cut(form: FiniteQuadraticForm) -> tuple[int, bool]:
+    """The k at which isotropic_list cuts the generators into F and S,
+    and whether a generator of F pairs with one of S.
+
+    The work is |F| + |S| when they do not pair, and |F| + |S| times
+    the number of distinct lam otherwise, at most min(|F|, |S|): lam(f)
+    is the character b(f, .) of S, and S has |S| characters.
+    """
+    orders = form.orders
+    apart = set(_cuts(form, 0, len(orders)))
+
+    def cost(k):
+        first, second = prod(orders[:k]), prod(orders[k:])
+        return first + second * (1 if k in apart else min(first, second))
+
+    k = min(range(len(orders) + 1), key=cost)
+    return k, k not in apart
 
 
 def isotropic_list(form: FiniteQuadraticForm) -> list[FqfElement]:
     """All elements x with q(x) = 0 in Q/2Z, in odometer order (last
     coefficient fastest).
 
-    With M = diag(qs) + 2 triu(bs, 1), E q(x) = x^T M x mod 2E.  Every
-    entry of M and of x is nonnegative, so no partial sum of x^T M x
-    exceeds its value at x_i = orders[i] - 1; the scan raises
-    RuntimeError when that bound does not fit in int64.
+    The generators are cut into a first part F and a second part S at
+    _best_cut; x = (f, s) and
+    E q(x) = E q(f) + E q(s) + 2 sum_j s_j lam_j(f) mod 2E with
+    lam_j(f) = E b(f, g_j) mod E over the generators g_j of S.  The
+    values of S are tabulated once per lam, value -> elements in
+    odometer order, and each f, in odometer order, looks up
+    -E q(f) mod 2E.  When no generator of F pairs with one of S, every
+    lam is 0 and one table serves all of F; the closed forms of the
+    candidate types are direct sums, so their cut falls between
+    components and needs no more.
     """
-    orders = form.orders
+    orders, m = form.orders, 2 * form.exp
     n = len(orders)
-    if n == 0:
-        return [()]
-    mat = [[form.qs[i] if i == j else 2 * form.bs[i][j] if i < j else 0
-            for j in range(n)] for i in range(n)]
-    if sum((orders[i] - 1) * mat[i][j] * (orders[j] - 1)
-           for i in range(n) for j in range(i, n)) > _INT64_MAX:
-        raise RuntimeError("the isotropy scan of this form would "
-                           "overflow int64")
-    xs = np.indices(orders, dtype=np.int64).reshape(n, -1).T
-    values = np.einsum("ki,ij,kj->k", xs, np.array(mat, dtype=np.int64), xs)
-    return list(map(tuple, xs[values % (2 * form.exp) == 0].tolist()))
+    k, paired = _best_cut(form)
+    seconds = list(product(*map(range, orders[k:])))
+    second_q = _scaled_q(form, k, n)
+
+    def table(values: list[int]) -> dict[int, list[FqfElement]]:
+        out: dict[int, list[FqfElement]] = {}
+        for s, value in zip(seconds, values):
+            out.setdefault(value % m, []).append(s)
+        return out
+
+    firsts = zip(product(*map(range, orders[:k])), _scaled_q(form, 0, k))
+    found: list[FqfElement] = []
+    if not paired:
+        # One table, looked up without building a lam per f: the loop
+        # of every closed form.
+        hits_at = table(second_q).get
+        for f, value in firsts:
+            hits = hits_at(-value % m)
+            if hits:
+                found += [f + s for s in hits]
+        return found
+    columns = [[row[j] for row in form.bs[:k]] for j in range(k, n)]
+    tables: dict[tuple, dict[int, list[FqfElement]]] = {}
+    for f, value in firsts:
+        lam = tuple(sum(map(mul, f, col)) % form.exp for col in columns)
+        if lam not in tables:
+            tables[lam] = table([v + 2 * sum(map(mul, s, lam))
+                                 for s, v in zip(seconds, second_q)])
+        hits = tables[lam].get(-value % m)
+        if hits:
+            found += [f + s for s in hits]
+    return found
 
 
-def orthogonal_mask(form: FiniteQuadraticForm, vs, pool) -> np.ndarray:
-    """The boolean matrix of b(v, w) = 0 in Q/Z, one row per v in vs and
-    one column per w in the pool; vs and pool are sequences of reduced
-    elements or integer arrays of them.
+def orthogonal_mask(form: FiniteQuadraticForm, vs, pool) -> list[list[bool]]:
+    """The rows of b(v, w) = 0 in Q/Z, one row per v in vs with one
+    entry per w in the pool; vs and pool are sequences of reduced
+    elements.
 
-    E b(v, w) = (v^T bs mod E) w mod E.  Every partial sum of either
-    product stays below n E max(orders); the kernel raises RuntimeError
-    when that bound does not fit in int64.
+    E b(v, w) = (v^T bs mod E) w mod E: each row of pairings is taken
+    once per v, then one dot product per w.
     """
-    n = len(form.orders)
-    if n * form.exp * max(form.orders, default=1) > _INT64_MAX:
-        raise RuntimeError("the orthogonality test of this form would "
-                           "overflow int64")
-    bs = np.array(form.bs, dtype=np.int64).reshape(n, n)
-    vs = np.asarray(vs, dtype=np.int64).reshape(len(vs), n)
-    pool = np.asarray(pool, dtype=np.int64).reshape(len(pool), n)
-    return (vs @ bs % form.exp @ pool.T) % form.exp == 0
+    e = form.exp
+    out = []
+    for v in vs:
+        row = [sum(map(mul, v, col)) % e for col in form.bs]
+        out.append([sum(map(mul, row, w)) % e == 0 for w in pool])
+    return out
 
 
 def orthogonal_filter(form: FiniteQuadraticForm,

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 from typing import Sequence
-
-import numpy
 
 from .ade_types import ADEType, Component
 from .exact_linalg import hermite_normal_form, int_det, int_rank
@@ -268,16 +267,10 @@ def _gram_blocks(gram) -> list[list[int]]:
 
 
 def _pairwise_gram(lat: GramLattice, reps) -> list[list[int]]:
-    """All pairwise products of the given vectors, via int64 matrix
-    arithmetic when the entries are provably too small to overflow."""
-    n = lat.rank
-    top = max((abs(x) for v in reps for x in v), default=0)
-    top_g = max(abs(x) for row in lat.gram for x in row)
-    if n <= 100 and top <= 10 ** 4 and top_g <= 10 ** 4:
-        r = numpy.array(reps, dtype=numpy.int64).reshape(len(reps), n)
-        g = numpy.array(lat.gram, dtype=numpy.int64)
-        return (r @ g @ r.T).tolist()
-    return [[lat.pairing(u, v) for v in reps] for u in reps]
+    """All pairwise products of the given vectors: the Gram matrix is
+    multiplied into each vector once, then one dot product per pair."""
+    images = [[sum(map(mul, v, col)) for col in lat.gram] for v in reps]
+    return [[sum(map(mul, image, v)) for v in reps] for image in images]
 
 
 def _connected_root_type(lat: GramLattice) -> ADEType:

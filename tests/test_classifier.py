@@ -155,8 +155,9 @@ def nonzero_minima(comp, e):
     """(class, minimum) for each nonzero class of a single component,
     read from _scaled_minima at exponent e; None for a minimum above 2."""
     minima = _scaled_minima(comp, e)
-    return [(cls, None if x > 2 * e else Fraction(int(x), e))
-            for cls, x in np.ndenumerate(minima) if any(cls)]
+    classes = product(*map(range, _component_form(comp).orders))
+    return [(cls, None if x > 2 * e else Fraction(x, e))
+            for cls, x in zip(classes, minima, strict=True) if any(cls)]
 
 
 class TestThetaAgainstEnumeration:
@@ -173,40 +174,43 @@ class TestThetaAgainstEnumeration:
             got = dict(nonzero_minima(comp, e))
             assert {cls: mu for cls, mu in got.items()
                     if mu is not None} == want
-            assert _scaled_minima(comp, e)[(0,) * len(form.orders)] == 0
+            assert _scaled_minima(comp, e)[0] == 0
         for cls, mu in want.items():
             assert mu % 2 == eval_q(form, cls)
 
 
 class TestThetaTables:
-    # Each array is read at the component's exponent E: 0 for the zero
-    # class, E times the coset minimum, and 2E + 1 above 2.
+    # Each tuple is read at the component's exponent E, indexed by the
+    # class code in odometer order: 0 for the zero class, E times the
+    # coset minimum, and 2E + 1 above 2.
 
     def test_a1(self):
-        assert _scaled_minima(("A", 1), 2).tolist() == [0, 1]
+        assert _scaled_minima(("A", 1), 2) == (0, 1)
 
     def test_a2(self):
-        assert _scaled_minima(("A", 2), 3).tolist() == [0, 2, 2]
+        assert _scaled_minima(("A", 2), 3) == (0, 2, 2)
 
     def test_d4(self):
-        # The vector class (0, 1) and the spinor classes have minimum 1.
-        assert _scaled_minima(("D", 4), 2).tolist() == [[0, 2], [2, 2]]
+        # The vector class (0, 1), code 1, and the spinor classes (1, 0)
+        # and (1, 1), codes 2 and 3, have minimum 1.
+        assert _scaled_minima(("D", 4), 2) == (0, 2, 2, 2)
 
     def test_d5(self):
         # Class 2 is the vector class (minimum 1), 1 and 3 the spinor
         # classes (5/4).
-        assert _scaled_minima(("D", 5), 4).tolist() == [0, 5, 4, 5]
+        assert _scaled_minima(("D", 5), 4) == (0, 5, 4, 5)
 
     def test_d9_drops_spinor_classes(self):
         # The spinor cosets of D9 have minimum 9/4 > 2 and read 2E + 1.
-        assert _scaled_minima(("D", 9), 4).tolist() == [0, 9, 4, 9]
+        assert _scaled_minima(("D", 9), 4) == (0, 9, 4, 9)
 
     def test_e7(self):
-        assert _scaled_minima(("E", 7), 2).tolist() == [0, 3]
+        assert _scaled_minima(("E", 7), 2) == (0, 3)
 
     def test_e8(self):
+        # E8 has no generators: its one class, code 0, is the zero class.
         minima = _scaled_minima(("E", 8), 1)
-        assert minima.shape == () and minima == 0
+        assert len(minima) == 1 and minima[0] == 0
 
     def test_integer_numerators_over_one_denominator(self):
         # The exponent E of each component's form is the one denominator
@@ -218,8 +222,8 @@ class TestThetaTables:
                     else 9 - n)
             assert e == want, (kind, n)
             minima = _scaled_minima((kind, n), e)
-            assert minima.dtype == np.int64
-            assert ((0 <= minima) & (minima <= 2 * e + 1)).all()
+            assert all(type(x) is int for x in minima)
+            assert all(0 <= x <= 2 * e + 1 for x in minima)
 
     def test_minimum_off_the_scale_raises(self):
         # The minima 2/3 of A2 are not multiples of 1/2.
@@ -230,8 +234,8 @@ class TestThetaTables:
     def test_a_series_law(self, l):
         # Coset k of A_l has minimum k(l+1-k)/(l+1).
         e = l + 1
-        assert _scaled_minima(("A", l), e).tolist() == [
-            scaled(Fraction(k * (l + 1 - k), l + 1), e) for k in range(l + 1)]
+        assert _scaled_minima(("A", l), e) == tuple(
+            scaled(Fraction(k * (l + 1 - k), l + 1), e) for k in range(l + 1))
 
 
 def closed_coset_minima(comp):
@@ -276,7 +280,7 @@ class TestThetaClosedForms:
         # The minima of the nonzero classes, each with the number of
         # classes that attain it; 12 is a multiple of every exponent.
         got = _scaled_minima(comp, 12)
-        assert sorted(got.flat[1:]) == sorted(
+        assert sorted(got[1:]) == sorted(
             scaled(mu, 12) for mu in closed_coset_minima(comp))
         form, _ = disc_form_closed(parse_type(f"{comp[0]}{comp[1]}"))
         for cls, mu in nonzero_minima(comp, 12):
@@ -321,7 +325,7 @@ class TestOrbitReps:
         for sigma in enumerate_candidates(18, 24)[::10]:
             ctx = _context(sigma)
             iso = isotropic_list(ctx.form)
-            for xs in (iso, [x for x in iso if not ctx.roots[x]]):
+            for xs in (iso, [x for x in iso if not ctx.is_root(x)]):
                 assert [v for v, _ in _candidates(ctx, xs)] \
                     == _model_orbit_reps(sigma, xs), sigma
 
@@ -337,11 +341,12 @@ class TestComponentPairMin:
         classes = pieces(comp)
         group = generated_group(comp)
         table = _component_pair_min(comp)
-        assert table.shape == (len(classes), len(classes))
+        assert len(table) == len(classes)
+        assert all(len(row) == len(classes) for row in table)
         for a, b in product(range(len(classes)), repeat=2):
             want = min(classes.index(g[b]) for g in group
                        if g[a] == classes[a])
-            assert table[a, b] == want, (a, b)
+            assert table[a][b] == want, (a, b)
 
 
 @lru_cache(maxsize=None)
@@ -702,7 +707,7 @@ def eager_classify(sigma):
 
 class TestRootFreePool:
     def test_pool_drops_exactly_the_norm_two_classes(self):
-        # The roots table against coset minima found by enumerating
+        # The root test against coset minima found by enumerating
         # short vectors, on every 7th type and every single component.
         types = (enumerate_candidates(18, 24)[::7]
                  + [ADEType((comp,)) for comp in ALL_COMPONENTS])
@@ -710,7 +715,7 @@ class TestRootFreePool:
         for sigma in types:
             ctx = _context(sigma)
             iso = isotropic_list(ctx.form)
-            mask = [not ctx.roots[x] for x in iso]
+            mask = [not ctx.is_root(x) for x in iso]
             assert mask == [enumerated_norm(sigma, x) != 2 for x in iso], \
                 sigma
             dropped += mask.count(False)
@@ -718,15 +723,17 @@ class TestRootFreePool:
         assert dropped > 0
 
     def test_check_pair_reads_the_pool_table(self, monkeypatch):
-        # A root class of the pool's table rejects its one-class
-        # subgroup; with the table patched to hold none, it is accepted.
+        # A root class of the context's root test rejects its one-class
+        # subgroup; with the minima patched to 0, so that no class is a
+        # root class, it is accepted.
         sigma = T("A7+A1")
         ctx = _context(sigma)
         iso = isotropic_list(ctx.form)
-        root = next(x for x in iso if ctx.roots[x])
+        root = next(x for x in iso if ctx.is_root(x))
         zero = (0,) * len(ctx.form.orders)
         assert check_pair(sigma, pair(root, zero)) is None
-        monkeypatch.setattr(ctx, "roots", np.zeros_like(ctx.roots))
+        monkeypatch.setattr(ctx, "minima",
+                            tuple((0,) * len(m) for m in ctx.minima))
         assert check_pair(sigma, pair(root, zero)) is not None
 
 
@@ -871,6 +878,7 @@ class TestClearCaches:
         try:
             run(T(text))
             assert _component_pair_min.cache_info().currsize == 0
+            assert classifier._component_fails.cache_info().currsize == 0
             assert ade_types._component_group.cache_info().currsize == 0
         finally:
             classifier.clear_caches()

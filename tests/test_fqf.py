@@ -349,13 +349,14 @@ class TestSubquotient:
     def test_zero_subgroup(self):
         form = discriminant_form(A2)[0]
         mask = orthogonal_mask(form, [(0,)], list(elements(form)))
-        assert mask.tolist() == [[True] * group_order(form)]
+        assert mask == [[True] * group_order(form)]
         assert subquotient(form, []) == form
 
     def test_eight_a1(self):
         form = q_a1_powers(8)
         ones = (1,) * 8
-        assert orthogonal_mask(form, [ones], list(elements(form))).sum() == 128
+        [row] = orthogonal_mask(form, [ones], list(elements(form)))
+        assert sum(row) == 128
         sub = subquotient(form, [ones])
         assert group_order(sub) == 64
 

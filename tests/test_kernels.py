@@ -1,16 +1,17 @@
-"""Tests for the scan kernels: the numpy isotropy scan and the
-orthogonality filter against the generic form evaluators, and the
-scan's int64 guard."""
+"""Tests for the scan kernels: the meet-in-the-middle isotropy scan and
+the orthogonality filter against the generic form evaluators, on the
+closed forms of the candidate types and on random presentations."""
 
 import random
 
 import pytest
 
-from k3ade.ade_types import disc_form_closed, parse_type
+from k3ade.ade_types import (closed_form, disc_form_closed,
+                             enumerate_candidates, parse_type)
 from k3ade.fqf import (TRIVIAL_FORM, FiniteQuadraticForm, elements, eval_b,
                        eval_q)
-from k3ade.kernels import (backend, isotropic_list, orthogonal_filter,
-                           orthogonal_mask)
+from k3ade.kernels import (_best_cut, backend, isotropic_list,
+                           orthogonal_filter, orthogonal_mask)
 from test_fqf import random_presentation
 
 
@@ -20,7 +21,7 @@ def form_of(text):
 
 class TestBackendSelection:
     def test_reported_backend(self):
-        assert backend() == "numpy"
+        assert backend() == "python"
 
 
 class TestAgainstGenericEvaluators:
@@ -37,6 +38,11 @@ class TestAgainstGenericEvaluators:
         form = form_of("4A1")
         got = isotropic_list(form)
         assert got == sorted(got)
+
+    def test_odometer_order_on_candidate_types(self):
+        for sigma in enumerate_candidates(18, 24)[::10]:
+            got = isotropic_list(closed_form(sigma))
+            assert got == sorted(got), sigma
 
     @pytest.mark.parametrize("text", ["8A1", "4A2", "D4+2A1",
                                       "A5+A2+A1"])
@@ -55,9 +61,9 @@ class TestAgainstGenericEvaluators:
         iso = isotropic_list(form)
         vs = iso[:5] + iso[-4:]
         got = orthogonal_mask(form, vs, iso)
-        assert got.shape == (len(vs), len(iso))
-        assert got.tolist() == [[eval_b(form, v, w) == 0 for w in iso]
-                                for v in vs]
+        assert len(got) == len(vs)
+        assert all(len(row) == len(iso) for row in got)
+        assert got == [[eval_b(form, v, w) == 0 for w in iso] for v in vs]
 
     def test_trivial_form(self):
         form = form_of("2E8+A2")
@@ -88,33 +94,43 @@ class TestNumpyScan:
                 got = orthogonal_filter(form, pool, v)
                 assert got == [w for w in pool if eval_b(form, v, w) == 0]
             vs = pool[:: max(1, len(pool) // 5)]
-            assert orthogonal_mask(form, vs, pool).tolist() == [
+            assert orthogonal_mask(form, vs, pool) == [
                 [eval_b(form, v, w) == 0 for w in pool] for v in vs]
 
     def test_no_generators(self):
         assert isotropic_list(TRIVIAL_FORM) == [()]
         assert orthogonal_filter(TRIVIAL_FORM, [()], ()) == [()]
         assert orthogonal_filter(form_of("8A1"), [], (1,) * 8) == []
-        assert orthogonal_mask(TRIVIAL_FORM, [(), ()], [()]).tolist() == [
+        assert orthogonal_mask(TRIVIAL_FORM, [(), ()], [()]) == [
             [True], [True]]
-        assert orthogonal_mask(form_of("8A1"), [(1,) * 8], []).shape == (1, 0)
+        assert orthogonal_mask(form_of("8A1"), [(1,) * 8], []) == [[]]
 
-    def test_orthogonal_int64_guard(self):
+    @pytest.mark.parametrize("seed", range(3))
+    def test_paired_cut(self, seed):
+        # Random presentations, many of which split as no direct sum:
+        # where the best cut pairs F with S, the scan groups F by lam; it
+        # must still give the one-line scan, in odometer order.
+        rng = random.Random(200 + seed)
+        paired = 0
+        for _ in range(60):
+            form = FiniteQuadraticForm(*random_presentation(
+                rng, [2, 3, 4, 5, 6, 8, 9, 12], 5))
+            paired += _best_cut(form)[1]
+            assert isotropic_list(form) == [
+                x for x in elements(form) if eval_q(form, x) == 0]
+        assert paired >= 10
+
+    def test_orthogonal_past_int64(self):
         # The hyperbolic plane over Z/d, d = 3 * 10^9: n E max(orders)
-        # = 1.8 * 10^19 is past int64, although each pairing fits.
+        # = 1.8 * 10^19 is past int64, and so are the products of the
+        # largest coefficients; the mask is still exact.
         d = 3 * 10 ** 9
         form = FiniteQuadraticForm.from_scaled((d, d), (0, 0),
                                                ((0, 1), (1, 0)))
-        with pytest.raises(RuntimeError, match="int64"):
-            orthogonal_mask(form, [(0, 1)], [(1, 0)])
-
-    def test_int64_guard(self):
-        # Z/d with q(g) = (2d - 2)/d: the largest value of x^T M x is
-        # (d - 1)^2 (2d - 2), past int64 for d = 2 * 10^6, while the
-        # group has only 2 * 10^6 elements, so the scan must refuse the
-        # form up front rather than overflow.
-        d = 2 * 10 ** 6
-        form = FiniteQuadraticForm.from_scaled((d,), (2 * d - 2,),
-                                               ((d - 2,),))
-        with pytest.raises(RuntimeError, match="int64"):
-            isotropic_list(form)
+        vs = [(0, 1), (d - 1, d - 1), (d - 1, 1)]
+        pool = [(1, 0), (0, d - 1), (d - 1, 1), (1, d - 1), (d - 1, d - 1)]
+        got = orthogonal_mask(form, vs, pool)
+        assert got == [[eval_b(form, v, w) == 0 for w in pool] for v in vs]
+        assert got == [[False, True, False, False, False],
+                       [False, False, True, True, False],
+                       [False, False, False, False, True]]

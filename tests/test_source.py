@@ -4,7 +4,10 @@ import ast
 import importlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import k3ade
@@ -70,6 +73,26 @@ def test_only_sources_and_data_in_package():
             continue
         stray.append(str(rel))
     assert stray == []
+
+
+def _imports_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.module is not None
+            and node.module.split(".")[0] == "numpy")
+
+
+def test_package_does_not_import_numpy():
+    # The scans are plain integer code; numpy is only a test oracle, so
+    # no module of the package may import it, directly or through
+    # another module.
+    assert _find(_imports_numpy) == []
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    check = ("import sys, k3ade.cli\n"
+             "sys.exit('numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", check], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_benchmark_reads_defined_names():
