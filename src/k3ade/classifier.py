@@ -233,16 +233,6 @@ def _component_pair_min(comp: Component) -> tuple[tuple[int, ...], ...]:
                        for b in range(size)) for a in range(size))
 
 
-@lru_cache(maxsize=None)
-def _component_fails(comp: Component) -> tuple[int, ...]:
-    """For each code b of a single component, the bits 1 << a of the
-    codes a with _component_pair_min(comp)[a][b] != b: the piece b is
-    not least under the stabiliser of a."""
-    table = _component_pair_min(comp)
-    return tuple(sum(1 << a for a, row in enumerate(table) if row[b] != b)
-                 for b in range(len(table)))
-
-
 def _candidates(ctx: _TypeContext,
                 pool: list[FqfElement]) -> list[tuple]:
     """(v, ws) for each canonical representative v of the symmetry
@@ -270,12 +260,13 @@ def _candidates(ctx: _TypeContext,
         return [(pool[0], pool)]
     comps = ctx.comps
     repeats = [c for c in range(1, len(comps)) if comps[c] == comps[c - 1]]
-    fails_of = [_component_fails(comp) for comp in comps]
+    pairmins = [_component_pair_min(comp) for comp in comps]
     # Bit offsets[c] + a stands for (c, a), bit top + r for repeat r.
-    offsets = [0, *accumulate(map(len, fails_of))]
+    offsets = [0, *accumulate(map(len, pairmins))]
     top = offsets.pop()
-    fail_bits = [[bits << offset for bits in fails]
-                 for offset, fails in zip(offsets, fails_of)]
+    fail_bits = [[sum(1 << (offset + a) for a, row in enumerate(pairmin)
+                      if row[b] != b) for b in range(len(pairmin))]
+                 for offset, pairmin in zip(offsets, pairmins)]
 
     def fails(xc: list[int]) -> int:
         bits = sum(map(getitem, fail_bits, xc))
@@ -388,7 +379,7 @@ def clear_caches() -> None:
     one way to drop them, e.g. between runs that must not share work.
     """
     for memo in (_context, _scaled_minima, _component_pair_min,
-                 _component_fails, _exists_cached, genus._local_data,
+                 _exists_cached, genus._local_data,
                  local_invariants.unimodular_set, ade_types._component_gram,
                  ade_types.component_inverse, ade_types._component_form,
                  ade_types._component_lifts,

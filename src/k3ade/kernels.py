@@ -63,23 +63,14 @@ def _scaled_q(form: FiniteQuadraticForm, lo: int, hi: int) -> list[int]:
     return values
 
 
-def _best_cut(form: FiniteQuadraticForm) -> tuple[int, bool]:
-    """The k at which isotropic_list cuts the generators into F and S,
-    and whether a generator of F pairs with one of S.
-
-    The work is |F| + |S| when they do not pair, and |F| + |S| times
-    the number of distinct lam otherwise, at most min(|F|, |S|): lam(f)
-    is the character b(f, .) of S, and S has |S| characters.
-    """
+def _best_cut(form: FiniteQuadraticForm) -> int:
+    """The k at which isotropic_list cuts the generators into F and S:
+    among the _cuts, where no generator of F pairs with one of S, the
+    one with the least work |F| + |S|.  k = 0 is always a cut, so the
+    scan is exact on any presentation."""
     orders = form.orders
-    apart = set(_cuts(form, 0, len(orders)))
-
-    def cost(k):
-        first, second = prod(orders[:k]), prod(orders[k:])
-        return first + second * (1 if k in apart else min(first, second))
-
-    k = min(range(len(orders) + 1), key=cost)
-    return k, k not in apart
+    return min(_cuts(form, 0, len(orders)),
+               key=lambda k: prod(orders[:k]) + prod(orders[k:]))
 
 
 def isotropic_list(form: FiniteQuadraticForm) -> list[FqfElement]:
@@ -87,47 +78,23 @@ def isotropic_list(form: FiniteQuadraticForm) -> list[FqfElement]:
     coefficient fastest).
 
     The generators are cut into a first part F and a second part S at
-    _best_cut; x = (f, s) and
-    E q(x) = E q(f) + E q(s) + 2 sum_j s_j lam_j(f) mod 2E with
-    lam_j(f) = E b(f, g_j) mod E over the generators g_j of S.  The
-    values of S are tabulated once per lam, value -> elements in
-    odometer order, and each f, in odometer order, looks up
-    -E q(f) mod 2E.  When no generator of F pairs with one of S, every
-    lam is 0 and one table serves all of F; the closed forms of the
-    candidate types are direct sums, so their cut falls between
-    components and needs no more.
+    _best_cut, where no pairing crosses, so x = (f, s) has
+    E q(x) = E q(f) + E q(s) mod 2E.  The values of S are tabulated
+    once, value -> elements in odometer order, and each f, in odometer
+    order, looks up -E q(f) mod 2E.  The closed forms of the candidate
+    types are direct sums, so their cut falls between components.
     """
     orders, m = form.orders, 2 * form.exp
-    n = len(orders)
-    k, paired = _best_cut(form)
-    seconds = list(product(*map(range, orders[k:])))
-    second_q = _scaled_q(form, k, n)
-
-    def table(values: list[int]) -> dict[int, list[FqfElement]]:
-        out: dict[int, list[FqfElement]] = {}
-        for s, value in zip(seconds, values):
-            out.setdefault(value % m, []).append(s)
-        return out
-
-    firsts = zip(product(*map(range, orders[:k])), _scaled_q(form, 0, k))
+    k = _best_cut(form)
+    table: dict[int, list[FqfElement]] = {}
+    for s, value in zip(product(*map(range, orders[k:])),
+                        _scaled_q(form, k, len(orders))):
+        table.setdefault(value % m, []).append(s)
+    hits_at = table.get
     found: list[FqfElement] = []
-    if not paired:
-        # One table, looked up without building a lam per f: the loop
-        # of every closed form.
-        hits_at = table(second_q).get
-        for f, value in firsts:
-            hits = hits_at(-value % m)
-            if hits:
-                found += [f + s for s in hits]
-        return found
-    columns = [[row[j] for row in form.bs[:k]] for j in range(k, n)]
-    tables: dict[tuple, dict[int, list[FqfElement]]] = {}
-    for f, value in firsts:
-        lam = tuple(sum(map(mul, f, col)) % form.exp for col in columns)
-        if lam not in tables:
-            tables[lam] = table([v + 2 * sum(map(mul, s, lam))
-                                 for s, v in zip(seconds, second_q)])
-        hits = tables[lam].get(-value % m)
+    for f, value in zip(product(*map(range, orders[:k])),
+                        _scaled_q(form, 0, k)):
+        hits = hits_at(-value % m)
         if hits:
             found += [f + s for s in hits]
     return found

@@ -62,11 +62,6 @@ class GramLattice:
             self._disc = discriminant_form([list(r) for r in self.gram])
         return self._disc
 
-    def pairing(self, u: Sequence, v: Sequence):
-        n = self.rank
-        return sum(u[i] * self.gram[i][j] * v[j]
-                   for i in range(n) for j in range(n))
-
     def __eq__(self, other):
         return isinstance(other, GramLattice) and self.gram == other.gram
 

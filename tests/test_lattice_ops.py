@@ -48,7 +48,7 @@ class TestGramLattice:
     def test_basic(self):
         L = lat("A2")
         assert L.rank == 2 and L.det == 3
-        assert L.pairing([1, 0], [0, 1]) == 1
+        assert L.gram[0][1] == L.gram[1][0] == 1
 
     @pytest.mark.parametrize("gram", [
         [[2, 1], [0, 2]],        # not symmetric
