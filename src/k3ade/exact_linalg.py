@@ -4,11 +4,15 @@ All matrices are dense lists of lists of Python ints (arbitrary precision).
 One fraction-free elimination, _scaled_inverse, gives the determinant and
 both inverses; rank is read off the Hermite normal form.  Fractions appear
 only in the output of rat_inverse.  No floating point anywhere.
+
+A square class of Z_p^x / (Z_p^x)^2 is a plain int, a residue mod 8: the
+unit itself mod 8 at p = 2, and 1 (squares) or 7 = -1 (non-squares) at
+odd p.  Classes at one prime then multiply mod 8 at every p, and each is
+its own inverse, since every odd square is 1 mod 8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 IntMatrix = list[list[int]]
@@ -174,48 +178,15 @@ def legendre_symbol(u: int, p: int) -> int:
     raise ValueError(f"{p} is not prime")
 
 
-@dataclass(frozen=True, slots=True)
-class SquareClass:
-    """An element of Z_p^x / (Z_p^x)^2.
-
-    For odd p the tag is +1 (squares) or -1 (the class of a non-residue v_p);
-    for p = 2 the tag is the unit's residue mod 8, one of {1, 3, 5, 7}.
-    """
-
-    p: int
-    tag: int
-
-    def __post_init__(self):
-        if self.p == 2:
-            if self.tag not in (1, 3, 5, 7):
-                raise ValueError(f"bad 2-adic square class {self.tag}")
-        elif self.tag not in (1, -1):
-            raise ValueError(f"bad square class tag {self.tag}")
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        if self.p != other.p:
-            raise ValueError("square classes at different primes")
-        if self.p == 2:
-            return SquareClass(2, (self.tag * other.tag) % 8)
-        return SquareClass(self.p, self.tag * other.tag)
-
-    @classmethod
-    def identity(cls, p: int) -> "SquareClass":
-        return cls(p, 1)
-
-    def __str__(self):
-        if self.p == 2:
-            return str(self.tag)
-        return "1" if self.tag == 1 else f"v_{self.p}"
-
-
-def square_class(u: int, p: int) -> SquareClass:
-    """Class of the unit u in Z_p^x / (Z_p^x)^2."""
+def square_class(u: int, p: int) -> int:
+    """Class of the unit u in Z_p^x / (Z_p^x)^2 as a residue mod 8: u mod 8
+    at p = 2, and at odd p the Legendre symbol mod 8 (1 for a square, 7
+    for a non-square)."""
     if u % p == 0:
         raise ValueError(f"{u} is not a unit at {p}")
     if p == 2:
-        return SquareClass(2, u % 8)
-    return SquareClass(p, legendre_symbol(u, p))
+        return u % 8
+    return legendre_symbol(u, p) % 8
 
 
 def _scaled_inverse(a: IntMatrix) -> tuple[IntMatrix, int]:

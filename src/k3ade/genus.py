@@ -15,20 +15,23 @@ lattices with form q_p, by reduced discriminant.  None of this depends on
 unimodular complement of rank n - l_p, whose invariant pairs take at most
 two values (e_u, u_u), so the excesses matching the wanted class
 want = (-1)^s delta_p are the e + e_u mod 8 over the rank-l_p pairs with
-reduced discriminant want * u_u (square classes are their own inverses).
+reduced discriminant want * u_u mod 8.  Square classes are the residues
+mod 8 of exact_linalg, each its own inverse, so that product is the class
+the rank-l_p part must have.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_linalg import SquareClass, prime_factors, square_class
+from .exact_linalg import prime_factors, square_class
 from .fqf import FiniteQuadraticForm, group_order, p_part
 from .local_invariants import minimal_rank_set, unimodular_set
 
-#: Per prime p | 2|D|: (p, classes of +-delta_p, l_p, {reddisc: excesses}).
-LocalData = tuple[tuple[int, tuple[SquareClass, SquareClass], int,
-                        dict[SquareClass, frozenset[int]]], ...]
+#: Per prime p | 2|D|: (p, classes of +-delta_p, l_p, {reddisc: excesses}),
+#: every square class a residue mod 8.
+LocalData = tuple[tuple[int, tuple[int, int], int,
+                        dict[int, frozenset[int]]], ...]
 
 
 def exists_even_lattice(r: int, s: int, q: FiniteQuadraticForm) -> bool:
@@ -49,10 +52,9 @@ def exists_even_lattice(r: int, s: int, q: FiniteQuadraticForm) -> bool:
             return False
         want = wants[s % 2]
         choices = set()
-        for unimodular in unimodular_set(p, n - l):
+        for e_u, u_u in unimodular_set(p, n - l):
             choices.update(
-                (e + unimodular.excess) % 8
-                for e in by_disc.get(want * unimodular.reddisc, ()))
+                (e + e_u) % 8 for e in by_disc.get(want * u_u % 8, ()))
         if not choices:
             return False
         sigmas.append(choices)
@@ -69,9 +71,9 @@ def _local_data(q: FiniteQuadraticForm) -> LocalData:
         while delta % p == 0:
             delta //= p
         l, base = minimal_rank_set(p, p_part(q, p))
-        by_disc: dict[SquareClass, set[int]] = {}
-        for inv in base:
-            by_disc.setdefault(inv.reddisc, set()).add(inv.excess)
+        by_disc: dict[int, set[int]] = {}
+        for e, u in base:
+            by_disc.setdefault(u, set()).add(e)
         data.append((p, (square_class(delta, p), square_class(-delta, p)), l,
                      {u: frozenset(es) for u, es in by_disc.items()}))
     return tuple(data)

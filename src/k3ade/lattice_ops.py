@@ -239,7 +239,9 @@ def root_type(lat: GramLattice) -> ADEType:
 
 
 def _gram_blocks(gram) -> list[list[int]]:
-    """Index sets of the connected components of the Gram matrix."""
+    """Index sets of the connected components of the graph whose edges
+    are the nonzero off-diagonal entries of the square matrix gram, each
+    ascending, ordered by least index."""
     n = len(gram)
     parent = list(range(n))
 
@@ -258,7 +260,7 @@ def _gram_blocks(gram) -> list[list[int]]:
     blocks: dict[int, list[int]] = {}
     for i in range(n):
         blocks.setdefault(find(i), []).append(i)
-    return sorted(blocks.values())
+    return list(blocks.values())
 
 
 def _pairwise_gram(lat: GramLattice, reps) -> list[list[int]]:
@@ -270,29 +272,9 @@ def _pairwise_gram(lat: GramLattice, reps) -> list[list[int]]:
 
 def _connected_root_type(lat: GramLattice) -> ADEType:
     reps = short_vectors(lat, 2)
-    k = len(reps)
-    parent = list(range(k))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    pairs = _pairwise_gram(lat, reps)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if pairs[i][j] != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(reps[i])
-
     comps: list[Component] = []
-    for vectors in groups.values():
+    for block in _gram_blocks(_pairwise_gram(lat, reps)):
+        vectors = [reps[i] for i in block]
         r = int_rank([list(v) for v in vectors])
         count = 2 * len(vectors)
         if count == r * (r + 1):

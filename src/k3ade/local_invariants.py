@@ -8,8 +8,12 @@ blocks and, at p = 2, the even 2x2 blocks U and V (Conway-Sloane,
 SPLAG ch. 15).  No lattice is decomposed here: the sets below are read
 off the discriminant form, whose splits give the possible blocks.
 
-local_invariant_set(p, n, q) returns every pair [excess, reduced
-discriminant] realized by a p-adic lattice of rank n whose discriminant
+An invariant pair is a tuple (excess, reddisc) of ints: the excess mod 8
+and the square class as exact_linalg encodes it, a residue mod 8.  A set
+of pairs is a frozenset of such tuples.
+
+local_invariant_set(p, n, q) returns every pair (excess, reduced
+discriminant) realized by a p-adic lattice of rank n whose discriminant
 form is the given p-group form q.  It combines the invariant set of a
 unimodular complement of rank n - l with the set in the minimal rank l
 (minimal_rank_set), which a recursion builds by splitting generators off
@@ -19,28 +23,15 @@ The rank-l set is computed once per (p, q) and does not depend on n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .exact_linalg import SquareClass, legendre_symbol
-from .fqf import FiniteQuadraticForm, form_on_generators
+from .exact_linalg import square_class
+from .fqf import FiniteQuadraticForm, _rescale, form_on_generators
 
-
-@dataclass(frozen=True)
-class LocalInvariant:
-    """A pair [excess mod 8, reduced discriminant square class]."""
-
-    excess: int
-    reddisc: SquareClass
-
-    def __post_init__(self):
-        if not 0 <= self.excess < 8:
-            raise ValueError("excess must be reduced mod 8")
-
-
-LocalInvariantSet = frozenset
+#: The set of the rank-0 lattice, and the identity of star.
+IDENTITY = frozenset({(0, 1)})
 
 
 def _unit_excess_2(nu: int, a: int) -> int:
@@ -50,19 +41,15 @@ def _unit_excess_2(nu: int, a: int) -> int:
     return (5 - a) % 8
 
 
-def star(s1: LocalInvariantSet, s2: LocalInvariantSet) -> LocalInvariantSet:
-    """Pairwise combination {[e + e', u * u']}; {[0, 1]} is the identity."""
-    return frozenset(
-        LocalInvariant((a.excess + b.excess) % 8, a.reddisc * b.reddisc)
-        for a in s1 for b in s2)
-
-
-def identity_set(p: int) -> LocalInvariantSet:
-    return frozenset({LocalInvariant(0, SquareClass.identity(p))})
+def star(s1: frozenset, s2: frozenset) -> frozenset:
+    """Pairwise combination {(e + e', u * u')}, both mod 8; IDENTITY is
+    the identity."""
+    return frozenset(((e1 + e2) % 8, u1 * u2 % 8)
+                     for e1, u1 in s1 for e2, u2 in s2)
 
 
 @lru_cache(maxsize=None)
-def unimodular_set(p: int, k: int) -> LocalInvariantSet:
+def unimodular_set(p: int, k: int) -> frozenset:
     """Invariant pairs of unimodular p-adic lattices of rank k.
 
     At p = 2 only even unimodular lattices count, so odd ranks give the
@@ -72,25 +59,13 @@ def unimodular_set(p: int, k: int) -> LocalInvariantSet:
     if k < 0:
         raise ValueError("rank must be nonnegative")
     if k == 0:
-        return identity_set(p)
+        return IDENTITY
     if p != 2:
-        return frozenset({
-            LocalInvariant(0, SquareClass.identity(p)),
-            LocalInvariant(0, SquareClass(p, -1)),
-        })
+        return frozenset({(0, 1), (0, 7)})
     if k % 2 == 1:
         return frozenset()
-    tags = (1, 5) if k % 4 == 0 else (3, 7)
-    return frozenset(
-        LocalInvariant(k % 8, SquareClass(2, t)) for t in tags)
-
-
-def _scaled_int(x: int, e: int, m: int) -> int:
-    """A value stored at exponent e (x = value * e) as value * m."""
-    v, r = divmod(x * m, e)
-    if r:
-        raise ValueError("value is not integral at the expected scale")
-    return v
+    classes = (1, 5) if k % 4 == 0 else (3, 7)
+    return frozenset((k % 8, u) for u in classes)
 
 
 def _prime_power_exponent(d: int, p: int) -> int:
@@ -103,7 +78,7 @@ def _prime_power_exponent(d: int, p: int) -> int:
     return nu
 
 
-def rank_le2_set(p: int, presentation: FiniteQuadraticForm) -> LocalInvariantSet:
+def rank_le2_set(p: int, presentation: FiniteQuadraticForm) -> frozenset:
     """Invariant pairs of p-adic lattices of rank l realizing a rank-l form.
 
     Closed tables for the two base shapes of the recursion: a cyclic form
@@ -114,19 +89,15 @@ def rank_le2_set(p: int, presentation: FiniteQuadraticForm) -> LocalInvariantSet
     if len(orders) == 1:
         d = orders[0]
         nu = _prime_power_exponent(d, p)
-        a = _scaled_int(presentation.qs[0], presentation.exp, d)
+        a = _rescale(presentation.qs[0], presentation.exp, d)
         if a % p == 0:
             raise ValueError("cyclic form value must have a unit numerator")
         if p != 2:
-            if legendre_symbol(a, p) == 1:
-                return frozenset({LocalInvariant((d - 1) % 8,
-                                                 SquareClass.identity(p))})
-            excess = (d - 1 + (4 if nu % 2 else 0)) % 8
-            return frozenset({LocalInvariant(excess, SquareClass(p, -1))})
+            if square_class(a, p) == 1:
+                return frozenset({((d - 1) % 8, 1)})
+            return frozenset({((d - 1 + (4 if nu % 2 else 0)) % 8, 7)})
         residues = {a % 8, (a + 4) % 8} if nu == 1 else {a % 8}
-        return frozenset(
-            LocalInvariant(_unit_excess_2(nu, r), SquareClass(2, r))
-            for r in residues)
+        return frozenset((_unit_excess_2(nu, r), r) for r in residues)
     if len(orders) == 2 and p == 2:
         d = orders[0]
         nu = _prime_power_exponent(d, 2)
@@ -135,15 +106,15 @@ def rank_le2_set(p: int, presentation: FiniteQuadraticForm) -> LocalInvariantSet
         e = presentation.exp
         if e // gcd(presentation.bs[0][1], e) != d:
             raise ValueError("rank-2 table needs an odd off-diagonal pairing")
-        u = _scaled_int(presentation.qs[0], e, d)
-        w = _scaled_int(presentation.qs[1], e, d)
+        u = _rescale(presentation.qs[0], e, d)
+        w = _rescale(presentation.qs[1], e, d)
         if u % 2 or w % 2:
             raise ValueError("rank-2 table needs even diagonal q numerators")
         if (u // 2) * (w // 2) % 2 == 0:
-            return frozenset({LocalInvariant(2, SquareClass(2, 7))})
+            return frozenset({(2, 7)})
         if nu % 2 == 0:
-            return frozenset({LocalInvariant(2, SquareClass(2, 3))})
-        return frozenset({LocalInvariant(6, SquareClass(2, 3))})
+            return frozenset({(2, 3)})
+        return frozenset({(6, 3)})
     raise ValueError("input outside the rank <= 2 table shapes")
 
 
@@ -152,9 +123,9 @@ _SET_CACHE: dict = {}
 
 
 def minimal_rank_set(p: int,
-                     q_p: FiniteQuadraticForm) -> tuple[int, LocalInvariantSet]:
+                     q_p: FiniteQuadraticForm) -> tuple[int, frozenset]:
     """(l, set) for the minimal number l of generators of the p-group
-    form q_p and all pairs [excess, reddisc] of rank-l p-adic lattices
+    form q_p and all pairs (excess, reddisc) of rank-l p-adic lattices
     with form q_p.
 
     This is the part of local_invariant_set that does not depend on the
@@ -172,8 +143,8 @@ def minimal_rank_set(p: int,
 
 
 def local_invariant_set(p: int, n: int,
-                        q_p: FiniteQuadraticForm) -> LocalInvariantSet:
-    """All pairs [excess, reddisc] of rank-n p-adic lattices with form q_p.
+                        q_p: FiniteQuadraticForm) -> frozenset:
+    """All pairs (excess, reddisc) of rank-n p-adic lattices with form q_p.
 
     Empty when n is smaller than the minimal number of generators l of the
     group; otherwise the set for a rank-l lattice combined (via star) with
@@ -185,7 +156,7 @@ def local_invariant_set(p: int, n: int,
     return star(unimodular_set(p, n - l), base)
 
 
-def _split_set(p: int, form: FiniteQuadraticForm) -> LocalInvariantSet:
+def _split_set(p: int, form: FiniteQuadraticForm) -> frozenset:
     """Invariant set in rank exactly l, by recursive generator splitting.
 
     Any presentation of a p-group form will do, with its generators in
@@ -208,7 +179,7 @@ def _split_set(p: int, form: FiniteQuadraticForm) -> LocalInvariantSet:
 def _split_set_uncached(p, form):
     l = len(form.orders)
     if l == 0:
-        return identity_set(p)
+        return IDENTITY
     if l == 1:
         return rank_le2_set(p, form)
     # Values are stored at the exponent pn, so bs[i][j] pairs at full

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from k3ade.exact_linalg import SquareClass, legendre_symbol, square_class
+from k3ade.exact_linalg import legendre_symbol, square_class
 from k3ade.fqf import elements, eval_q, group_order
 from k3ade.local_invariants import _unit_excess_2
 
@@ -69,18 +69,19 @@ def p_excess(blocks: list[JordanBlock], p: int) -> int:
     return total % 8
 
 
-def reddisc(blocks: list[JordanBlock], p: int) -> SquareClass:
-    """Square class of the product of the unit parts of the blocks."""
-    cls = SquareClass.identity(p)
+def reddisc(blocks: list[JordanBlock], p: int) -> int:
+    """Square class of the product of the unit parts of the blocks, as a
+    residue mod 8 (see exact_linalg.square_class)."""
+    cls = 1
     for blk in blocks:
         if blk.kind == UNIT:
-            cls = cls * square_class(blk.a, p)
+            cls = cls * square_class(blk.a, p) % 8
         elif p != 2:
             raise ValueError("U/V blocks exist only at p = 2")
         elif blk.kind == U_BLOCK:
-            cls = cls * SquareClass(2, 7)
+            cls = cls * 7 % 8
         else:
-            cls = cls * SquareClass(2, 3)
+            cls = cls * 3 % 8
     return cls
 
 

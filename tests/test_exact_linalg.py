@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from k3ade.ade_types import ADEType, cartan_gram
 from k3ade.exact_linalg import (
-    SquareClass,
     hermite_normal_form,
     int_det,
     int_inverse,
@@ -168,13 +167,23 @@ class TestLegendreSymbol:
 
 class TestSquareClass:
     def test_perfect_square(self):
-        assert square_class(9, 5) == SquareClass(5, 1)
+        assert square_class(9, 5) == 1
 
     def test_nonsquare_mod_three(self):
-        assert square_class(2, 3) == SquareClass(3, -1)
+        assert square_class(2, 3) == 7
 
     def test_mod_eight(self):
-        assert square_class(21, 2) == SquareClass(2, 5)
+        assert square_class(21, 2) == 5
+
+    def test_exhaustive_encoding(self):
+        # 1 for a square and 7 (= -1 mod 8) for a non-square at odd p;
+        # the unit mod 8 at p = 2.
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+            squares = {(x * x) % p for x in range(1, p)}
+            for u in range(1, p):
+                assert square_class(u, p) == (1 if u in squares else 7)
+        for u in range(1, 64, 2):
+            assert square_class(u, 2) == u % 8
 
     def test_rejects_nonunit(self):
         with pytest.raises(ValueError):
@@ -185,12 +194,14 @@ class TestSquareClass:
     def test_multiplicative(self, p, u, v):
         if u % p == 0 or v % p == 0:
             return
-        assert square_class(u, p) * square_class(v, p) == square_class(u * v, p)
+        assert (square_class(u, p) * square_class(v, p) % 8
+                == square_class(u * v, p))
 
     def test_identity_element(self):
         for p in (2, 3, 5):
             c = square_class(7 if p != 7 else 11, p)
-            assert c * SquareClass.identity(p) == c
+            assert c * 1 % 8 == c
+            assert c * c % 8 == 1
 
 
 class TestRationalHelpers:

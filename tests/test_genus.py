@@ -135,8 +135,8 @@ def model_exists(r, s, q):
         while delta % p == 0:
             delta //= p
         want = square_class(delta, p)
-        choices = {inv.excess for inv in local_invariant_set(p, n, p_part(q, p))
-                   if inv.reddisc == want}
+        choices = {e for e, u in local_invariant_set(p, n, p_part(q, p))
+                   if u == want}
         if not choices:
             return False
         sigmas.append(choices)
