@@ -409,7 +409,7 @@ def _invariant_factors(form: FiniteQuadraticForm, v: FqfElement,
                     (a * x + b * y) % d == 0
                     for x, y, d in zip(v, w, form.orders)):
                 rels.append([a, b])
-    _, diag, _ = smith_normal_form(rels)
+    diag, _ = smith_normal_form(rels)
     factors = tuple(d for d in (diag[0][0], diag[1][1]) if d > 1)
     if prod(factors) != len(span(form, gens)):
         raise RuntimeError("invariant factors disagree with the span")

@@ -2,8 +2,11 @@
 
 All matrices are dense lists of lists of Python ints (arbitrary precision).
 One fraction-free elimination, _scaled_inverse, gives the determinant and
-both inverses; rank is read off the Hermite normal form.  Fractions appear
-only in the output of rat_inverse.  No floating point anywhere.
+both inverses; rank is read off the Hermite normal form.  The Smith
+normal form returns D and the right transform V only; the left
+transform U lives only in the test oracle tests/smith_oracle.py.
+Fractions appear only in the output of rat_inverse.  No floating point
+anywhere.
 
 A square class of Z_p^x / (Z_p^x)^2 is a plain int, a residue mod 8: the
 unit itself mod 8 at p = 2, and 1 (squares) or 7 = -1 (non-squares) at
@@ -22,87 +25,85 @@ def mat_identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _find_pivot(a: IntMatrix, t: int):
-    """Smallest nonzero |entry| in the trailing submatrix, earliest position."""
-    best = None
-    for i in range(t, len(a)):
-        for j in range(t, len(a[0])):
-            x = a[i][j]
-            if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                best = (i, j)
-    return best
+def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Return (D, V) with D = U*a*V diagonal, d_1 | d_2 | ... >= 0, for
+    unimodular U and V.
 
-
-def smith_normal_form(a: IntMatrix):
-    """Return (U, D, V) with U*a*V = D, D diagonal, d_1 | d_2 | ... >= 0.
-
-    U and V are unimodular. Pivot choice is the smallest nonzero absolute
-    value (earliest position on ties), so the output is deterministic.
+    Only V is built: no caller reads U, which only the test oracle
+    tests/smith_oracle.py builds.  Each pivot is the smallest
+    nonzero |entry| of the trailing block, the first in row-major order,
+    so the output is deterministic.
     """
     r = len(a)
     c = len(a[0]) if r else 0
     d = [row[:] for row in a]
-    u = mat_identity(r)
     v = mat_identity(c)
     t = 0
+    # Rows and columns before t are zero off the diagonal, so every step
+    # on pivot t touches only the trailing block.
     while t < min(r, c):
-        pos = _find_pivot(d, t)
-        if pos is None:
+        best = 0
+        for i in range(t, r):
+            row = d[i]
+            for j in range(t, c):
+                x = row[j]
+                if x and (not best or abs(x) < best):
+                    best, pi, pj = abs(x), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
-        i, j = pos
-        if i != t:
-            d[t], d[i] = d[i], d[t]
-            u[t], u[i] = u[i], u[t]
-        if j != t:
-            for row in d:
-                row[t], row[j] = row[j], row[t]
+        if pi != t:
+            d[t], d[pi] = d[pi], d[t]
+        if pj != t:
+            for row in d[t:]:
+                row[t], row[pj] = row[pj], row[t]
             for row in v:
-                row[t], row[j] = row[j], row[t]
-        # clear column t and row t by Euclidean steps
-        dirty = False
-        for i in range(r):
-            if i != t and d[i][t] != 0:
-                q = d[i][t] // d[t][t]
-                for j in range(c):
-                    d[i][j] -= q * d[t][j]
-                for j in range(r):
-                    u[i][j] -= q * u[t][j]
-                if d[i][t] != 0:
-                    dirty = True
-        for j in range(c):
-            if j != t and d[t][j] != 0:
-                q = d[t][j] // d[t][t]
-                for i in range(r):
-                    d[i][j] -= q * d[i][t]
-                for i in range(c):
-                    v[i][j] -= q * v[i][t]
-                if d[t][j] != 0:
+                row[t], row[pj] = row[pj], row[t]
+        top = d[t]
+        p = top[t]
+        # Euclidean steps on column t, then on row t.  A column step
+        # changes D only in row t and in the rows left with a remainder
+        # in column t; under an exact pivot there are none.
+        rest = []
+        for i in range(t + 1, r):
+            row = d[i]
+            x = row[t]
+            if x:
+                q = x // p
+                for j in range(t, c):
+                    row[j] -= q * top[j]
+                if row[t]:
+                    rest.append(row)
+        dirty = bool(rest)
+        for j in range(t + 1, c):
+            x = top[j]
+            if x:
+                q = x // p
+                top[j] = x - q * p
+                for row in rest:
+                    row[j] -= q * row[t]
+                for row in v:
+                    row[j] -= q * row[t]
+                if top[j]:
                     dirty = True
         if dirty:
             continue
-        # column and row are clear; enforce divisibility of the rest
-        offender = None
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
+        if best != 1:
+            # Make the pivot divide the rest of the block: add the first
+            # row holding a non-multiple to row t and pivot again.
+            offender = next((row for row in d[t + 1:]
+                             if any(x % p for x in row[t + 1:])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            for j in range(c):
-                d[t][j] += d[offender][j]
-            for j in range(r):
-                u[t][j] += u[offender][j]
-            continue
+                for j in range(t + 1, c):
+                    top[j] += offender[j]
+                continue
+        if p < 0:
+            top[t] = -p
         t += 1
-    for i in range(min(r, c)):
-        if d[i][i] < 0:
-            for j in range(c):
-                d[i][j] = -d[i][j]
-            for j in range(r):
-                u[i][j] = -u[i][j]
-    return u, d, v
+    return d, v
 
 
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:

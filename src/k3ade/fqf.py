@@ -209,15 +209,15 @@ def discriminant_form(gram: IntMatrix) -> tuple[FiniteQuadraticForm, list[RatVec
     from the Smith normal form of the Gram matrix.
     """
     n = len(gram)
-    for i, row in enumerate(gram):
-        if len(row) != n:
-            raise ValueError("Gram matrix must be square")
-        if row[i] % 2 != 0:
-            raise ValueError("Gram matrix must be even")
-        for j in range(n):
-            if row[j] != gram[j][i]:
-                raise ValueError("Gram matrix must be symmetric")
-    _, d, v = smith_normal_form(gram)
+    # The square check comes first: zip(*gram) would cut a ragged Gram
+    # matrix short without an error.
+    if any(len(row) != n for row in gram):
+        raise ValueError("Gram matrix must be square")
+    if any(row[i] % 2 for i, row in enumerate(gram)):
+        raise ValueError("Gram matrix must be even")
+    if any(tuple(row) != col for row, col in zip(gram, zip(*gram))):
+        raise ValueError("Gram matrix must be symmetric")
+    d, v = smith_normal_form(gram)
     if any(d[i][i] == 0 for i in range(n)):
         raise ValueError("Gram matrix must be nondegenerate")
     # The map x -> Ux identifies L^vee/L, written in the dual basis, with
@@ -227,8 +227,7 @@ def discriminant_form(gram: IntMatrix) -> tuple[FiniteQuadraticForm, list[RatVec
     # (V^T G V)_ij / (d_i d_j).
     cols = [i for i in range(n) if d[i][i] > 1]
     vcols = [[v[r][i] for r in range(n)] for i in cols]
-    gv = [[sum(gram[r][k] * c[k] for k in range(n)) for r in range(n)]
-          for c in vcols]
+    gv = [[sum(map(mul, row, c)) for row in gram] for c in vcols]
     lifts = [[Fraction(x, d[i][i]) for x in c] for i, c in zip(cols, vcols)]
     orders = tuple(d[i][i] for i in cols)
     e = lcm(*orders)
@@ -237,8 +236,7 @@ def discriminant_form(gram: IntMatrix) -> tuple[FiniteQuadraticForm, list[RatVec
     for a, da in enumerate(orders):
         row = []
         for b, db in enumerate(orders):
-            w = _rescale(sum(x * y for x, y in zip(vcols[a], gv[b])),
-                         da * db, e)
+            w = _rescale(sum(map(mul, vcols[a], gv[b])), da * db, e)
             row.append(w % e)
             if a == b:
                 qs.append(w % (2 * e))
@@ -418,7 +416,7 @@ def subquotient(form: FiniteQuadraticForm,
     e = form.exp
     pairings = [[sum(c * form.bs[i][j] for i, c in enumerate(h) if c) % e
                  for j in range(n)] for h in gens]
-    _, s, v = smith_normal_form(pairings)
+    s, v = smith_normal_form(pairings)
     # A zero or missing s_i leaves z_i free; ord(gamma_j) kills
     # b(., gamma_j), so the relations diag(orders) lie in the span.
     scale = [e // gcd(s[i][i], e) if i < len(gens) else 1 for i in range(n)]
@@ -435,7 +433,7 @@ def subquotient(form: FiniteQuadraticForm,
                                    "complement")
             coords.append(x)
         rel.append(coords)
-    _, d, w = smith_normal_form(rel)
+    d, w = smith_normal_form(rel)
     winv = int_inverse(w)
     new_gens = []
     new_orders = []

@@ -165,6 +165,20 @@ def test_criterion_08_reference_table_diff_empty(classification):
     assert verify_reference(entries, load_reference_pairs()) == []
 
 
+def test_miranda_persson_semistable_extremal_count(classification):
+    # Miranda-Persson 1989 ("Configurations of I_n fibers on elliptic K3
+    # surfaces", Math. Z. 201) find 112 configurations of six I_n fibres,
+    # counting I_1.  An I_n fibre adds A_{n-1} to the root type and its
+    # Euler number n to 24, so these are the rank-18 types made of at
+    # most six A components.
+    entries, _ = classification
+    semistable = [e for e in entries if e.type.rank == 18
+                  and len(e.type.components) <= 6
+                  and all(letter == "A" for letter, _ in e.type.components)]
+    assert len({e.type for e in semistable}) == 112
+    assert len(semistable) == 124
+
+
 def test_partner_length_rule(classification, partner_questions):
     # Every question of the full run that the length count decides is a
     # "yes" of the full local decision, and a "no" once r - s is moved

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3ade.ade_types import ADEType, cartan_gram
@@ -18,6 +18,8 @@ from k3ade.exact_linalg import (
     smith_normal_form,
     square_class,
 )
+from smith_oracle import smith_normal_form as smith_with_u
+
 
 def exact(m):
     """An integer matrix as a numpy array of Python ints, whose products
@@ -36,47 +38,94 @@ small_matrices = st.integers(1, 4).flatmap(
 )
 
 
+# Matrices with no unit entry (every entry a multiple of 2 or 3), so
+# that the Euclidean steps leave remainders and the divisibility repair
+# runs.
+no_unit_matrices = st.integers(1, 5).flatmap(
+    lambda r: st.integers(1, 5).flatmap(
+        lambda c: st.lists(
+            st.lists(st.builds(lambda k, x: k * x, st.sampled_from((2, 3)),
+                               st.integers(-5, 5)),
+                     min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+# Singular matrices: products of an r x k and a k x c matrix with k
+# below both r and c.
+singular_matrices = st.tuples(st.integers(1, 3), st.integers(1, 3),
+                              st.integers(1, 3)).flatmap(
+    lambda dims: st.tuples(
+        st.lists(st.lists(st.integers(-4, 4), min_size=dims[2],
+                          max_size=dims[2]),
+                 min_size=dims[0] + 1, max_size=dims[0] + 1),
+        st.lists(st.lists(st.integers(-4, 4), min_size=dims[1] + 1,
+                          max_size=dims[1] + 1),
+                 min_size=dims[2], max_size=dims[2]),
+    ).map(lambda xy: (exact(xy[0]) @ exact(xy[1])).tolist())
+)
+
+
+def assert_smith_form(a, d, v):
+    """The contract of smith_normal_form, checked without U: V is
+    unimodular, D is diagonal with d_1 | d_2 | ... >= 0, and the rows of
+    a*V span the same module as the rows of D.  Two r x c matrices with
+    the same row module differ by a unimodular U on the left, so this is
+    U*a*V = D for some unimodular U."""
+    assert abs(int_det(v)) == 1
+    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    for i in range(len(d)):
+        for j in range(len(d[0])):
+            if i != j:
+                assert d[i][j] == 0
+    for x, y in zip(diag, diag[1:]):
+        assert x >= 0 and y >= 0
+        if x != 0:
+            assert y % x == 0
+        else:
+            assert y == 0
+    av = (exact(a) @ exact(v)).tolist()
+    assert hermite_normal_form(av) == hermite_normal_form(d)
+
+
 class TestSmithNormalForm:
     def test_identity(self):
-        u, d, v = smith_normal_form(mat_identity(2))
+        d, v = smith_normal_form(mat_identity(2))
         assert d == mat_identity(2)
 
     def test_already_diagonal(self):
-        u, d, v = smith_normal_form([[2, 0], [0, 2]])
+        d, v = smith_normal_form([[2, 0], [0, 2]])
         assert d == [[2, 0], [0, 2]]
 
     def test_a2_gram(self):
-        u, d, v = smith_normal_form([[2, 1], [1, 2]])
+        d, v = smith_normal_form([[2, 1], [1, 2]])
         assert d == [[1, 0], [0, 3]]
 
     def test_zero_matrix(self):
-        u, d, v = smith_normal_form([[0, 0], [0, 0]])
+        d, v = smith_normal_form([[0, 0], [0, 0]])
         assert d == [[0, 0], [0, 0]]
 
     def test_rectangular(self):
         a = [[2, 4, 4]]
-        u, d, v = smith_normal_form(a)
-        assert (exact(u) @ exact(a) @ exact(v)).tolist() == d
+        d, v = smith_normal_form(a)
+        assert_smith_form(a, d, v)
         assert d[0][0] == 2
 
     @given(small_matrices)
     @settings(max_examples=200, deadline=None)
-    def test_uav_equals_d_and_unimodular(self, a):
-        u, d, v = smith_normal_form(a)
-        assert (exact(u) @ exact(a) @ exact(v)).tolist() == d
-        assert abs(int_det(u)) == 1
-        assert abs(int_det(v)) == 1
-        diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-        for i in range(len(d)):
-            for j in range(len(d[0])):
-                if i != j:
-                    assert d[i][j] == 0
-        for x, y in zip(diag, diag[1:]):
-            assert x >= 0 and y >= 0
-            if x != 0:
-                assert y % x == 0
-            else:
-                assert y == 0
+    def test_v_unimodular_and_av_rows_span_d(self, a):
+        d, v = smith_normal_form(a)
+        assert_smith_form(a, d, v)
+
+    @given(st.one_of(small_matrices, no_unit_matrices, singular_matrices))
+    @example([[2, 3]])
+    @example([[2, 0], [0, 3]])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle(self, a):
+        _, d, v = smith_with_u(a)
+        assert smith_normal_form(a) == (d, v)
 
     @given(small_matrices.filter(lambda a: len(a) == len(a[0])))
     @settings(max_examples=200, deadline=None)
@@ -84,7 +133,7 @@ class TestSmithNormalForm:
         det = int_det(a)
         if det == 0:
             return
-        _, d, _ = smith_normal_form(a)
+        d, _ = smith_normal_form(a)
         prod = 1
         for i in range(len(a)):
             prod *= d[i][i]

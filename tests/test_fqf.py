@@ -9,8 +9,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from k3ade.exact_linalg import (int_det, int_inverse, rat_inverse,
-                                smith_normal_form)
+from k3ade.exact_linalg import int_det, int_inverse, rat_inverse
 from k3ade.fqf import (
     TRIVIAL_FORM,
     FiniteQuadraticForm,
@@ -33,6 +32,7 @@ from k3ade.fqf import (
     subquotient,
 )
 from k3ade.kernels import isotropic_list, orthogonal_mask
+from smith_oracle import smith_normal_form as smith_with_u
 
 A1 = [[2]]
 A2 = [[2, 1], [1, 2]]
@@ -107,16 +107,21 @@ class TestDiscriminantForm:
         assert form.qdiag == (F(1), F(1))
         assert form.bmat[0][1] == F(1, 2)
 
+    @pytest.mark.parametrize("gram", [[[2, 1], [1]], [[2, 1, 0], [1, 2, 0]]])
+    def test_rejects_non_square(self, gram):
+        with pytest.raises(ValueError, match="Gram matrix must be square"):
+            discriminant_form(gram)
+
     def test_rejects_odd(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="even"):
             discriminant_form([[1]])
 
     def test_rejects_singular(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nondegenerate"):
             discriminant_form([[2, 2], [2, 2]])
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="symmetric"):
             discriminant_form([[2, 1], [0, 2]])
 
     def test_lift_orders(self):
@@ -156,7 +161,7 @@ def reference_discriminant_form(gram):
     Smith form U G V = D) and their lifts are G^{-1} times them."""
     n = len(gram)
     ginv = rat_inverse(gram)
-    u, d, _ = smith_normal_form(gram)
+    u, d, _ = smith_with_u(gram)
     uinv = int_inverse(u)
     cols = [i for i in range(n) if d[i][i] > 1]
     coords = [[uinv[r][i] for r in range(n)] for i in cols]
