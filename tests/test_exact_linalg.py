@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -27,45 +28,32 @@ def exact(m):
     return np.array(m, dtype=object)
 
 
+def matrices(r, c, entries):
+    """Strategy for r x c matrices with entries drawn from entries."""
+    return st.lists(st.lists(entries, min_size=c, max_size=c),
+                    min_size=r, max_size=r)
+
+
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(-9, 9), min_size=c, max_size=c),
-            min_size=r,
-            max_size=r,
-        )
-    )
-)
-
+        lambda c: matrices(r, c, st.integers(-9, 9))))
 
 # Matrices with no unit entry (every entry a multiple of 2 or 3), so
 # that the Euclidean steps leave remainders and the divisibility repair
 # runs.
 no_unit_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
-        lambda c: st.lists(
-            st.lists(st.builds(lambda k, x: k * x, st.sampled_from((2, 3)),
-                               st.integers(-5, 5)),
-                     min_size=c, max_size=c),
-            min_size=r,
-            max_size=r,
-        )
-    )
-)
+        lambda c: matrices(r, c, st.builds(mul, st.sampled_from((2, 3)),
+                                           st.integers(-5, 5)))))
 
-# Singular matrices: products of an r x k and a k x c matrix with k
-# below both r and c.
-singular_matrices = st.tuples(st.integers(1, 3), st.integers(1, 3),
-                              st.integers(1, 3)).flatmap(
-    lambda dims: st.tuples(
-        st.lists(st.lists(st.integers(-4, 4), min_size=dims[2],
-                          max_size=dims[2]),
-                 min_size=dims[0] + 1, max_size=dims[0] + 1),
-        st.lists(st.lists(st.integers(-4, 4), min_size=dims[1] + 1,
-                          max_size=dims[1] + 1),
-                 min_size=dims[2], max_size=dims[2]),
-    ).map(lambda xy: (exact(xy[0]) @ exact(xy[1])).tolist())
-)
+# Singular matrices: the product of an r x k and a k x c matrix with
+# k < min(r, c).
+singular_matrices = st.integers(2, 4).flatmap(
+    lambda r: st.integers(2, 4).flatmap(
+        lambda c: st.integers(1, min(r, c) - 1).flatmap(
+            lambda k: st.tuples(matrices(r, k, st.integers(-4, 4)),
+                                matrices(k, c, st.integers(-4, 4))))),
+).map(lambda xy: (exact(xy[0]) @ exact(xy[1])).tolist())
 
 
 def assert_smith_form(a, d, v):
