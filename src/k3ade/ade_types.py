@@ -21,9 +21,7 @@ from itertools import permutations
 from math import prod
 from typing import Iterable
 
-from .exact_linalg import rat_inverse
-from .fqf import (FiniteQuadraticForm, RatVector, TRIVIAL_FORM, direct_sum,
-                  make_form)
+from .fqf import FiniteQuadraticForm, TRIVIAL_FORM, direct_sum, make_form
 
 Component = tuple[str, int]
 IntMatrix = list[list[int]]
@@ -233,17 +231,9 @@ def cartan_gram(sigma: ADEType) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def component_inverse(comp: Component) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of the Cartan matrix of one component; its columns are
-    the dual basis vectors of the component lattice."""
-    inv = rat_inverse([list(row) for row in _component_gram(comp)])
-    return tuple(tuple(row) for row in inv)
-
-
-@lru_cache(maxsize=None)
 def _component_form(comp: Component) -> FiniteQuadraticForm:
     """Closed-form discriminant form of one component on its standard
-    generators (see _component_lifts)."""
+    generators (see _component_nodes)."""
     kind, n = _check_component(comp)
     half = Fraction(1, 2)
     if kind == "A":
@@ -261,21 +251,16 @@ def _component_form(comp: Component) -> FiniteQuadraticForm:
     return TRIVIAL_FORM
 
 
-@lru_cache(maxsize=None)
-def _component_lifts(comp: Component) -> tuple[tuple[Fraction, ...], ...]:
-    """Lifts of the standard generators of _component_form (columns of
-    the inverse Gram matrix): for A_l the dual of vertex l, for D_m the
-    duals of vertices 1 and m (only vertex 1 when m is odd, where it
-    already generates the cyclic group), for E_6 and E_7 the dual of the
-    last chain vertex, nothing for E_8.
+def _component_nodes(comp: Component) -> tuple[int, ...]:
+    """The vertices, numbered from 1, whose dual basis vectors lift the
+    standard generators of _component_form: l for A_l, 1 and m for D_m
+    (only 1 when m is odd, where it already generates the cyclic group),
+    the last chain vertex for E_6 and E_7, none for E_8.
     """
-    kind, n = _check_component(comp)
-    inv = component_inverse(comp)
+    kind, n = comp
     if kind == "D":
-        nodes = (1, n) if n % 2 == 0 else (1,)
-    else:
-        nodes = (n,) if kind == "A" or n < 8 else ()
-    return tuple(tuple(inv[i][j - 1] for i in range(n)) for j in nodes)
+        return (1, n) if n % 2 == 0 else (1,)
+    return (n,) if kind == "A" or n < 8 else ()
 
 
 def disc_order(sigma: ADEType) -> int:
@@ -289,25 +274,21 @@ def closed_form(sigma: ADEType) -> FiniteQuadraticForm:
     return direct_sum(*map(_component_form, sigma.components))
 
 
-def disc_form_closed(sigma: ADEType) -> tuple[FiniteQuadraticForm,
-                                              list[RatVector]]:
+def disc_form_closed(sigma: ADEType) -> tuple[FiniteQuadraticForm, IntMatrix]:
     """Discriminant form of the root lattice from the closed tables.
 
     Returns the form on the standard per-component generators plus the
-    generator lifts as rational vectors in the coordinates of
-    ``cartan_gram(sigma)``.  Agrees element-wise with
-    ``discriminant_form(cartan_gram(sigma))``.
+    generator lifts in the dual coordinates of ``cartan_gram(sigma)``
+    (see fqf): the lift of a generator is the unit vector of its vertex.
+    Agrees element-wise with ``discriminant_form(cartan_gram(sigma))``.
     """
-    total = sigma.rank
-    lifts: list[RatVector] = []
+    lifts = []
     base = 0
-    zero = Fraction(0)
     for comp in sigma.components:
-        n = comp[1]
-        for lift in _component_lifts(comp):
-            lifts.append([zero] * base + list(lift)
-                         + [zero] * (total - base - n))
-        base += n
+        for node in _component_nodes(comp):
+            lifts.append([int(k == base + node - 1)
+                          for k in range(sigma.rank)])
+        base += comp[1]
     return closed_form(sigma), lifts
 
 

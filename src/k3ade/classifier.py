@@ -66,11 +66,10 @@ fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm, prod
-from operator import add, getitem, mod
+from operator import add, getitem, mod, mul
 from typing import Iterable, Iterator, Optional
 
 from . import ade_types, genus, lattice_ops, local_invariants
@@ -78,8 +77,9 @@ from .ade_types import (ADEType, Component, _component_form,
                         _component_group, cartan_gram, closed_form,
                         disc_form_closed, disc_order, enumerate_candidates)
 from .exact_linalg import prime_factors, smith_normal_form
-from .fqf import (FiniteQuadraticForm, FqfElement, RatVector, element_order,
-                  eval_b, eval_q, group_order, span, subquotient)
+from .fqf import (FiniteQuadraticForm, FqfElement, discriminant_form,
+                  element_order, eval_b, eval_q, group_order, span,
+                  subquotient)
 from .genus import exists_even_lattice
 from .kernels import isotropic_list, orthogonal_mask
 from .lattice_ops import GramLattice, overlattice, root_type
@@ -214,7 +214,7 @@ def _scaled_minima(comp: Component, e: int) -> tuple[int, ...]:
         if num > 2 * den:
             scaled.append(2 * e + 1)
         elif num * e % den:
-            raise RuntimeError(f"coset minimum {Fraction(num, den)} of "
+            raise RuntimeError(f"coset minimum {num}/{den} of "
                                f"{comp} is not a multiple of 1/{e}")
         else:
             scaled.append(num * e // den)
@@ -381,9 +381,7 @@ def clear_caches() -> None:
     for memo in (_context, _scaled_minima, _component_pair_min,
                  _exists_cached, genus._local_data,
                  local_invariants.unimodular_set, ade_types._component_gram,
-                 ade_types.component_inverse, ade_types._component_form,
-                 ade_types._component_lifts,
-                 ade_types._component_group,
+                 ade_types._component_form, ade_types._component_group,
                  ade_types._allowed_replacements):
         memo.cache_clear()
     for table in (local_invariants._SET_CACHE, local_invariants._REC_CACHE,
@@ -416,9 +414,9 @@ def _invariant_factors(form: FiniteQuadraticForm, v: FqfElement,
     return factors
 
 
-def _glue_lift(lifts: list[RatVector], x: FqfElement) -> RatVector:
-    return [sum((c * row[j] for c, row in zip(x, lifts)), Fraction(0))
-            for j in range(len(lifts[0]))]
+def _glue_lift(lifts: list[list[int]], x: FqfElement) -> list[int]:
+    """The dual coordinates of the class x: x times the generator lifts."""
+    return [sum(map(mul, x, col)) for col in zip(*lifts)]
 
 
 def _prank_fails(ctx: _TypeContext, factors: FactorTuple) -> bool:
@@ -542,7 +540,7 @@ def slow_check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:
     expected = len(span(form, gens)) if gens else 1
     if index != expected:
         raise RuntimeError("overlattice index disagrees with the subgroup")
-    glued = lattice.disc_form()[0]
+    glued = discriminant_form(lattice.gram)[0]
     if not exists_even_lattice(2, 18 - sigma.rank, glued):
         return None
     if root_type(lattice) != sigma:

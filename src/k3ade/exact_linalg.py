@@ -1,12 +1,15 @@
 """Exact integer and rational linear algebra shared by all other modules.
 
-All matrices are dense lists of lists of Python ints (arbitrary precision).
-One fraction-free elimination, _scaled_inverse, gives the determinant and
-both inverses; rank is read off the Hermite normal form.  The Smith
-normal form returns D and the right transform V only; the left
-transform U lives only in the test oracle tests/smith_oracle.py.
-Fractions appear only in the output of rat_inverse.  No floating point
-anywhere.
+Matrices are dense lists of rows of Python ints (arbitrary precision);
+the rows may be tuples, since each function copies them with list().
+One fraction-free elimination, _scaled_inverse, gives the determinant,
+both inverses and the adjugate that lattice_ops.overlattice reads; rank
+is read off the Hermite normal form.  The Smith normal form returns D
+and the right transform V only; the left transform U lives only in the
+test oracle tests/smith_oracle.py.  Fractions appear only in the output
+of rat_inverse, which no package code reads: it stays because the
+benchmark names it as a per-layer metric, as it does
+kernels.orthogonal_filter.  No floating point anywhere.
 
 A square class of Z_p^x / (Z_p^x)^2 is a plain int, a residue mod 8: the
 unit itself mod 8 at p = 2, and 1 (squares) or 7 = -1 (non-squares) at
@@ -36,7 +39,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """
     r = len(a)
     c = len(a[0]) if r else 0
-    d = [row[:] for row in a]
+    d = [list(row) for row in a]
     v = mat_identity(c)
     t = 0
     # Rows and columns before t are zero off the diagonal, so every step
@@ -109,7 +112,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     """Row-style HNF: positive pivots, entries above a pivot reduced into
     [0, pivot); zero rows removed. The integer row span is preserved."""
-    rows = [row[:] for row in a]
+    rows = [list(row) for row in a]
     if not rows:
         return []
     ncols = len(rows[0])

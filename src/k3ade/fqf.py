@@ -5,7 +5,10 @@ q: D -> Q/2Z such that q(nx) = n^2 q(x) and such that
 b(x, y) = (q(x+y) - q(x) - q(y))/2 is a symmetric bilinear pairing with
 values in Q/Z.  The main source of such forms is the discriminant group
 D_L = L^vee / L of an even nondegenerate lattice L, where
-q(x) = (x', x') mod 2Z for any rational lift x' of x.
+q(x) = (x', x') mod 2Z for any lift x' in L^vee of x.  With G the Gram
+matrix of L, a lift is given by its dual coordinates z = G x', an
+integer vector: L^vee is then Z^n, L the row span of G, and
+(x', y') = z G^-1 z'.
 
 A form is stored as a presentation: independent generators gamma_i of
 order d_i (so D is the direct sum of the cyclic groups they span), the
@@ -17,8 +20,9 @@ tuples, canonical when reduced into 0 <= c_i < d_i.  A presentation is
 used as it comes: no function sorts its generators or puts it into a
 normal form, and the invariants computed from a form do not depend on
 the order of its generators.  Fractions appear
-only at the edge: the Fraction constructor, the qdiag/bmat views and
-eval_q/eval_b, which return q in [0, 2) and b in [0, 1).
+only at the edge: the Fraction constructor, make_form, the text format,
+the qdiag/bmat views and eval_q/eval_b, which return q in [0, 2) and b
+in [0, 1).
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .exact_linalg import (
 )
 
 FqfElement = tuple[int, ...]
-RatVector = list[Fraction]
 
 
 class FiniteQuadraticForm:
@@ -200,11 +203,11 @@ def make_form(orders: Sequence[int],
     )
 
 
-def discriminant_form(gram: IntMatrix) -> tuple[FiniteQuadraticForm, list[RatVector]]:
+def discriminant_form(gram: IntMatrix) -> tuple[FiniteQuadraticForm, IntMatrix]:
     """Discriminant form of an even nondegenerate lattice.
 
-    Returns the form on D = L^vee / L together with one rational lift per
-    generator, as coordinates in the basis of the given Gram matrix.  The
+    Returns the form on D = L^vee / L together with one lift per
+    generator in dual coordinates (see the module docstring).  The
     generator orders are the nontrivial invariant factors of D, obtained
     from the Smith normal form of the Gram matrix.
     """
@@ -220,15 +223,15 @@ def discriminant_form(gram: IntMatrix) -> tuple[FiniteQuadraticForm, list[RatVec
     d, v = smith_normal_form(gram)
     if any(d[i][i] == 0 for i in range(n)):
         raise ValueError("Gram matrix must be nondegenerate")
-    # The map x -> Ux identifies L^vee/L, written in the dual basis, with
-    # the standard quotient Z^n / diag(d) Z^n, so the generators are the
-    # columns of U^{-1}.  Since G^{-1} = V D^{-1} U, the lift of generator
-    # i is column i of V divided by d_i, and the values of the form are
+    # The map z -> Uz identifies L^vee/L, in dual coordinates, with the
+    # standard quotient Z^n / diag(d) Z^n, so the generators are the
+    # columns of U^{-1}.  Since G V = U^{-1} D, generator i is column i of
+    # G V divided by d_i, exactly, and the values of the form are
     # (V^T G V)_ij / (d_i d_j).
     cols = [i for i in range(n) if d[i][i] > 1]
     vcols = [[v[r][i] for r in range(n)] for i in cols]
     gv = [[sum(map(mul, row, c)) for row in gram] for c in vcols]
-    lifts = [[Fraction(x, d[i][i]) for x in c] for i, c in zip(cols, vcols)]
+    lifts = [[x // d[i][i] for x in c] for i, c in zip(cols, gv)]
     orders = tuple(d[i][i] for i in cols)
     e = lcm(*orders)
     qs = []
@@ -422,7 +425,7 @@ def subquotient(form: FiniteQuadraticForm,
     scale = [e // gcd(s[i][i], e) if i < len(gens) else 1 for i in range(n)]
     basis_a = [[c * v[j][i] for j in range(n)] for i, c in enumerate(scale)]
     vinv = int_inverse(v)
-    basis_b = hermite_normal_form([list(h) for h in gens] + _relation_rows(form))
+    basis_b = hermite_normal_form(gens + _relation_rows(form))
     rel = []
     for row in basis_b:
         coords = []

@@ -14,8 +14,8 @@ from operator import mul
 from typing import Sequence
 
 from .ade_types import ADEType, Component
-from .exact_linalg import hermite_normal_form, int_det, int_rank
-from .fqf import FiniteQuadraticForm, RatVector, discriminant_form
+from .exact_linalg import (_scaled_inverse, hermite_normal_form, int_det,
+                           int_rank)
 
 
 class GramLattice:
@@ -26,7 +26,7 @@ class GramLattice:
     need it.
     """
 
-    __slots__ = ("gram", "det", "_disc")
+    __slots__ = ("gram", "det")
 
     def __init__(self, gram: Sequence[Sequence[int]]):
         n = len(gram)
@@ -48,19 +48,13 @@ class GramLattice:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
         self.gram = tuple(rows)
-        self.det = int_det([list(r) for r in rows])
+        self.det = int_det(rows)
         if self.det == 0:
             raise ValueError("Gram matrix is degenerate")
-        self._disc = None
 
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    def disc_form(self) -> tuple[FiniteQuadraticForm, list[RatVector]]:
-        if self._disc is None:
-            self._disc = discriminant_form([list(r) for r in self.gram])
-        return self._disc
 
     def __eq__(self, other):
         return isinstance(other, GramLattice) and self.gram == other.gram
@@ -73,63 +67,55 @@ class GramLattice:
 
 
 def overlattice(lat: GramLattice,
-                lifts: Sequence[Sequence[Fraction]]) -> tuple[GramLattice, int]:
+                glue: Sequence[Sequence[int]]) -> tuple[GramLattice, int]:
     """Even overlattice generated by the lattice and dual glue vectors.
 
-    Each lift must lie in the dual lattice and the glue classes must be
-    totally isotropic for the discriminant form.  Returns the
-    overlattice on a new basis together with the index, which satisfies
-    det(L) = det(M) * index**2.  Evenness of the result is checked, as
-    it follows from isotropy.
+    Each glue vector y is given by its integer dual coordinates z = G y
+    (see fqf), and the glue classes must be totally isotropic for the
+    discriminant form.  Returns the overlattice on a new basis together
+    with the index, which satisfies det(L) = det(M) * index**2.
+    Evenness of the result is checked, as it follows from isotropy.
     """
     n = lat.rank
-    vecs = [[Fraction(x) for x in v] for v in lifts]
-    for v in vecs:
-        if len(v) != n:
+    for z in glue:
+        if len(z) != n:
             raise ValueError("lift has wrong length")
-    scale = lcm(1, *(x.denominator for v in vecs for x in v))
-    ivecs = [[int(x * scale) for x in v] for v in vecs]
-    paired = [[sum(u[i] * lat.gram[i][j] * v[j]
-                   for i in range(n) for j in range(n))
-               for v in ivecs] for u in ivecs]
-    for v in ivecs:
-        for i in range(n):
-            if sum(lat.gram[i][j] * v[j] for j in range(n)) % scale != 0:
-                raise ValueError("lift outside the dual lattice")
-    for i in range(len(ivecs)):
-        if paired[i][i] % (2 * scale * scale) != 0:
+        if any(x % 1 for x in z):
+            raise ValueError("dual coordinates must be integers")
+    # With d = det(G), d y = adj(G) z and (y, y') = z adj(G) z' / d.
+    adj, d = _scaled_inverse(lat.gram)
+    scaled = [[sum(map(mul, row, z)) for row in adj] for z in glue]
+    for i, y in enumerate(scaled):
+        if sum(map(mul, glue[i], y)) % (2 * d):
             raise ValueError("glue class is not isotropic")
-        for j in range(i + 1, len(ivecs)):
-            if paired[i][j] % (scale * scale) != 0:
+        for z in glue[i + 1:]:
+            if sum(map(mul, z, y)) % d:
                 raise ValueError("glue classes do not pair to zero")
 
-    rows = [[scale * (i == j) for j in range(n)] for i in range(n)]
-    rows += ivecs
-    hnf = hermite_normal_form(rows)
+    # The Hermite basis of |d| M in lattice coordinates; its Gram matrix
+    # is d^2 times that of M.
+    rows = [[abs(d) * (i == j) for j in range(n)] for i in range(n)]
+    hnf = hermite_normal_form(rows + scaled)
     if len(hnf) != n:
         raise RuntimeError("overlattice basis must have full rank")
-
-    half = [[sum(hnf[i][k] * lat.gram[k][j] for k in range(n))
-             for j in range(n)] for i in range(n)]
-    sq = scale * scale
+    half = [[sum(map(mul, h, row)) for row in lat.gram] for h in hnf]
     new_gram = []
-    for i in range(n):
+    for a in half:
         row = []
-        for j in range(n):
-            g = sum(half[i][k] * hnf[j][k] for k in range(n))
-            if g % sq != 0:
+        for h in hnf:
+            g, r = divmod(sum(map(mul, a, h)), d * d)
+            if r:
                 raise RuntimeError("overlattice pairing must be integral")
-            row.append(g // sq)
+            row.append(g)
         new_gram.append(row)
-    for i in range(n):
-        if new_gram[i][i] % 2 != 0:
-            raise RuntimeError("overlattice must be even")
+    if any(new_gram[i][i] % 2 for i in range(n)):
+        raise RuntimeError("overlattice must be even")
 
     over = GramLattice(new_gram)
-    ratio = Fraction(lat.det, over.det)
-    if ratio.denominator != 1 or ratio <= 0:
+    ratio, r = divmod(d, over.det)
+    if r or ratio <= 0:
         raise RuntimeError("det ratio must be a positive integer")
-    index = isqrt(int(ratio))
+    index = isqrt(ratio)
     if index * index != ratio:
         raise RuntimeError("index must square to det ratio")
     return over, index
@@ -275,7 +261,7 @@ def _connected_root_type(lat: GramLattice) -> ADEType:
     comps: list[Component] = []
     for block in _gram_blocks(_pairwise_gram(lat, reps)):
         vectors = [reps[i] for i in block]
-        r = int_rank([list(v) for v in vectors])
+        r = int_rank(vectors)
         count = 2 * len(vectors)
         if count == r * (r + 1):
             comps.append(("A", r))

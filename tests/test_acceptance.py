@@ -16,6 +16,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 
@@ -35,7 +36,7 @@ from k3ade.classifier import (
     classify_type,
     verify_reference,
 )
-from k3ade.exact_linalg import int_det, prime_factors
+from k3ade.exact_linalg import int_det, prime_factors, rat_inverse
 from k3ade.fqf import (
     discriminant_form,
     elements,
@@ -216,21 +217,22 @@ def _unit(n, i):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _match_generators(closed_lifts, snf, snf_lifts):
+def _match_generators(gram, closed_lifts, snf, snf_lifts):
     """Map each tabulated generator to its class in the computed form.
 
-    Two dual vectors represent the same class exactly when their
-    difference is integral, so the coefficient scan below is exact.
+    The lifts are dual coordinates z of the dual vectors G^-1 z.  Two
+    dual vectors represent the same class exactly when their difference
+    is integral, so the coefficient scan below is exact.
     """
-    dim = len(snf_lifts[0]) if snf_lifts else 0
+    ginv = rat_inverse(gram)
     images = []
     for lift in closed_lifts:
         image = None
         for coeffs in product(*(range(o) for o in snf.orders)):
-            diff = [lift[k] - sum(c * snf_lifts[j][k]
-                                  for j, c in enumerate(coeffs))
-                    for k in range(dim)]
-            if all(d.denominator == 1 for d in diff):
+            diff = [x - sum(c * z[k] for c, z in zip(coeffs, snf_lifts))
+                    for k, x in enumerate(lift)]
+            if all(sum(map(mul, row, diff)).denominator == 1
+                   for row in ginv):
                 image = coeffs
                 break
         assert image is not None
@@ -248,7 +250,8 @@ def test_criterion_09b_component_discriminant_forms():
         closed, closed_lifts = disc_form_closed(sigma)
         snf, snf_lifts = discriminant_form(cartan_gram(sigma))
         assert group_order(closed) == group_order(snf)
-        images = _match_generators(closed_lifts, snf, snf_lifts)
+        images = _match_generators(cartan_gram(sigma), closed_lifts, snf,
+                                   snf_lifts)
         m = len(snf.orders)
         seen = set()
         for e in elements(closed):
@@ -393,6 +396,7 @@ def test_criterion_09e_degenerate_rejections():
     assert triples
 
     def lift(x):
+        # The dual coordinates of the class x.
         return [sum(x[i] * lifts[i][j] for i in range(12)) for j in range(12)]
 
     for gens in triples:

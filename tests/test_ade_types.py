@@ -6,6 +6,7 @@ from fractions import Fraction
 from importlib.resources import files
 from itertools import permutations
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from k3ade.ade_types import (ADEType, EMPTY_TYPE, RULESETS, _component_group,
                              cartan_gram, closure, disc_form_closed,
                              enumerate_candidates, parse_type,
                              restricted_children)
-from k3ade.exact_linalg import int_det
+from k3ade.exact_linalg import int_det, rat_inverse
 from k3ade.fqf import (TRIVIAL_FORM, discriminant_form, elements, eval_b,
                        eval_q, group_order)
 from symmetry_oracle import ALL_COMPONENTS, generated_group, pieces
@@ -225,24 +226,24 @@ class TestDiscFormClosed:
         form, lifts = disc_form_closed(t)
         gram = cartan_gram(t)
         n = t.rank
-        if n:
-            assert group_order(form) == abs(int_det(gram))
+        assert group_order(form) == abs(int_det(gram))
+        assert all(type(x) is int for z in lifts for x in z)
+        # The lift with dual coordinates z is the dual vector y = G^-1 z,
+        # and (y, y') = y G y' = z y'.
+        ys = [[sum(map(mul, row, z)) for row in rat_inverse(gram)]
+              for z in lifts]
 
-        def pair(u, v):
-            return sum(u[a] * gram[a][b] * v[b]
-                       for a in range(n) for b in range(n))
-
-        for i, u in enumerate(lifts):
-            assert pair(u, u) % 2 == form.qdiag[i]
+        for i, (z, u) in enumerate(zip(lifts, ys)):
+            assert sum(map(mul, z, u)) % 2 == form.qdiag[i]
             assert lcm(*(x.denominator for x in u)) == form.orders[i]
-            for j, v in enumerate(lifts):
-                assert pair(u, v) % 1 == form.bmat[i][j]
+            for j, v in enumerate(ys):
+                assert sum(map(mul, z, v)) % 1 == form.bmat[i][j]
 
         # The lifts generate the full discriminant group: distinct
         # classes mod Z^n are counted by fractional-part vectors.
         classes = set()
         for e in elements(form):
-            vec = [sum(c * u[a] for c, u in zip(e, lifts)) % 1
+            vec = [sum(c * u[a] for c, u in zip(e, ys)) % 1
                    for a in range(n)]
             classes.add(tuple(vec))
         assert len(classes) == group_order(form)

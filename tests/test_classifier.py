@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 import numpy as np
 import pytest
@@ -16,17 +17,17 @@ from hypothesis import given, settings, strategies as st
 
 from k3ade import ade_types, classifier, lattice_ops, refdata
 from k3ade.ade_types import (ADEType, _component_form, cartan_gram,
-                             component_inverse, disc_form_closed,
-                             enumerate_candidates, parse_type)
+                             disc_form_closed, enumerate_candidates,
+                             parse_type)
 from k3ade.classifier import (ClassEntry, GluePair, _candidates,
                               _component_pair_min, _context,
                               _invariant_factors, _pair_stream,
                               _scaled_minima, check_pair, classify_all,
                               classify_type, glue_candidates,
                               slow_check_pair, verify_reference)
-from k3ade.exact_linalg import prime_factors
-from k3ade.fqf import (element_order, elements, eval_b, eval_q, group_order,
-                       p_part, span, subquotient)
+from k3ade.exact_linalg import prime_factors, rat_inverse
+from k3ade.fqf import (discriminant_form, element_order, elements, eval_b,
+                       eval_q, group_order, p_part, span, subquotient)
 from k3ade.genus import exists_even_lattice
 from k3ade.kernels import isotropic_list, orthogonal_filter
 from k3ade.lattice_ops import (GramLattice, overlattice, root_type,
@@ -101,21 +102,22 @@ def _dual_classes(comp):
     with the discriminant class of each dual basis vector of the
     component lattice."""
     form, lifts = disc_form_closed(ADEType((comp,)))
-    ginv = component_inverse(comp)
+    ginv = rat_inverse(cartan_gram(ADEType((comp,))))
     e = form.exp
     n = len(ginv)
-    # The exponent e kills L^vee / L, so e times a dual vector is an
-    # integer vector, and two dual vectors lie in the same class exactly
-    # when these agree modulo e.
+    # The lifts are dual coordinates z, each of the dual vector G^-1 z.
+    # The exponent e kills L^vee / L, so e G^-1 is an integer matrix, and
+    # two dual vectors lie in the same class exactly when e times them
+    # agree modulo e.
     scaled = [[x * e for x in row] for row in ginv]
     assert all(x.denominator == 1 for row in scaled for x in row)
-    scaled_lifts = [[int(x * e) for x in lift] for lift in lifts]
     class_of = {}
     for c in product(*(range(d) for d in form.orders)):
-        key = tuple(sum(ck * lift[i] for ck, lift in zip(c, scaled_lifts))
-                    % e for i in range(n))
-        class_of[key] = c
-    classes = [class_of[tuple(int(scaled[i][j]) % e for i in range(n))]
+        z = [sum(ck * lift[i] for ck, lift in zip(c, lifts))
+             for i in range(n)]
+        class_of[tuple(sum(map(mul, row, z)) % e for row in scaled)] = c
+    # Dual basis vector j is G^-1 e_j, column j of G^-1.
+    classes = [class_of[tuple(row[j] % e for row in scaled)]
                for j in range(n)]
     return form, ginv, tuple(classes)
 
@@ -253,11 +255,12 @@ class TestDualClasses:
                              ids=lambda c: f"{c[0]}{c[1]}")
     def test_match_lifts(self, comp):
         # Dual basis vector j lies in class c exactly when it differs
-        # from sum_k c_k lift_k by an integer vector.
+        # from sum_k c_k lift_k by a lattice vector.  In dual coordinates
+        # it is the unit vector e_j, and a vector z lies in the lattice
+        # exactly when G^-1 z is integral.
         form, lifts = disc_form_closed(ADEType((comp,)))
         ginv, classes = _dual_classes(comp)[1:]
         n = comp[1]
-        assert ginv == component_inverse(comp)
         gram = cartan_gram(ADEType((comp,)))
         assert [[sum(ginv[i][k] * gram[k][j] for k in range(n))
                  for j in range(n)] for i in range(n)] == [
@@ -266,10 +269,11 @@ class TestDualClasses:
         for j, c in enumerate(classes):
             assert all(0 <= ck < d for ck, d in zip(c, form.orders))
             assert len(c) == len(form.orders)
-            for i in range(n):
-                diff = ginv[i][j] - sum(
-                    (ck * lift[i] for ck, lift in zip(c, lifts)), Fraction(0))
-                assert diff.denominator == 1
+            diff = [int(i == j) - sum(ck * lift[i]
+                                      for ck, lift in zip(c, lifts))
+                    for i in range(n)]
+            assert all(sum(map(mul, row, diff)).denominator == 1
+                       for row in ginv)
 
 
 class TestThetaClosedForms:
@@ -856,14 +860,13 @@ class TestClearCaches:
         assert ade_types._component_form.cache_info().currsize == 0
 
     @pytest.mark.parametrize("text", ["2A3", "E7+D5+A3", "2D4+E6+A1"])
-    def test_cold_fast_path_builds_no_lift(self, text):
-        # The type context reads the closed forms only: no Fraction
-        # inverse of a Cartan matrix and no generator lift is made.
+    def test_cold_fast_path_builds_no_lift(self, monkeypatch, text):
+        # The type context reads the closed forms only: no generator
+        # lift is made.
+        monkeypatch.setattr(ade_types, "_component_nodes", _refuse)
         classifier.clear_caches()
         try:
             classify_type(T(text))
-            assert ade_types.component_inverse.cache_info().currsize == 0
-            assert ade_types._component_lifts.cache_info().currsize == 0
         finally:
             classifier.clear_caches()
 
@@ -921,12 +924,13 @@ class TestGluedFormRoutes:
             fast = subquotient(form, gens)
 
             def lift(x):
-                return [sum((x[i] * lifts[i][j] for i in range(len(x))),
-                            Fraction(0)) for j in range(sigma.rank)]
+                # The dual coordinates of the class x.
+                return [sum(c * z[j] for c, z in zip(x, lifts))
+                        for j in range(sigma.rank)]
 
             over, index = overlattice(GramLattice(cartan_gram(sigma)),
                                       [lift(g) for g in gens])
-            slow = over.disc_form()[0]
+            slow = discriminant_form(over.gram)[0]
             assert index == len(span(form, gens))
             assert group_order(fast) == group_order(slow)
             assert group_order(fast) * index ** 2 == group_order(form)

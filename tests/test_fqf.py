@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 from functools import reduce
 from math import gcd, lcm, prod
+from operator import mul
 
 import numpy as np
 import pytest
@@ -78,7 +79,8 @@ class TestDiscriminantForm:
         assert form.orders == (2,)
         assert form.qdiag == (F(1, 2),)
         assert form.bmat == ((F(1, 2),),)
-        assert lifts == [[F(1, 2)]]
+        # The lift y = 1/2 of the generator in dual coordinates z = G y.
+        assert lifts == [[1]]
 
     def test_hyperbolic_plane_is_trivial(self):
         form, lifts = discriminant_form(U)
@@ -125,8 +127,20 @@ class TestDiscriminantForm:
             discriminant_form([[2, 1], [0, 2]])
 
     def test_lift_orders(self):
+        # The lift of the order-6 generator is an integer vector z, and
+        # 6 y is integral for the dual vector y = G^-1 z.
         form, lifts = discriminant_form(A5)
-        assert all((6 * c).denominator == 1 for c in lifts[0])
+        assert all(type(c) is int for c in lifts[0])
+        y = [sum(map(mul, row, lifts[0])) for row in rat_inverse(A5)]
+        assert all((6 * c).denominator == 1 for c in y)
+        assert not all((3 * c).denominator == 1 for c in y)
+
+    def test_tuple_rows(self):
+        # A Gram matrix with tuple rows, as GramLattice.gram holds it,
+        # gives the same form and lifts as one with list rows.
+        for gram in (A2, A5, D4, U):
+            assert discriminant_form(tuple(map(tuple, gram))) == \
+                discriminant_form(gram)
 
     @given(even_grams())
     @settings(max_examples=100, deadline=None)
@@ -157,26 +171,27 @@ class TestDiscriminantForm:
 
 def reference_discriminant_form(gram):
     """The discriminant form by the rational-inverse route: the
-    generators are the columns of U^{-1} in the dual basis (U from the
-    Smith form U G V = D) and their lifts are G^{-1} times them."""
+    generators are the columns z of U^{-1} in dual coordinates (U from
+    the Smith form U G V = D), with the rational lifts y = G^{-1} z, and
+    b(z, z') = z y'."""
     n = len(gram)
     ginv = rat_inverse(gram)
     u, d, _ = smith_with_u(gram)
     uinv = int_inverse(u)
     cols = [i for i in range(n) if d[i][i] > 1]
     coords = [[uinv[r][i] for r in range(n)] for i in cols]
-    lifts = [[sum(ginv[r][k] * c[k] for k in range(n)) for r in range(n)]
-             for c in coords]
+    ys = [[sum(ginv[r][k] * c[k] for k in range(n)) for r in range(n)]
+          for c in coords]
 
     def pair(i, j):
-        return sum(F(x) * y for x, y in zip(coords[i], lifts[j]))
+        return sum(F(x) * y for x, y in zip(coords[i], ys[j]))
 
     m = len(cols)
     form = FiniteQuadraticForm(
         tuple(d[i][i] for i in cols),
         tuple(pair(i, i) % 2 for i in range(m)),
         tuple(tuple(pair(i, j) % 1 for j in range(m)) for i in range(m)))
-    return form, lifts
+    return form, coords
 
 
 def random_even_gram(rng, kind, n):

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from k3ade.ade_types import cartan_gram, disc_form_closed, parse_type
 from k3ade.exact_linalg import rat_inverse
-from k3ade.fqf import elements, eval_b, eval_q, group_order, subquotient
+from k3ade.fqf import (discriminant_form, elements, eval_b, eval_q,
+                       group_order, subquotient)
 from k3ade.lattice_ops import (GramLattice, overlattice, root_type,
                                short_vectors)
 
@@ -75,14 +76,16 @@ class TestOverlattice:
 
     def test_4a1_halves(self):
         L = GramLattice(n_copies(2, 4))
-        M, index = overlattice(L, [[HALF] * 4])
+        # The half-sum (1/2, ..., 1/2), in the dual coordinates z = G y
+        # that overlattice takes.
+        M, index = overlattice(L, [[1] * 4])
         assert index == 2
         assert M.det == 4
         assert root_type(M) == parse_type("D4")
 
     def test_8a1_halves(self):
         L = GramLattice(n_copies(2, 8))
-        M, index = overlattice(L, [[HALF] * 8])
+        M, index = overlattice(L, [[1] * 8])
         assert index == 2
         assert M.det == 64
         assert root_type(M) == parse_type("8A1")
@@ -105,15 +108,18 @@ class TestOverlattice:
         assert root_type(M) == parse_type("D8")
 
     def test_integral_lift_is_noop(self):
+        # The lattice vectors (1, 2) and (0, 1) of A2, as G (1, 2) and
+        # G (0, 1).
         L = lat("A2")
-        M, index = overlattice(L, [[1, 2], [0, 1]])
+        M, index = overlattice(L, [[4, 5], [1, 2]])
         assert index == 1 and M == L
 
     @pytest.mark.parametrize("gram,lift,message", [
-        (n_copies(2, 4), [HALF, 0, 0, 0], "not isotropic"),
-        ([[2]], [Fraction(1, 3)], "outside the dual"),
-        (cartan_gram(parse_type("A2")), [Fraction(-1, 3), Fraction(2, 3)],
-         "not isotropic"),
+        (n_copies(2, 4), [1, 0, 0, 0], "not isotropic"),
+        # A rational lift, in place of the integer dual coordinates.
+        ([[2]], [HALF], "must be integers"),
+        # The dual basis vector of node 2, with q = 2/3.
+        (cartan_gram(parse_type("A2")), [0, 1], "not isotropic"),
         (cartan_gram(parse_type("D4")), None, "not isotropic"),
     ])
     def test_rejects(self, gram, lift, message):
@@ -126,8 +132,8 @@ class TestOverlattice:
         # In D(8A1) two weight-4 classes are each isotropic, but with
         # overlap 1 they pair to 1/2.
         L = GramLattice(n_copies(2, 8))
-        u = [HALF] * 4 + [0] * 4
-        v = [0] * 3 + [HALF] * 4 + [0]
+        u = [1] * 4 + [0] * 4
+        v = [0] * 3 + [1] * 4 + [0]
         with pytest.raises(ValueError, match="pair to zero"):
             overlattice(L, [u, v])
 
@@ -140,7 +146,7 @@ class TestOverlattice:
         """The overlattice discriminant form is the glue subquotient."""
         t = parse_type(text)
         L = GramLattice(cartan_gram(t))
-        form, lifts = L.disc_form()
+        form, lifts = discriminant_form(L.gram)
         if glue_indices is None:
             glue_elt = tuple(1 for _ in form.orders)
             glue_vec = [sum(lift[i] for lift in lifts)
@@ -151,7 +157,7 @@ class TestOverlattice:
             glue_vec = [sum(lifts[i][j] for i in glue_indices)
                         for j in range(L.rank)]
         M, index = overlattice(L, [glue_vec])
-        got, _ = M.disc_form()
+        got, _ = discriminant_form(M.gram)
         want = subquotient(form, [glue_elt])
         assert group_order(got) == group_order(want)
         assert sorted(eval_q(got, e) for e in elements(got)) == \
@@ -210,7 +216,7 @@ class TestShortVectors:
             [list(r) for r in L.gram])
 
     def test_box_oracle_on_overlattice(self):
-        M, _ = overlattice(GramLattice(n_copies(2, 4)), [[HALF] * 4])
+        M, _ = overlattice(GramLattice(n_copies(2, 4)), [[1] * 4])
         assert short_vectors(M, both_signs=True) == box_roots(
             [list(r) for r in M.gram])
 

@@ -140,6 +140,25 @@ def test_genus_path_stays_on_integers():
     assert found == []
 
 
+def test_oracle_lifts_stay_on_integers():
+    # The oracle's glue lifts are integer dual coordinates, so the
+    # classifier, the overlattice and the closed lifts need no Fraction.
+    def parse(name):
+        return ast.parse((SOURCE / name).read_text(), filename=name)
+
+    def body(name, fn):
+        return next(node for node in ast.walk(parse(name))
+                    if isinstance(node, ast.FunctionDef) and node.name == fn)
+
+    checked = {"classifier.py": parse("classifier.py"),
+               "lattice_ops.overlattice": body("lattice_ops.py",
+                                               "overlattice"),
+               "ade_types.disc_form_closed": body("ade_types.py",
+                                                  "disc_form_closed")}
+    assert [where for where, node in checked.items()
+            if "Fraction" in _identifiers(node)] == []
+
+
 def _identifiers(node):
     """Every name a syntax tree reads or binds: names, attributes and
     imported names."""
