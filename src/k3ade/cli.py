@@ -134,10 +134,13 @@ def cmd_exists_lattice(args) -> int:
             form = parse_form(fh.read())
         if not is_nondegenerate(form):
             raise ValueError("the form is degenerate")
+        # The decision factors the group order, which raises ValueError
+        # past the range where that is exact.
+        exists = exists_even_lattice(r, s, form)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0 if exists_even_lattice(r, s, form) else 1
+    return 0 if exists else 1
 
 
 def _load_seed_file(path: str) -> list[ADEType]:

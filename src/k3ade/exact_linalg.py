@@ -20,6 +20,7 @@ its own inverse, since every odd square is 1 mod 8.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 IntMatrix = list[list[int]]
 
@@ -151,21 +152,108 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     return [row for row in rows[:pr]]
 
 
+#: Trial division runs over 2 and the odd d <= _TRIAL_BOUND; a cofactor
+#: below _TRIAL_BOUND**2 with no such factor is prime.  Every order the
+#: classifier meets has all its primes below the bound.
+_TRIAL_BOUND = 1000
+_TRIAL_DIVISORS = (2, *range(3, _TRIAL_BOUND + 1, 2))
+
+#: Miller-Rabin with the first 13 primes as bases is exact below this
+#: bound, the least strong pseudoprime to all of them (Sorenson and
+#: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86
+#: (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n, ascending, by trial division up to
-    the square root of what is left; [] for n in {-1, 0, 1}."""
+    """The distinct primes dividing n, ascending; [] for n in {-1, 0, 1}.
+
+    Trial division by 2 and the odd d <= _TRIAL_BOUND, stopping once
+    d * d exceeds what is left.  A cofactor of at least _TRIAL_BOUND**2
+    left over has only primes above the bound: it is tested by
+    Miller-Rabin and split by Pollard's rho (Brent's variant).  For
+    cofactors below _MR_LIMIT (about 3.3e24) the test is exact and a
+    split takes about sqrt(p) steps for the least prime p of the
+    cofactor, so at most about n**(1/4), a second or so; a larger
+    cofactor raises ValueError rather than guess or run for hours.
+    """
     n = abs(n)
     out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
+    for d in _TRIAL_DIVISORS:
+        if d * d > n:
+            break
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+    if n >= _TRIAL_BOUND * _TRIAL_BOUND:
+        if n >= _MR_LIMIT:
+            raise ValueError(f"cannot factor {n} exactly: it has no "
+                             f"prime factor below {_TRIAL_BOUND} and is "
+                             f"not below {_MR_LIMIT}")
+        return out + sorted(_large_prime_factors(n))
     if n > 1:
         out.append(n)
     return out
+
+
+def _large_prime_factors(n: int) -> set[int]:
+    """The distinct primes of n > 1, which has no prime below
+    _TRIAL_BOUND."""
+    if _is_prime(n):
+        return {n}
+    d = _rho_divisor(n)
+    return _large_prime_factors(d) | _large_prime_factors(n // d)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES, exact for odd n > 41 below _MR_LIMIT."""
+    d, k = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        k += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(k - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's variant of
+    Pollard's rho: x -> x^2 + c mod n, the gcd taken over batches of 128
+    products, with the next c after a cycle that gives no divisor."""
+    for c in range(1, n):
+        y, m, g, r, q = 2, 128, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            # The batch overshot: step back to the first single gcd > 1.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise RuntimeError(f"no divisor of {n} found")
 
 
 def legendre_symbol(u: int, p: int) -> int:

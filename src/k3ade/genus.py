@@ -7,17 +7,21 @@ of q with reduced discriminant matching the unit part of d, and the
 excesses can be chosen to satisfy the global relation
 r - s + sum_p excess_p = n mod 8.  No witness lattice is ever built.
 
-The decision is split in two.  Per form, once: for each such prime p, the
-square classes of +-delta_p (delta_p the unit part of |D| at p), the least
-number l_p of generators of q_p and the invariant pairs of rank-l_p
-lattices with form q_p, by reduced discriminant.  None of this depends on
-(r, s).  Per question: a rank-n lattice is a rank-l_p one plus a
-unimodular complement of rank n - l_p, whose invariant pairs take at most
-two values (e_u, u_u), so the excesses matching the wanted class
-want = (-1)^s delta_p are the e + e_u mod 8 over the rank-l_p pairs with
-reduced discriminant want * u_u mod 8.  Square classes are the residues
-mod 8 of exact_linalg, each its own inverse, so that product is the class
-the rank-l_p part must have.
+Every set of excesses here is a subset of Z/8, held as an 8-bit mask
+with bit e set when excess e can occur.  The decision is split in two.
+Per form, once: for each such prime p, the square classes of +-delta_p
+(delta_p the unit part of |D| at p), the least number l_p of generators
+of q_p and, per reduced discriminant, the mask of the excesses of rank-l_p
+lattices with form q_p.  None of this depends on (r, s).  Per question: a
+rank-n lattice is a rank-l_p one plus a unimodular complement of rank
+n - l_p, whose invariant pairs take at most two values (e_u, u_u), so the
+mask of the excesses matching the wanted class want = (-1)^s delta_p is
+the OR over those pairs of the rank-l_p mask for reduced discriminant
+want * u_u mod 8, rotated by e_u.  Square classes are the residues mod 8
+of exact_linalg, each its own inverse, so that product is the class the
+rank-l_p part must have.  The possible sums of one excess per prime are
+the cyclic convolution of the primes' masks, and the answer is its bit
+n - r + s mod 8.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from .exact_linalg import prime_factors, square_class
 from .fqf import FiniteQuadraticForm, group_order, p_part
 from .local_invariants import minimal_rank_set, unimodular_set
 
-#: Per prime p | 2|D|: (p, classes of +-delta_p, l_p, {reddisc: excesses}),
-#: every square class a residue mod 8.
-LocalData = tuple[tuple[int, tuple[int, int], int,
-                        dict[int, frozenset[int]]], ...]
+#: Per prime p | 2|D|: (p, classes of +-delta_p, l_p, {reddisc: mask}),
+#: every square class a residue mod 8 and every mask an 8-bit set of
+#: excesses.
+LocalData = tuple[tuple[int, tuple[int, int], int, dict[int, int]], ...]
 
 
 def exists_even_lattice(r: int, s: int, q: FiniteQuadraticForm) -> bool:
@@ -46,19 +50,37 @@ def exists_even_lattice(r: int, s: int, q: FiniteQuadraticForm) -> bool:
     n = r + s
     if n == 0:
         raise ValueError("rank must be positive")
-    sigmas = []
-    for p, wants, l, by_disc in _local_data(q):
+    # sums: bit t set when the excesses of the primes so far can add up to
+    # t mod 8; the empty sum is 0.
+    sums = 1
+    for p, wants, l, masks in _local_data(q):
         if n < l:
             return False
         want = wants[s % 2]
-        choices = set()
+        choices = 0
         for e_u, u_u in unimodular_set(p, n - l):
-            choices.update(
-                (e + e_u) % 8 for e in by_disc.get(want * u_u % 8, ()))
+            mask = masks.get(want * u_u % 8, 0)
+            choices |= (mask << e_u | mask >> (8 - e_u)) & 0xFF
         if not choices:
             return False
-        sigmas.append(choices)
-    return _sum_hits(sigmas, (n - r + s) % 8)
+        sums = _convolve8(sums, choices)
+    return bool(sums >> (n - r + s) % 8 & 1)
+
+
+def _convolve8(a: int, b: int) -> int:
+    """Cyclic convolution of two 8-bit masks: the mask of the sums
+    (x + y) mod 8 with bit x set in a and bit y set in b.
+
+    One rotation of a per set bit low = 2^y of b: with a written twice
+    over 16 bits, a rotation by y is a shift left by y and right by 8.
+    """
+    doubled = a * 0x101
+    out = 0
+    while b:
+        low = b & -b
+        out |= doubled * low >> 8
+        b ^= low
+    return out & 0xFF
 
 
 @lru_cache(maxsize=None)
@@ -71,16 +93,9 @@ def _local_data(q: FiniteQuadraticForm) -> LocalData:
         while delta % p == 0:
             delta //= p
         l, base = minimal_rank_set(p, p_part(q, p))
-        by_disc: dict[int, set[int]] = {}
+        masks: dict[int, int] = {}
         for e, u in base:
-            by_disc.setdefault(u, set()).add(e)
+            masks[u] = masks.get(u, 0) | 1 << e
         data.append((p, (square_class(delta, p), square_class(-delta, p)), l,
-                     {u: frozenset(es) for u, es in by_disc.items()}))
+                     masks))
     return tuple(data)
-
-
-def _sum_hits(choice_sets: list[set[int]], target: int) -> bool:
-    sums = {0}
-    for choices in choice_sets:
-        sums = {(a + c) % 8 for a in sums for c in choices}
-    return target in sums

@@ -14,7 +14,7 @@ from k3ade import refdata
 from k3ade.ade_types import disc_form_closed, parse_type
 from k3ade.classifier import ClassEntry
 from k3ade.cli import main
-from k3ade.fqf import TRIVIAL_FORM, dump_form
+from k3ade.fqf import TRIVIAL_FORM, discriminant_form, dump_form
 
 
 def run_cli(capsys, argv):
@@ -356,13 +356,13 @@ class TestVerify:
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def run_checkout(*args):
+def run_checkout(*args, timeout=120):
     """Run a child interpreter that imports k3ade from the checkout under
     test, so that no installed copy can shadow it."""
     src = Path(k3ade.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=timeout)
 
 
 def run_console_script(*argv):
@@ -396,3 +396,34 @@ class TestConsoleScript:
         proc = run_console_script()
         assert proc.returncode == 2
         assert "the following arguments are required" in proc.stderr
+
+
+class TestLargePrimeOrders:
+    """exists-lattice on the rank-1 lattices <2m>: each is its own
+    witness, so the answer is yes, and factoring m must not take time
+    that grows like a root of m."""
+
+    P, Q = 10 ** 9 + 7, 998244353
+
+    def run_rank_one(self, tmp_path, m):
+        path = tmp_path / "form.txt"
+        path.write_text(dump_form(discriminant_form([[2 * m]])[0]))
+        return run_checkout("-m", "k3ade.cli", "exists-lattice",
+                            "--signature", "1,0", "--form", str(path),
+                            timeout=30)
+
+    def test_one_large_prime(self, tmp_path):
+        proc = self.run_rank_one(tmp_path, self.P)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_two_large_primes(self, tmp_path):
+        proc = self.run_rank_one(tmp_path, self.P * self.Q)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_past_the_exact_range_exits_2(self, tmp_path):
+        # 2^89 - 1 is prime, beyond the range where its primality can be
+        # decided exactly: bad input, not a guess.
+        proc = self.run_rank_one(tmp_path, 2 ** 89 - 1)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot factor")
+        assert "Traceback" not in proc.stderr

@@ -15,6 +15,7 @@ from k3ade.exact_linalg import (
     int_rank,
     legendre_symbol,
     mat_identity,
+    prime_factors,
     rat_inverse,
     smith_normal_form,
     square_class,
@@ -212,6 +213,77 @@ class TestLegendreSymbol:
             for u in range(1, p):
                 want = 1 if u in squares else -1
                 assert legendre_symbol(u, p) == want
+
+
+def trial_division(n):
+    """The distinct primes of n by trial division up to the square root
+    of what is left: the reference for prime_factors."""
+    n = abs(n)
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def primes_from(start, count):
+    """The first count primes at or above start, by trial division."""
+    out = []
+    n = start
+    while len(out) < count:
+        if n > 1 and trial_division(n) == [n]:
+            out.append(n)
+        n += 1
+    return out
+
+
+class TestPrimeFactors:
+    def test_matches_trial_division_below_1e5(self):
+        for n in range(-10, 10 ** 5):
+            assert prime_factors(n) == trial_division(n), n
+
+    def test_products_of_two_primes_near_1e9(self):
+        below = primes_from(10 ** 9 - 200, 4)
+        above = primes_from(10 ** 9, 4)
+        for p in below + above:
+            for q in above:
+                want = sorted({p, q})
+                assert prime_factors(p * q) == want
+                assert prime_factors(-2 * 3 * p * q) == [2, 3] + want
+
+    def test_prime_powers_above_the_trial_bound(self):
+        p, q = primes_from(1009, 2)
+        assert prime_factors(p ** 8) == [p]
+        assert prime_factors(p ** 3 * q ** 2 * 2 ** 40) == [2, p, q]
+
+    @pytest.mark.parametrize("n,want", [
+        # The least strong pseudoprimes to the first 3, 6, 8, 11 and 12
+        # prime bases, every prime factor above the trial bound; a wrong
+        # Miller-Rabin answer would return n itself.
+        (25326001, [2251, 11251]),
+        (3474749660383, [1303, 16927, 157543]),
+        (341550071728321, [10670053, 32010157]),
+        (3825123056546413051, [149491, 747451, 34233211]),
+        (318665857834031151167461, [399165290221, 798330580441]),
+    ])
+    def test_strong_pseudoprimes(self, n, want):
+        assert prime_factors(n) == want
+
+    def test_refuses_past_the_exact_range(self):
+        # 2^89 - 1 is a prime above the range where the primality test
+        # is exact; the last number is the least strong pseudoprime to
+        # all 13 bases, where that range ends.
+        m89 = 2 ** 89 - 1
+        for n in (m89, 6 * m89, m89 * (2 ** 107 - 1),
+                  3317044064679887385961981):
+            with pytest.raises(ValueError, match="cannot factor"):
+                prime_factors(n)
 
 
 class TestSquareClass:

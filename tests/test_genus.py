@@ -16,7 +16,7 @@ from k3ade.fqf import (
     make_form,
     p_part,
 )
-from k3ade.genus import _sum_hits, exists_even_lattice
+from k3ade.genus import _convolve8, exists_even_lattice
 from k3ade.local_invariants import local_invariant_set
 
 
@@ -121,6 +121,29 @@ class TestLargePrime:
         # division in the primality check).
         form, _ = discriminant_form([[2 * 10000019]])
         assert exists_even_lattice(1, 0, form) is True
+
+
+def _sum_hits(choice_sets, target):
+    """Whether target is a sum mod 8 of one element from each set."""
+    sums = {0}
+    for choices in choice_sets:
+        sums = {(a + c) % 8 for a in sums for c in choices}
+    return target in sums
+
+
+def _bits(mask):
+    return {e for e in range(8) if mask >> e & 1}
+
+
+class TestConvolve8:
+    def test_matches_set_sumset(self):
+        # Every pair of 8-bit masks; each bit t of the result must say
+        # whether t is a sum (a + c) % 8 of the two sets.
+        sets = [_bits(mask) for mask in range(256)]
+        for a, sa in enumerate(sets):
+            for b, sb in enumerate(sets):
+                sums = {(x + y) % 8 for x in sa for y in sb}
+                assert _bits(_convolve8(a, b)) == sums, (a, b)
 
 
 def model_exists(r, s, q):
