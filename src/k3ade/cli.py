@@ -319,6 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # argparse reads an attached "--" ("--type=--") as the end of the
+    # options and gives the option an empty list, not a string.  No
+    # option here takes a list, so that is bad input.
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            print(f"error: argument --{name.replace('_', '-')}: expected "
+                  f"one argument", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

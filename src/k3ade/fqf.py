@@ -266,13 +266,31 @@ def direct_sum(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
 
 
 def p_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
-    """Restriction of the form to the p-Sylow subgroup of D.
+    """Restriction of the form to the p-Sylow subgroup of D: the form on
+    the scaled integers of _p_scaled, after a check that p is prime.
+
+    The genus decision reads those integers directly and no longer calls
+    it.  It stays because BENCHMARK.json names it as a per-layer metric
+    (fqf.p_part.self_s); the tests still call it.
+    """
+    if prime_factors(p) != [p]:
+        raise ValueError(f"{p} is not prime")
+    orders, qs, bs = _p_scaled(form, p)
+    if not orders:
+        return TRIVIAL_FORM
+    return _derived(orders, max(orders), qs, bs)
+
+
+def _p_scaled(form: FiniteQuadraticForm, p: int
+              ) -> tuple[tuple[int, ...], tuple[int, ...],
+                         tuple[tuple[int, ...], ...]]:
+    """(orders, qs, bs) of the p-Sylow subgroup of D, the values scaled
+    by its exponent P, the largest order; all empty when p does not
+    divide |D|.  p must be prime.
 
     The generator of the p-part of the cyclic group spanned by gamma_i is
     m_i * gamma_i where m_i is the prime-to-p part of d_i.
     """
-    if prime_factors(p) != [p]:
-        raise ValueError(f"{p} is not prime")
     idx = []
     pord = []
     mult = []
@@ -287,14 +305,18 @@ def p_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
         pord.append(q)
         mult.append(d)
     if not idx:
-        return TRIVIAL_FORM
+        return (), (), ()
     e = form.exp
-    ep = lcm(*pord)
-    qs = [_rescale(m * m * form.qs[i], e, ep) % (2 * ep)
-          for i, m in zip(idx, mult)]
-    bs = [[_rescale(mi * mj * form.bs[i][j], e, ep) % ep
-           for j, mj in zip(idx, mult)] for i, mi in zip(idx, mult)]
-    return _derived(pord, ep, qs, bs)
+    ep = max(pord)
+    if ep == e:
+        # Every order divides the p-power e: D is its own p-part.
+        return form.orders, form.qs, form.bs
+    qs = tuple(_rescale(m * m * form.qs[i], e, ep) % (2 * ep)
+               for i, m in zip(idx, mult))
+    bs = tuple(tuple(_rescale(mi * mj * form.bs[i][j], e, ep) % ep
+                     for j, mj in zip(idx, mult))
+               for i, mi in zip(idx, mult))
+    return tuple(pord), qs, bs
 
 
 def _reduce(form: FiniteQuadraticForm, x: Sequence[int]) -> FqfElement:

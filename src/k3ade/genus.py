@@ -12,7 +12,9 @@ with bit e set when excess e can occur.  The decision is split in two.
 Per form, once: for each such prime p, the square classes of +-delta_p
 (delta_p the unit part of |D| at p), the least number l_p of generators
 of q_p and, per reduced discriminant, the mask of the excesses of rank-l_p
-lattices with form q_p.  None of this depends on (r, s).  Per question: a
+lattices with form q_p, read from the scaled integers of q_p by
+local_invariants.split_masks, with no form built for q_p or for any
+block.  None of this depends on (r, s).  Per question: a
 rank-n lattice is a rank-l_p one plus a unimodular complement of rank
 n - l_p, whose invariant pairs take at most two values (e_u, u_u), so the
 mask of the excesses matching the wanted class want = (-1)^s delta_p is
@@ -29,8 +31,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact_linalg import prime_factors, square_class
-from .fqf import FiniteQuadraticForm, group_order, p_part
-from .local_invariants import minimal_rank_set, unimodular_set
+from .fqf import FiniteQuadraticForm, _p_scaled, group_order
+from .local_invariants import split_masks, unimodular_set
 
 #: Per prime p | 2|D|: (p, classes of +-delta_p, l_p, {reddisc: mask}),
 #: every square class a residue mod 8 and every mask an 8-bit set of
@@ -92,10 +94,7 @@ def _local_data(q: FiniteQuadraticForm) -> LocalData:
         delta = order
         while delta % p == 0:
             delta //= p
-        l, base = minimal_rank_set(p, p_part(q, p))
-        masks: dict[int, int] = {}
-        for e, u in base:
-            masks[u] = masks.get(u, 0) | 1 << e
-        data.append((p, (square_class(delta, p), square_class(-delta, p)), l,
-                     masks))
+        orders, qs, bs = _p_scaled(q, p)
+        data.append((p, (square_class(delta, p), square_class(-delta, p)),
+                     len(orders), split_masks(p, orders, qs, bs)))
     return tuple(data)

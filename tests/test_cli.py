@@ -1,20 +1,33 @@
 """Tests for the command-line interface: subcommand output formats,
 exit codes, and parallel-run determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import k3ade
 from k3ade import refdata
 from k3ade.ade_types import disc_form_closed, parse_type
 from k3ade.classifier import ClassEntry
 from k3ade.cli import main
-from k3ade.fqf import TRIVIAL_FORM, discriminant_form, dump_form
+from k3ade.exact_linalg import int_det
+from k3ade.fqf import (
+    TRIVIAL_FORM,
+    discriminant_form,
+    dump_form,
+    is_nondegenerate,
+    parse_form,
+)
 
 
 def run_cli(capsys, argv):
@@ -297,11 +310,16 @@ class TestTransform:
     ["enumerate", "--max-euler", "0"],
     ["classify", "--max-rank", "3", "--max-euler", "-1"],
     ["verify", "--only", "tables"],
+    ["classify", "--type=--"],
+    ["classify", "--jobs=--", "--max-rank", "1"],
+    ["exists-lattice", "--signature=--", "--form", "{form}"],
+    ["exists-lattice", "--signature", "8,0", "--form=--"],
 ], ids=["signature-0,0", "missing-form", "degenerate-form", "bad-type",
         "max-rank-19", "jobs-0", "jobs-negative", "missing-seeds",
         "enumerate-bad-int", "enumerate-max-rank-negative",
         "enumerate-max-euler-0", "classify-max-euler-negative",
-        "verify-bad-only"])
+        "verify-bad-only", "type-attached-dashes", "jobs-attached-dashes",
+        "signature-attached-dashes", "form-attached-dashes"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     # Bad input exits 2 with an error on stderr; it must never read as
     # the mathematical "no" (exit 1), nor escape as a traceback.
@@ -427,3 +445,106 @@ class TestLargePrimeOrders:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: cannot factor")
         assert "Traceback" not in proc.stderr
+
+
+#: Tokens of a random form file: integers, fractions (a zero or negative
+#: denominator among them) and words that are neither.
+TOKENS = st.one_of(
+    st.integers(-3, 30).map(str),
+    st.builds("{}/{}".format, st.integers(-5, 40), st.integers(-2, 40)),
+    st.sampled_from(["x", "1.5", "1/2/3", "-", "1e3", "0x10", "/"]))
+
+
+@st.composite
+def form_texts(draw):
+    """A form file: random token lines, a written-out form with values
+    of the right denominators (often degenerate or malformed), the
+    discriminant form of an even lattice, or that form with one token
+    replaced."""
+    kind = draw(st.sampled_from(["tokens", "values", "lattice", "mutated"]))
+    if kind == "tokens":
+        lines = draw(st.lists(st.lists(TOKENS, max_size=4), max_size=6))
+        return "\n".join(" ".join(line) for line in lines) + "\n"
+    if kind == "values":
+        orders = draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9]),
+                               min_size=1, max_size=3))
+        nums = [draw(st.integers(0, 2 * d - 1)) for d in orders]
+        lines = [" ".join(map(str, orders)),
+                 " ".join(f"{k}/{d}" for k, d in zip(nums, orders))]
+        for i, di in enumerate(orders):
+            row = [f"{nums[i] % di}/{di}"]
+            for dj in orders[i + 1:]:
+                g = gcd(di, dj)
+                row.append(f"{draw(st.integers(0, g - 1))}/{g}")
+            lines.append(" ".join(row))
+        return "\n".join(lines) + "\n"
+    n = draw(st.integers(1, 3))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * draw(st.integers(-4, 4))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    assume(int_det(gram) != 0)
+    lines = [line.split() for line in
+             dump_form(discriminant_form(gram)[0]).splitlines()]
+    if kind == "mutated":
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i]) - 1))
+        lines[i][j] = draw(TOKENS)
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+SIGNATURES_TEXT = st.one_of(
+    st.builds("{},{}".format, st.integers(-1, 20), st.integers(-1, 20)),
+    st.sampled_from(["", "8", "1,2,3", "x,y", "2,-0"]))
+
+TYPE_TEXTS = st.one_of(
+    st.text(alphabet="ADEa+ 0123456789x-", max_size=10),
+    st.lists(st.builds("{}{}{}".format, st.sampled_from(["", "1", "2", "4"]),
+                       st.sampled_from("ADE"), st.integers(0, 10)),
+             min_size=1, max_size=3).map("+".join))
+
+
+def run_in_process(argv):
+    """(exit code, stderr) of the CLI run in this process; argparse's
+    own exit counts as an exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestEveryInputEndsWithItsExitCode:
+    """Random input ends with exit 0, 1 or 2 and no traceback: an
+    exception escaping main fails the test.  Bad input is exit 2, so
+    the mathematical "no" (exit 1) comes only from a form that parses
+    and is nondegenerate."""
+
+    @given(form_texts(), SIGNATURES_TEXT)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_exists_lattice(self, text, signature):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "form.txt"
+            path.write_text(text)
+            code, err = run_in_process(["exists-lattice",
+                                        f"--signature={signature}",
+                                        "--form", str(path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error:")
+        else:
+            assert err == ""
+            assert is_nondegenerate(parse_form(text))
+
+    @given(TYPE_TEXTS)
+    @settings(max_examples=200, deadline=None)
+    def test_classify_type(self, text):
+        code, err = run_in_process(["classify", f"--type={text}"])
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        assert err.startswith("error:") if code == 2 else err == ""

@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import split_oracle
 from jordan_oracle import gauss_signature, signature
 from k3ade import classifier, genus, local_invariants
 from k3ade.exact_linalg import int_det, prime_factors, square_class
@@ -13,6 +15,7 @@ from k3ade.fqf import (
     discriminant_form,
     form_on_generators,
     group_order,
+    is_nondegenerate,
     make_form,
     p_part,
 )
@@ -242,3 +245,60 @@ class TestPerFormLookup:
         with pytest.raises(ValueError):
             classifier._exists_cached(r, s, form)
         assert cache_sizes() == before
+
+
+def permuted(form, perm):
+    """The form on its generators taken in the order perm."""
+    l = len(form.orders)
+    return form_on_generators(
+        form, [[int(j == i) for j in range(l)] for i in perm])
+
+
+def mask_pairs(masks):
+    """The pairs (excess, reddisc) of a {reddisc: excess mask} table."""
+    return frozenset((e, u) for u, mask in masks.items()
+                     for e in range(8) if mask >> e & 1)
+
+
+class TestSplitOracle:
+    # The in-place split on scaled integers against the recursion that
+    # presents every block and every rest as a new form
+    # (tests/split_oracle.py), through both readers of the split.
+
+    def test_local_data_and_minimal_rank_set(self):
+        forms = [form for form, _ in seeded_forms("split-oracle", 1200)]
+        rng = random.Random("split-oracle-perm")
+        classifier.clear_caches()
+        checked = 0
+        ranks = set()
+        for form in forms:
+            perm = list(range(len(form.orders)))
+            rng.shuffle(perm)
+            for q in (form, permuted(form, perm)):
+                data = genus._local_data(q)
+                primes = sorted(set([2] + prime_factors(group_order(q))))
+                assert [entry[0] for entry in data] == primes
+                for p, _, l, masks in data:
+                    want = split_oracle.minimal_rank_set(p, p_part(form, p))
+                    assert split_oracle.minimal_rank_set(
+                        p, p_part(q, p)) == want
+                    assert (l, mask_pairs(masks)) == want
+                    assert local_invariants.minimal_rank_set(
+                        p, p_part(q, p)) == want
+                    ranks.add((p == 2, l))
+                    checked += 1
+        # 2 400 presentations at 2 and at every odd prime of |D|, with
+        # p-parts of rank 0 to 3 at p = 2 and 1 to 2 at odd p.
+        assert checked == 5602
+        assert ranks >= {(True, l) for l in range(4)} | {(False, 1),
+                                                         (False, 2)}
+
+
+@pytest.mark.parametrize("p,form,message", split_oracle.DEGENERATE)
+def test_degenerate_form_is_refused(p, form, message):
+    # exists_even_lattice itself refuses a degenerate form, with no
+    # is_nondegenerate call before it, rather than answer for it.
+    assert not is_nondegenerate(form)
+    for r, s in ((2, 16), (1, 1), (5, 0)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            exists_even_lattice(r, s, form)

@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -15,12 +17,15 @@ from jordan_oracle import (
     reddisc,
     signature,
 )
+import split_oracle
 from k3ade.exact_linalg import int_det, square_class
 from k3ade.fqf import (
     TRIVIAL_FORM,
+    direct_sum,
     discriminant_form,
     form_on_generators,
     group_order,
+    is_nondegenerate,
     make_form,
     p_part,
 )
@@ -51,6 +56,11 @@ def inv(p, excess, tag):
 
 def iset(p, *pairs):
     return frozenset(inv(p, e, t) for e, t in pairs)
+
+
+def table(p, form):
+    """rank_le2_set on the scaled integers of a form."""
+    return rank_le2_set(p, form.exp, form.orders, form.qs, form.bs)
 
 
 def rank1_form(d, num):
@@ -189,44 +199,49 @@ class TestUnimodularSet:
 
 class TestRankLe2Set:
     def test_odd_p_square(self):
-        assert rank_le2_set(3, rank1_form(3, 4)) == iset(3, (2, 1))
+        assert table(3, rank1_form(3, 4)) == iset(3, (2, 1))
 
     def test_odd_p_nonsquare_odd_scale(self):
-        assert rank_le2_set(3, rank1_form(3, 2)) == iset(3, (6, -1))
+        assert table(3, rank1_form(3, 2)) == iset(3, (6, -1))
 
     def test_odd_p_nonsquare_even_scale(self):
-        assert rank_le2_set(3, rank1_form(9, 2)) == iset(3, (0, -1))
+        assert table(3, rank1_form(9, 2)) == iset(3, (0, -1))
 
     def test_two_adic_scale_one(self):
-        assert rank_le2_set(2, rank1_form(2, 1)) == iset(2, (0, 1), (0, 5))
-        assert rank_le2_set(2, rank1_form(2, 3)) == iset(2, (2, 3), (2, 7))
+        assert table(2, rank1_form(2, 1)) == iset(2, (0, 1), (0, 5))
+        assert table(2, rank1_form(2, 3)) == iset(2, (2, 3), (2, 7))
 
     def test_two_adic_higher_scale(self):
-        assert rank_le2_set(2, rank1_form(4, 3)) == iset(2, (6, 3))
-        assert rank_le2_set(2, rank1_form(4, 7)) == iset(2, (2, 7))
-        assert rank_le2_set(2, rank1_form(8, 1)) == iset(2, (0, 1))
+        assert table(2, rank1_form(4, 3)) == iset(2, (6, 3))
+        assert table(2, rank1_form(4, 7)) == iset(2, (2, 7))
+        assert table(2, rank1_form(8, 1)) == iset(2, (0, 1))
 
     def test_rank2_v_like(self):
-        assert rank_le2_set(2, Q_D4) == iset(2, (6, 3))
+        assert table(2, Q_D4) == iset(2, (6, 3))
 
     def test_rank2_u_like(self):
-        assert rank_le2_set(2, Q_EVEN_U) == iset(2, (2, 7))
+        assert table(2, Q_EVEN_U) == iset(2, (2, 7))
 
     def test_rejects_rank2_odd_p(self):
         form = make_form([3, 3], [F(2, 3), F(2, 3)],
                          [[F(2, 3), F(1, 3)], [F(1, 3), F(2, 3)]])
         with pytest.raises(ValueError):
-            rank_le2_set(3, form)
+            table(3, form)
 
     def test_rejects_non_unit_numerator(self):
-        with pytest.raises(ValueError):
-            rank_le2_set(3, rank1_form(9, 6))
+        with pytest.raises(ValueError, match="unit numerator"):
+            table(3, rank1_form(9, 6))
 
     def test_rejects_even_pairing(self):
         form = make_form([4, 4], [F(1, 2), F(1, 2)],
                          [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
-        with pytest.raises(ValueError):
-            rank_le2_set(2, form)
+        with pytest.raises(ValueError, match="odd off-diagonal pairing"):
+            table(2, form)
+
+    def test_rejects_unequal_orders(self):
+        form = make_form([8, 4], [0, 0], [[0, F(1, 4)], [F(1, 4), 0]])
+        with pytest.raises(ValueError, match="equal generator orders"):
+            table(2, form)
 
 
 class TestLocalInvariantSet:
@@ -380,3 +395,86 @@ class TestJordanOracleAgreement:
         for p in sorted(set([2] + primes_of(det))):
             total += p_excess(jordan_blocks(gram, p), p)
         assert (r - s + total) % 8 == n % 8
+
+
+class TestDegenerateForms:
+    # A degenerate p-group form is refused by the split itself, with the
+    # same ValueError as the recursive split of tests/split_oracle.py:
+    # at once, or after a rank-1 block, an odd-p repair or an even
+    # rank-2 block has been split off.
+
+    @pytest.mark.parametrize("p,form,message", split_oracle.DEGENERATE)
+    def test_refused_with_the_recursion_message(self, p, form, message):
+        # Which check fails first depends on the presentation, in the
+        # same way for both splits.
+        assert not is_nondegenerate(form)
+        for perm in itertools.permutations(range(len(form.orders))):
+            shuffled = permuted(form, perm)
+            with pytest.raises(ValueError) as want:
+                split_oracle.minimal_rank_set(p, shuffled)
+            if list(perm) == sorted(perm):
+                assert str(want.value) == message
+            assert str(want.value) in (split_oracle.TOP_MSG,
+                                       split_oracle.UNIT_MSG)
+            exact = f"^{re.escape(str(want.value))}$"
+            with pytest.raises(ValueError, match=exact):
+                minimal_rank_set(p, shuffled)
+            with pytest.raises(ValueError, match=exact):
+                local_invariant_set(p, 20, shuffled)
+
+
+def mixed_block_sums(p, count, seed):
+    """(form, set) pairs: an orthogonal sum of random blocks of scale p,
+    p^2 or p^3 (cyclic or of rank 2) presented on generators mixed by a
+    random integer change of basis, with the star of the blocks' sets."""
+    rng = random.Random(seed)
+    units = [a for a in range(1, p * p) if a % p]
+    out = []
+    while len(out) < count:
+        blocks = []
+        want = IDENTITY
+        for _ in range(rng.randint(2, 4)):
+            k = p ** rng.randint(1, 3)
+            if rng.random() < 0.5:
+                # q(g) = a/k with k a odd at p = 2 and even at odd p.
+                a = F(rng.choice(units) * (1 if p == 2 else 2), k) % 2
+                blocks.append(make_form([k], [a], [[a % 1]]))
+                want = star(want, table(p, blocks[-1]))
+                continue
+            # A rank-2 block with a full-scale pairing: even U or V at
+            # p = 2; at odd p the hyperbolic plane, which is
+            # <2/k> + <-2/k> and has no generator pairing with itself
+            # at full scale.
+            u = F(2 * rng.randint(0, 1), k) if p == 2 else F(0)
+            blocks.append(make_form([k, k], [u, u],
+                                    [[u % 1, F(1, k)], [F(1, k), u % 1]]))
+            if p == 2:
+                want = star(want, table(p, blocks[-1]))
+            else:
+                for a in (F(2, k), F(-2, k) % 2):
+                    want = star(want, table(p, make_form([k], [a],
+                                                         [[a % 1]])))
+        form = direct_sum(*blocks)
+        l = len(form.orders)
+        rows = [[int(i == j) or rng.randrange(8) * (rng.random() < 0.5)
+                 for j in range(l)] for i in range(l)]
+        mixed = form_on_generators(form, rows)
+        # A relation among the new generators would pair to 0 with all
+        # of them, so with a nondegenerate result of the same order they
+        # present the same group.
+        if (group_order(mixed) == group_order(form)
+                and is_nondegenerate(mixed)):
+            out.append((mixed, want))
+    return out
+
+
+class TestMixedBlockSums:
+    # The split of a presentation that hides its blocks recovers the
+    # star of their closed-table sets, as the recursive split does.
+
+    @pytest.mark.parametrize("p,count", [(2, 400), (3, 200), (5, 100)])
+    def test_split_recovers_the_blocks(self, p, count):
+        for form, want in mixed_block_sums(p, count, f"mixed:{p}"):
+            l = len(form.orders)
+            assert split_oracle.minimal_rank_set(p, form) == (l, want)
+            assert minimal_rank_set(p, form) == (l, want)

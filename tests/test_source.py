@@ -140,23 +140,39 @@ def test_genus_path_stays_on_integers():
     assert found == []
 
 
+def _parse(name):
+    return ast.parse((SOURCE / name).read_text(), filename=name)
+
+
+def _body(name, fn):
+    """The syntax tree of the function fn of module name."""
+    return next(node for node in ast.walk(_parse(name))
+                if isinstance(node, ast.FunctionDef) and node.name == fn)
+
+
 def test_oracle_lifts_stay_on_integers():
     # The oracle's glue lifts are integer dual coordinates, so the
     # classifier, the overlattice and the closed lifts need no Fraction.
-    def parse(name):
-        return ast.parse((SOURCE / name).read_text(), filename=name)
-
-    def body(name, fn):
-        return next(node for node in ast.walk(parse(name))
-                    if isinstance(node, ast.FunctionDef) and node.name == fn)
-
-    checked = {"classifier.py": parse("classifier.py"),
-               "lattice_ops.overlattice": body("lattice_ops.py",
-                                               "overlattice"),
-               "ade_types.disc_form_closed": body("ade_types.py",
-                                                  "disc_form_closed")}
+    checked = {"classifier.py": _parse("classifier.py"),
+               "lattice_ops.overlattice": _body("lattice_ops.py",
+                                                "overlattice"),
+               "ade_types.disc_form_closed": _body("ade_types.py",
+                                                   "disc_form_closed")}
     assert [where for where, node in checked.items()
             if "Fraction" in _identifiers(node)] == []
+
+
+def test_split_builds_no_form():
+    # The genus decision reads each p-part's scaled integers and splits
+    # them in place: no FiniteQuadraticForm is built per prime or per
+    # split step.
+    banned = {"form_on_generators", "p_part", "from_scaled", "_derived"}
+    checked = {"genus._local_data": _body("genus.py", "_local_data"),
+               "local_invariants.split_masks": _body("local_invariants.py",
+                                                     "split_masks")}
+    assert {where: sorted(banned & _identifiers(node))
+            for where, node in checked.items()} == {where: []
+                                                    for where in checked}
 
 
 def _identifiers(node):
