@@ -15,13 +15,12 @@ components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import prod
 from typing import Iterable
 
-from .fqf import FiniteQuadraticForm, TRIVIAL_FORM, direct_sum, make_form
+from .fqf import FiniteQuadraticForm, TRIVIAL_FORM, direct_sum
 
 Component = tuple[str, int]
 IntMatrix = list[list[int]]
@@ -233,21 +232,21 @@ def cartan_gram(sigma: ADEType) -> IntMatrix:
 @lru_cache(maxsize=None)
 def _component_form(comp: Component) -> FiniteQuadraticForm:
     """Closed-form discriminant form of one component on its standard
-    generators (see _component_nodes)."""
+    generators (see _component_nodes), scaled by the exponent E:
+    q = l/(l+1) for A_l; q = n/4 and 1 pairing to 1/2 for D_n, n even;
+    q = n/4 for D_n, n odd; q = 4/3 for E6 and 3/2 for E7."""
     kind, n = _check_component(comp)
-    half = Fraction(1, 2)
     if kind == "A":
-        return make_form((n + 1,), (Fraction(n, n + 1),),
-                         ((Fraction(n, n + 1),),))
+        return FiniteQuadraticForm((n + 1,), (n,), ((n,),))
     if kind == "D":
         if n % 2 == 0:
-            q1 = Fraction(n, 4)
-            return make_form((2, 2), (q1, 1), ((q1, half), (half, 1)))
-        return make_form((4,), (Fraction(n, 4),), ((Fraction(n, 4),),))
+            return FiniteQuadraticForm((2, 2), (n // 2 % 4, 2),
+                                       ((n // 2 % 2, 1), (1, 0)))
+        return FiniteQuadraticForm((4,), (n % 8,), ((n % 4,),))
     if n == 6:
-        return make_form((3,), (Fraction(4, 3),), ((Fraction(4, 3),),))
+        return FiniteQuadraticForm((3,), (4,), ((1,),))
     if n == 7:
-        return make_form((2,), (Fraction(3, 2),), ((Fraction(3, 2),),))
+        return FiniteQuadraticForm((2,), (3,), ((1,),))
     return TRIVIAL_FORM
 
 

@@ -77,9 +77,9 @@ from .ade_types import (ADEType, Component, _component_form,
                         _component_group, cartan_gram, closed_form,
                         disc_form_closed, disc_order, enumerate_candidates)
 from .exact_linalg import prime_factors, smith_normal_form
-from .fqf import (FiniteQuadraticForm, FqfElement, discriminant_form,
-                  element_order, eval_b, eval_q, group_order, span,
-                  subquotient)
+from .fqf import (FiniteQuadraticForm, FqfElement, _b_scaled, _q_scaled,
+                  _reduce, discriminant_form, element_order, group_order,
+                  span, subquotient)
 from .genus import exists_even_lattice
 from .kernels import isotropic_list, orthogonal_mask
 from .lattice_ops import GramLattice, overlattice, root_type
@@ -446,12 +446,11 @@ def check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:
     stream and the tests of classify_type."""
     ctx = _context(sigma)
     form = ctx.form
-    for g in (pair.v, pair.w):
-        if eval_q(form, g) != 0:
-            raise ValueError("glue class is not isotropic")
-    if eval_b(form, pair.v, pair.w) != 0:
+    v, w = (_reduce(form, g) for g in (pair.v, pair.w))
+    if _q_scaled(form, v) or _q_scaled(form, w):
+        raise ValueError("glue class is not isotropic")
+    if _b_scaled(form, v, w):
         raise ValueError("glue classes do not pair to zero")
-    v, w = (tuple(map(mod, g, form.orders)) for g in (pair.v, pair.w))
     _, _, sub, factors = next(_pair_stream(form, [(v, [w])]))
     if (_prank_fails(ctx, factors) or any(map(ctx.is_root, sub))
             or not _partner_exists(ctx, v, w, sub)):

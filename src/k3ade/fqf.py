@@ -19,15 +19,15 @@ and b(gamma_i, gamma_j) * E mod E.  Elements are integer coefficient
 tuples, canonical when reduced into 0 <= c_i < d_i.  A presentation is
 used as it comes: no function sorts its generators or puts it into a
 normal form, and the invariants computed from a form do not depend on
-the order of its generators.  Fractions appear
-only at the edge: the Fraction constructor, make_form, the text format,
-the qdiag/bmat views and eval_q/eval_b, which return q in [0, 2) and b
-in [0, 1).
+the order of its generators.  The constructor takes these integers and
+every function gives them; only the text format (dump_form/parse_form)
+spells a value as a fraction a/b, and it converts with integer
+arithmetic too.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
@@ -50,47 +50,21 @@ class FiniteQuadraticForm:
     orders[i] is the order d_i >= 2 of the i-th generator and exp is
     E = lcm(orders).  The values are stored scaled by E, as integers:
     qs[i] = q(gamma_i) * E mod 2E and bs[i][j] = b(gamma_i, gamma_j) * E
-    mod E.  qdiag and bmat give the same values as Fractions in [0, 2)
-    and [0, 1).  Equality is presentation equality.
+    mod E.  Equality is presentation equality.
 
-    FiniteQuadraticForm(orders, qdiag, bmat) takes Fraction (or int)
-    values; FiniteQuadraticForm.from_scaled(orders, qs, bs) takes the
-    scaled integers.  Both run the same checks and reject a malformed
-    presentation with ValueError.  The forms that p_part, direct_sum and
-    form_on_generators (without orders) compute from a valid form are
-    valid by construction and skip them.  Instances are immutable.
+    FiniteQuadraticForm(orders, qs, bs) takes those scaled integers and
+    rejects a malformed presentation with ValueError, a value that is not
+    an int (a Fraction, say) included.  The forms that p_part, direct_sum
+    and form_on_generators (without orders) compute from a valid form are
+    valid by construction and skip the checks.  Instances are immutable.
     """
 
     __slots__ = ("orders", "exp", "qs", "bs", "_hash")
 
-    def __init__(self, orders: Sequence[int],
-                 qdiag: Sequence[Fraction | int],
-                 bmat: Sequence[Sequence[Fraction | int]]):
-        orders = tuple(orders)
-        e = lcm(*orders)
-        _set_presentation(
-            self, orders, e, tuple(_scale(q, e) for q in qdiag),
-            tuple(tuple(_scale(b, e) for b in row) for row in bmat))
-
-    @classmethod
-    def from_scaled(cls, orders: Sequence[int], qs: Sequence[int],
-                    bs: Sequence[Sequence[int]]) -> "FiniteQuadraticForm":
-        """The form with q(gamma_i) = qs[i] / E and b(gamma_i, gamma_j) =
-        bs[i][j] / E for E = lcm(orders)."""
-        form = object.__new__(cls)
-        orders = tuple(orders)
-        _set_presentation(form, orders, lcm(*orders), tuple(qs),
+    def __init__(self, orders: Sequence[int], qs: Sequence[int],
+                 bs: Sequence[Sequence[int]]):
+        _set_presentation(self, tuple(orders), tuple(qs),
                           tuple(tuple(row) for row in bs))
-        return form
-
-    @property
-    def qdiag(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(q, self.exp) for q in self.qs)
-
-    @property
-    def bmat(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(b, self.exp) for b in row)
-                     for row in self.bs)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteQuadraticForm):
@@ -108,19 +82,11 @@ class FiniteQuadraticForm:
         raise AttributeError("FiniteQuadraticForm is immutable")
 
     def __reduce__(self):
-        return (FiniteQuadraticForm.from_scaled, (self.orders, self.qs, self.bs))
+        return (FiniteQuadraticForm, (self.orders, self.qs, self.bs))
 
     def __repr__(self):
-        return (f"FiniteQuadraticForm.from_scaled({self.orders!r}, "
-                f"{self.qs!r}, {self.bs!r})")
-
-
-def _scale(x: Fraction | int, e: int) -> int:
-    """The rational value x as an integer at exponent e, i.e. x * e."""
-    v = Fraction(x) * e
-    if v.denominator != 1:
-        raise ValueError("value denominators must divide the exponent")
-    return v.numerator
+        return (f"FiniteQuadraticForm({self.orders!r}, {self.qs!r}, "
+                f"{self.bs!r})")
 
 
 def _rescale(x: int, e: int, e2: int) -> int:
@@ -133,15 +99,18 @@ def _rescale(x: int, e: int, e2: int) -> int:
 
 
 def _set_presentation(form: FiniteQuadraticForm, orders: tuple[int, ...],
-                      e: int, qs: tuple[int, ...],
+                      qs: tuple[int, ...],
                       bs: tuple[tuple[int, ...], ...]) -> None:
     """Validate a scaled presentation at exponent e = lcm(orders) and
     store it in the new instance."""
     n = len(orders)
     if len(qs) != n or len(bs) != n:
         raise ValueError("inconsistent presentation sizes")
+    if not all(isinstance(x, int) for row in (orders, qs, *bs) for x in row):
+        raise ValueError("orders and values must be ints")
     if n and min(orders) < 2:
         raise ValueError("generator orders must be at least 2")
+    e = lcm(*orders)
     two_e = 2 * e
     for i, d in enumerate(orders):
         qi = qs[i]
@@ -188,21 +157,6 @@ def _derived(orders: Sequence[int], e: int, qs: Sequence[int],
 TRIVIAL_FORM = FiniteQuadraticForm((), (), ())
 
 
-def make_form(orders: Sequence[int],
-              qdiag: Sequence[Fraction | int],
-              bmat: Sequence[Sequence[Fraction | int]]) -> FiniteQuadraticForm:
-    """Build a form from raw values, reducing q mod 2Z and b mod Z.
-
-    Generators of order one are dropped from the presentation.
-    """
-    keep = [i for i, d in enumerate(orders) if d > 1]
-    return FiniteQuadraticForm(
-        tuple(orders[i] for i in keep),
-        tuple(Fraction(qdiag[i]) % 2 for i in keep),
-        tuple(tuple(Fraction(bmat[i][j]) % 1 for j in keep) for i in keep),
-    )
-
-
 def discriminant_form(gram: IntMatrix) -> tuple[FiniteQuadraticForm, IntMatrix]:
     """Discriminant form of an even nondegenerate lattice.
 
@@ -244,7 +198,7 @@ def discriminant_form(gram: IntMatrix) -> tuple[FiniteQuadraticForm, IntMatrix]:
             if a == b:
                 qs.append(w % (2 * e))
         bs.append(row)
-    return FiniteQuadraticForm.from_scaled(orders, qs, bs), lifts
+    return FiniteQuadraticForm(orders, qs, bs), lifts
 
 
 def direct_sum(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
@@ -344,18 +298,6 @@ def _b_scaled(form: FiniteQuadraticForm, x: FqfElement,
         if ci:
             total += ci * sum(b * c for b, c in zip(row, y))
     return total % form.exp
-
-
-def eval_q(form: FiniteQuadraticForm, x: Sequence[int]) -> Fraction:
-    """q(x) in Q/2Z, returned reduced into [0, 2)."""
-    return Fraction(_q_scaled(form, _reduce(form, x)), form.exp)
-
-
-def eval_b(form: FiniteQuadraticForm, x: Sequence[int],
-           y: Sequence[int]) -> Fraction:
-    """b(x, y) in Q/Z, returned reduced into [0, 1)."""
-    return Fraction(_b_scaled(form, _reduce(form, x), _reduce(form, y)),
-                    form.exp)
 
 
 def elements(form: FiniteQuadraticForm) -> Iterator[FqfElement]:
@@ -484,7 +426,7 @@ def form_on_generators(form: FiniteQuadraticForm,
     ones.  When the rows span D and are independent this re-presents the
     form.  orders are the orders of the new generators, recomputed from
     the rows when not supplied; subquotient passes their orders modulo H.
-    With supplied orders the result runs every check of from_scaled; with
+    With supplied orders the result runs every check of the constructor; with
     derived ones each check holds by construction once no row is zero.
     """
     xs = [_reduce(form, row) for row in rows]
@@ -504,40 +446,68 @@ def form_on_generators(form: FiniteQuadraticForm,
           for row in pairings]
     if derived:
         return _derived(orders, e2, qs, bs)
-    return FiniteQuadraticForm.from_scaled(orders, qs, bs)
+    return FiniteQuadraticForm(orders, qs, bs)
 
 
 def dump_form(form: FiniteQuadraticForm) -> str:
     """Serialize to the plain-text form format.
 
     Line 1 lists the generator orders ("1" for the trivial form); line 2
-    lists q(gamma_i) as fractions a/b; the following lines give the rows
-    of the upper triangle of b, diagonal included.  parse_form inverts
-    this exactly.
+    lists q(gamma_i) as fractions a/b in lowest terms, a in [0, 2b); the
+    following lines give the rows of the upper triangle of b, diagonal
+    included, a in [0, b).  parse_form inverts this exactly.
     """
     if not form.orders:
         return "1\n"
-    n = len(form.orders)
-    lines = [" ".join(str(d) for d in form.orders)]
-    lines.append(" ".join(_fmt(x) for x in form.qdiag))
-    for i in range(n):
-        lines.append(" ".join(_fmt(form.bmat[i][j]) for j in range(i, n)))
+    e = form.exp
+    lines = [" ".join(map(str, form.orders)),
+             " ".join(_fmt(q, e) for q in form.qs)]
+    lines += [" ".join(_fmt(b, e) for b in row[i:])
+              for i, row in enumerate(form.bs)]
     return "\n".join(lines) + "\n"
 
 
-def _fmt(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _fmt(x: int, e: int) -> str:
+    """The value x / e as a/b in lowest terms."""
+    g = gcd(x, e)
+    return f"{x // g}/{e // g}"
 
 
-def _parse_fraction(token: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {token!r}") from None
+_ORDER = re.compile(r"[0-9]+")
+_VALUE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_order(token: str) -> int:
+    if not _ORDER.fullmatch(token):
+        raise ValueError(f"{token!r} is not a generator order")
+    return int(token)
+
+
+def _scaled_value(token: str, e: int) -> int:
+    """An integer or fraction token a/b as the integer a e / b."""
+    match = _VALUE.fullmatch(token)
+    if match is None:
+        raise ValueError(f"{token!r} is neither an integer nor a fraction "
+                         "a/b")
+    num, den = match.groups()
+    den = int(den or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator in {token!r}")
+    x, r = divmod(int(num) * e, den)
+    if r:
+        raise ValueError("value denominators must divide the exponent")
+    return x
 
 
 def parse_form(text: str) -> FiniteQuadraticForm:
-    """Parse the plain-text form format produced by dump_form."""
+    """Parse the plain-text form format produced by dump_form.
+
+    Orders are digit strings and values integers or fractions a/b (a may
+    be negative), all in ASCII digits; any other token is refused.  Each
+    value is moved to the exponent E = lcm(orders) in integers, so a
+    value whose denominator does not divide E is refused, and the
+    constructor then checks the presentation.
+    """
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty form file")
@@ -545,20 +515,19 @@ def parse_form(text: str) -> FiniteQuadraticForm:
         if len(lines) > 1:
             raise ValueError("trailing data after trivial form")
         return TRIVIAL_FORM
-    orders = [int(t) for t in lines[0]]
+    orders = [_parse_order(t) for t in lines[0]]
     n = len(orders)
     if len(lines) != n + 2:
         raise ValueError(f"expected {n + 2} lines, got {len(lines)}")
-    qdiag = [_parse_fraction(t) for t in lines[1]]
-    if len(qdiag) != n:
+    e = lcm(*orders)
+    qs = [_scaled_value(t, e) for t in lines[1]]
+    if len(qs) != n:
         raise ValueError("wrong number of q values")
-    bmat = [[Fraction(0)] * n for _ in range(n)]
+    bs = [[0] * n for _ in range(n)]
     for i in range(n):
-        row = [_parse_fraction(t) for t in lines[2 + i]]
+        row = [_scaled_value(t, e) for t in lines[2 + i]]
         if len(row) != n - i:
             raise ValueError(f"wrong number of b entries in row {i}")
-        for j, x in enumerate(row):
-            bmat[i][i + j] = x
-            bmat[i + j][i] = x
-    return FiniteQuadraticForm(
-        tuple(orders), tuple(qdiag), tuple(tuple(r) for r in bmat))
+        for j, x in enumerate(row, i):
+            bs[i][j] = bs[j][i] = x
+    return FiniteQuadraticForm(orders, qs, bs)

@@ -2,13 +2,14 @@
 
 A lattice is presented by its Gram matrix on a fixed basis.  The
 module builds even overlattices from isotropic glue vectors in the
-dual, enumerates short vectors exactly, and identifies the ADE type of
-the sublattice generated by the norm-2 vectors.
+dual, enumerates short vectors by a Fincke-Pohst descent on integers
+(its quadratic form split by one fraction-free Bareiss elimination),
+and identifies the ADE type of the sublattice generated by the norm-2
+vectors.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 from typing import Sequence
@@ -121,41 +122,38 @@ def overlattice(lat: GramLattice,
     return over, index
 
 
-def _cholesky(lat: GramLattice) -> list[list[Fraction]]:
-    """Fincke-Pohst data: q[i][i] are the outer coefficients and
-    q[i][j] (j > i) the mixing coefficients, all exact."""
-    n = lat.rank
-    q = [[Fraction(x) for x in row] for row in lat.gram]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("lattice is not positive definite")
-        col = [q[i][j] for j in range(n)]
-        for j in range(i + 1, n):
-            q[i][j] /= q[i][i]
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                q[j][k] -= col[j] * q[i][k]
-    return q
-
-
 def short_vectors(lat: GramLattice, norm_bound: int = 2,
                   both_signs: bool = False) -> list[tuple[int, ...]]:
-    """All nonzero vectors of norm at most norm_bound, sorted.
+    """All nonzero vectors of norm at most norm_bound, sorted, by a
+    Fincke-Pohst descent in integers.
 
     By default one representative per {v, -v} pair is returned, chosen
     with positive leading nonzero coordinate; with both_signs=True the
-    full list is returned.
+    full list is returned.  Raises ValueError unless the lattice is
+    positive definite.
     """
-    q = _cholesky(lat)
     n = lat.rank
-    # Scale the descent to integers: with M the common denominator of the
-    # mixing coefficients and K that of the outer ones, the partial sum
-    # u_i = U_i / M and the cost of x_i is (K q_ii) (M x_i + U_i)^2 / (K M^2).
-    m = lcm(1, *(q[i][j].denominator for i in range(n)
-                 for j in range(i + 1, n)))
-    k = lcm(1, *(q[i][i].denominator for i in range(n)))
-    mix = [[int(m * q[i][j]) for j in range(n)] for i in range(n)]
-    outer = [int(k * q[i][i]) for i in range(n)]
+    # One forward fraction-free (Bareiss) elimination of G: row i ends as
+    # B_i with B_ii = D_{i+1}, the leading principal minor of size i + 1
+    # (D_0 = 1), and x G x = sum_i U_i^2 / (D_i D_{i+1}) with U_i = B_i x.
+    # G is positive definite exactly when every pivot D_{i+1} is positive.
+    b = [list(row) for row in lat.gram]
+    minors = [1]
+    for k in range(n):
+        rk = b[k]
+        p = rk[k]
+        if p <= 0:
+            raise ValueError("lattice is not positive definite")
+        for ri in b[k + 1:]:
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (p * ri[j] - f * rk[j]) // minors[-1]
+        minors.append(p)
+    # The descent runs at the scale L = lcm(D_i D_{i+1}): x_i costs
+    # weight_i U_i^2 with weight_i = L / (D_i D_{i+1}), out of norm_bound L.
+    pairs = list(map(mul, minors, minors[1:]))
+    scale = lcm(*pairs)
+    weight = [scale // d for d in pairs]
     found: list[tuple[int, ...]] = []
     x = [0] * n
 
@@ -164,29 +162,23 @@ def short_vectors(lat: GramLattice, norm_bound: int = 2,
             if any(x):
                 found.append(tuple(x))
             return
-        row = mix[i]
+        row = b[i]
         u = sum(row[j] * x[j] for j in range(i + 1, n))
-        c = outer[i]
-        start = -u // m
-        xi = start
-        while True:
-            used = c * (m * xi + u) ** 2
-            if used > budget:
-                break
-            x[i] = xi
-            descend(i - 1, budget - used)
-            xi -= 1
-        xi = start + 1
-        while True:
-            used = c * (m * xi + u) ** 2
-            if used > budget:
-                break
-            x[i] = xi
-            descend(i - 1, budget - used)
-            xi += 1
+        piv, c = row[i], weight[i]
+        # U_i = piv x_i + u is at most 0 from start down and positive
+        # from start + 1 up, so each walk stops at its first overrun.
+        start = -u // piv
+        for xi, step in ((start, -1), (start + 1, 1)):
+            while True:
+                used = c * (piv * xi + u) ** 2
+                if used > budget:
+                    break
+                x[i] = xi
+                descend(i - 1, budget - used)
+                xi += step
         x[i] = 0
 
-    descend(n - 1, norm_bound * k * m * m)
+    descend(n - 1, norm_bound * scale)
     if not both_signs:
         neg = {tuple(-c for c in v) for v in found}
         found = [v for v in found if v not in neg or v > tuple(-c for c in v)]

@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from fraction_views import eval_q
 from k3ade.exact_linalg import legendre_symbol, square_class
-from k3ade.fqf import elements, eval_q, group_order
+from k3ade.fqf import elements, group_order
 from k3ade.local_invariants import _unit_excess_2
 
 UNIT, U_BLOCK, V_BLOCK = "unit", "U", "V"

@@ -14,12 +14,12 @@ from fractions import Fraction as F
 from math import gcd
 from operator import mul
 
+from fraction_views import make_form
 from k3ade.exact_linalg import square_class
 from k3ade.fqf import (
     FiniteQuadraticForm,
     _rescale,
     form_on_generators,
-    make_form,
 )
 from k3ade.local_invariants import (
     IDENTITY,

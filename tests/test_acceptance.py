@@ -20,6 +20,7 @@ from operator import mul
 
 import pytest
 
+from fraction_views import eval_b, eval_q
 from jordan_oracle import gauss_signature
 from k3ade import classifier
 from k3ade.ade_types import (
@@ -40,8 +41,6 @@ from k3ade.exact_linalg import int_det, prime_factors, rat_inverse
 from k3ade.fqf import (
     discriminant_form,
     elements,
-    eval_b,
-    eval_q,
     group_order,
     span,
     subquotient,

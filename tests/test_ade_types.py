@@ -11,13 +11,13 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_views import bmat, eval_b, eval_q, qdiag
 from k3ade.ade_types import (ADEType, EMPTY_TYPE, RULESETS, _component_group,
                              cartan_gram, closure, disc_form_closed,
                              enumerate_candidates, parse_type,
                              restricted_children)
 from k3ade.exact_linalg import int_det, rat_inverse
-from k3ade.fqf import (TRIVIAL_FORM, discriminant_form, elements, eval_b,
-                       eval_q, group_order)
+from k3ade.fqf import TRIVIAL_FORM, discriminant_form, elements, group_order
 from symmetry_oracle import ALL_COMPONENTS, generated_group, pieces
 
 
@@ -211,12 +211,12 @@ class TestDiscFormClosed:
     def test_closed_values(self, text, orders, qdiag):
         form, lifts = disc_form_closed(parse_type(text))
         assert form.orders == orders
-        assert form.qdiag == tuple(Fraction(q) for q in qdiag)
+        assert form.qs == tuple(Fraction(q) * form.exp for q in qdiag)
         assert len(lifts) == len(orders)
 
     def test_d_even_pairing(self):
         form, _ = disc_form_closed(parse_type("D6"))
-        assert form.bmat[0][1] == Fraction(1, 2)
+        assert bmat(form)[0][1] == Fraction(1, 2)
 
     @pytest.mark.parametrize("text", DISC_SAMPLE)
     def test_matches_lattice(self, text):
@@ -234,10 +234,10 @@ class TestDiscFormClosed:
               for z in lifts]
 
         for i, (z, u) in enumerate(zip(lifts, ys)):
-            assert sum(map(mul, z, u)) % 2 == form.qdiag[i]
+            assert sum(map(mul, z, u)) % 2 == qdiag(form)[i]
             assert lcm(*(x.denominator for x in u)) == form.orders[i]
             for j, v in enumerate(ys):
-                assert sum(map(mul, z, v)) % 1 == form.bmat[i][j]
+                assert sum(map(mul, z, v)) % 1 == bmat(form)[i][j]
 
         # The lifts generate the full discriminant group: distinct
         # classes mod Z^n are counted by fractional-part vectors.

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_views import eval_b, eval_q
 from k3ade import ade_types, classifier, lattice_ops, refdata
 from k3ade.ade_types import (ADEType, _component_form, cartan_gram,
                              disc_form_closed, enumerate_candidates,
@@ -26,8 +27,8 @@ from k3ade.classifier import (ClassEntry, GluePair, _candidates,
                               classify_type, glue_candidates,
                               slow_check_pair, verify_reference)
 from k3ade.exact_linalg import prime_factors, rat_inverse
-from k3ade.fqf import (discriminant_form, element_order, elements, eval_b,
-                       eval_q, group_order, p_part, span, subquotient)
+from k3ade.fqf import (discriminant_form, element_order, elements, group_order,
+                       p_part, span, subquotient)
 from k3ade.genus import exists_even_lattice
 from k3ade.kernels import isotropic_list, orthogonal_filter
 from k3ade.lattice_ops import (GramLattice, overlattice, root_type,

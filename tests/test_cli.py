@@ -447,6 +447,19 @@ class TestLargePrimeOrders:
         assert "Traceback" not in proc.stderr
 
 
+def test_exponent_token_exits_2_at_once(tmp_path):
+    # A value written with an exponent is refused by the token grammar
+    # before any arithmetic: expanding 10^20000000 would outlast the
+    # timeout.
+    path = tmp_path / "form.txt"
+    path.write_text("2\n1e-20000000\n1/2\n")
+    proc = run_checkout("-m", "k3ade.cli", "exists-lattice", "--signature",
+                        "1,0", "--form", str(path), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: '1e-20000000' is neither an integer nor "
+                           "a fraction a/b\n")
+
+
 #: Tokens of a random form file: integers, fractions (a zero or negative
 #: denominator among them) and words that are neither.
 TOKENS = st.one_of(

@@ -10,23 +10,23 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from fraction_views import (bmat, eval_b, eval_q, form_from_fractions,
+                            make_form, qdiag)
 from k3ade.exact_linalg import int_det, int_inverse, rat_inverse
 from k3ade.fqf import (
     TRIVIAL_FORM,
     FiniteQuadraticForm,
     _b_scaled,
     _q_scaled,
+    _scaled_value,
     direct_sum,
     discriminant_form,
     dump_form,
     elements,
     element_order,
-    eval_b,
-    eval_q,
     form_on_generators,
     group_order,
     is_nondegenerate,
-    make_form,
     p_part,
     parse_form,
     span,
@@ -77,8 +77,8 @@ class TestDiscriminantForm:
     def test_a1(self):
         form, lifts = discriminant_form(A1)
         assert form.orders == (2,)
-        assert form.qdiag == (F(1, 2),)
-        assert form.bmat == ((F(1, 2),),)
+        assert qdiag(form) == (F(1, 2),)
+        assert bmat(form) == ((F(1, 2),),)
         # The lift y = 1/2 of the generator in dual coordinates z = G y.
         assert lifts == [[1]]
 
@@ -90,24 +90,24 @@ class TestDiscriminantForm:
     def test_a2(self):
         form, _ = discriminant_form(A2)
         assert form.orders == (3,)
-        assert form.qdiag == (F(2, 3),)
-        assert form.bmat == ((F(2, 3),),)
+        assert qdiag(form) == (F(2, 3),)
+        assert bmat(form) == ((F(2, 3),),)
 
     def test_a3(self):
         form, _ = discriminant_form(A3)
         assert form.orders == (4,)
-        assert form.qdiag == (F(3, 4),)
+        assert qdiag(form) == (F(3, 4),)
 
     def test_a5(self):
         form, _ = discriminant_form(A5)
         assert form.orders == (6,)
-        assert form.qdiag == (F(5, 6),)
+        assert qdiag(form) == (F(5, 6),)
 
     def test_d4(self):
         form, _ = discriminant_form(D4)
         assert form.orders == (2, 2)
-        assert form.qdiag == (F(1), F(1))
-        assert form.bmat[0][1] == F(1, 2)
+        assert qdiag(form) == (F(1), F(1))
+        assert bmat(form)[0][1] == F(1, 2)
 
     @pytest.mark.parametrize("gram", [[[2, 1], [1]], [[2, 1, 0], [1, 2, 0]]])
     def test_rejects_non_square(self, gram):
@@ -187,7 +187,7 @@ def reference_discriminant_form(gram):
         return sum(F(x) * y for x, y in zip(coords[i], ys[j]))
 
     m = len(cols)
-    form = FiniteQuadraticForm(
+    form = form_from_fractions(
         tuple(d[i][i] for i in cols),
         tuple(pair(i, i) % 2 for i in range(m)),
         tuple(tuple(pair(i, j) % 1 for j in range(m)) for i in range(m)))
@@ -249,8 +249,8 @@ class TestDirectSum:
         qa1 = discriminant_form(A1)[0]
         assert direct_sum(qa1, qa1) == q2
         assert q2.orders == (2, 2)
-        assert q2.qdiag == (F(1, 2), F(1, 2))
-        assert q2.bmat[0][1] == 0
+        assert qdiag(q2) == (F(1, 2), F(1, 2))
+        assert bmat(q2)[0][1] == 0
 
     def test_a2_plus_a1_orders(self):
         form = direct_sum(discriminant_form(A2)[0], discriminant_form(A1)[0])
@@ -283,12 +283,12 @@ class TestPPart:
     def test_a5_at_two(self):
         form = p_part(discriminant_form(A5)[0], 2)
         assert form.orders == (2,)
-        assert form.qdiag == (F(3, 2),)
+        assert qdiag(form) == (F(3, 2),)
 
     def test_a5_at_three(self):
         form = p_part(discriminant_form(A5)[0], 3)
         assert form.orders == (3,)
-        assert form.qdiag == (F(4, 3),)
+        assert qdiag(form) == (F(4, 3),)
 
     def test_no_torsion_gives_trivial(self):
         assert p_part(discriminant_form(A1)[0], 3) == TRIVIAL_FORM
@@ -383,8 +383,8 @@ class TestSubquotient:
     def test_four_a1_gives_d4_form(self):
         sub = subquotient(q_a1_powers(4), [(1, 1, 1, 1)])
         assert sub.orders == (2, 2)
-        assert sub.qdiag == (F(1), F(1))
-        assert sub.bmat[0][1] == F(1, 2)
+        assert qdiag(sub) == (F(1), F(1))
+        assert bmat(sub)[0][1] == F(1, 2)
 
     def test_rejects_anisotropic_generator(self):
         with pytest.raises(ValueError):
@@ -406,8 +406,8 @@ class TestFormOnGenerators:
         form = q_a1_powers(2)
         new = form_on_generators(form, [(1, 1), (0, 1)])
         assert new.orders == (2, 2)
-        assert new.qdiag == (F(1), F(1, 2))
-        assert new.bmat[0][1] == F(1, 2)
+        assert qdiag(new) == (F(1), F(1, 2))
+        assert bmat(new)[0][1] == F(1, 2)
 
     def test_identity_rebase(self):
         form = discriminant_form(D4)[0]
@@ -419,7 +419,7 @@ class TestFormOnGenerators:
         # generators, on presentations of rank up to 6 and up to 8 rows.
         rng = random.Random(f"pairing-rows:{seed}")
         for _ in range(40):
-            form = FiniteQuadraticForm(
+            form = form_from_fractions(
                 *random_presentation(rng, FQF_ORDERS, 6))
             orders = form.orders
             rows = [x for x in small_elements(rng, orders, 10)
@@ -462,6 +462,40 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_form("1\n0/1\n")
 
+    @pytest.mark.parametrize("token,value", [
+        ("0", 0), ("12", 144), ("-3", -36), ("007", 84), ("1/2", 6),
+        ("-1/2", -6), ("3/6", 6), ("0/5", 0),
+    ])
+    def test_value_grammar_accepts(self, token, value):
+        # At the exponent 12.
+        assert _scaled_value(token, 12) == value
+
+    def test_equal_spellings_parse_alike(self):
+        want = FiniteQuadraticForm((4,), (2,), ((2,),))
+        assert parse_form("4\n1/2\n1/2\n") == want
+        assert parse_form("04\n2/4\n04/8\n") == want
+
+    @pytest.mark.parametrize("token", [
+        "1.5", "1e3", "1e-20000000", "\u0662", "+1", "1/-2", "1/2/3", "-",
+        "/", "1/", "/2", "0x10", "1_0", "\u00bd", "x",
+    ])
+    def test_value_grammar_rejects(self, token):
+        for text in (f"2\n{token}\n1/2\n", f"2\n1/2\n{token}\n"):
+            with pytest.raises(ValueError, match="neither an integer nor"):
+                parse_form(text)
+
+    @pytest.mark.parametrize("token", ["-2", "+2", "2/1", "2.0", "1e1",
+                                       "\u0662", "x"])
+    def test_order_grammar_rejects(self, token):
+        with pytest.raises(ValueError, match="not a generator order"):
+            parse_form(f"{token}\n1/2\n1/2\n")
+
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_form("2\n1/0\n1/2\n")
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_form("2\n1/2\n1/00\n")
+
     @given(even_grams())
     @settings(max_examples=60, deadline=None)
     def test_round_trip_random(self, gram):
@@ -490,7 +524,7 @@ class TestNondegenerate:
         rng = random.Random(f"radical:{seed}")
         for _ in range(25):
             orders, qdiag, bmat = random_presentation(rng, (2, 3, 4, 6), 3)
-            form = FiniteQuadraticForm(orders, qdiag, bmat)
+            form = form_from_fractions(orders, qdiag, bmat)
             n = len(orders)
             gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
             radical = [x for x in elements(form) if any(x) and all(
@@ -565,8 +599,8 @@ class TestAgainstFractionModel:
     def test_eval(self, seed):
         rng, forms = random_model_forms(f"eval:{seed}", 40)
         for orders, q, b in forms:
-            form = FiniteQuadraticForm(orders, q, b)
-            assert form.qdiag == q and form.bmat == b
+            form = form_from_fractions(orders, q, b)
+            assert qdiag(form) == q and bmat(form) == b
             xs = small_elements(rng, orders)
             for x in xs:
                 assert eval_q(form, x) == model_q(q, b, x)
@@ -578,7 +612,7 @@ class TestAgainstFractionModel:
     def test_p_part(self, seed):
         _, forms = random_model_forms(f"p_part:{seed}", 40)
         for orders, q, b in forms:
-            form = FiniteQuadraticForm(orders, q, b)
+            form = form_from_fractions(orders, q, b)
             for p in (2, 3, 5, 7):
                 idx = [i for i, d in enumerate(orders) if d % p == 0]
                 pord = []
@@ -591,9 +625,9 @@ class TestAgainstFractionModel:
                     mult.append(m)
                 got = p_part(form, p)
                 assert got.orders == tuple(pord)
-                assert got.qdiag == tuple(m * m * q[i] % 2
-                                          for i, m in zip(idx, mult))
-                assert got.bmat == tuple(
+                assert qdiag(got) == tuple(m * m * q[i] % 2
+                                           for i, m in zip(idx, mult))
+                assert bmat(got) == tuple(
                     tuple(mi * mj * b[i][j] % 1 for j, mj in zip(idx, mult))
                     for i, mi in zip(idx, mult))
 
@@ -601,12 +635,12 @@ class TestAgainstFractionModel:
     def test_direct_sum(self, seed):
         _, forms = random_model_forms(f"direct_sum:{seed}", 40)
         for (o1, q1, b1), (o2, q2, b2) in zip(forms[::2], forms[1::2]):
-            got = direct_sum(FiniteQuadraticForm(o1, q1, b1),
-                             FiniteQuadraticForm(o2, q2, b2))
+            got = direct_sum(form_from_fractions(o1, q1, b1),
+                             form_from_fractions(o2, q2, b2))
             n1, n2 = len(o1), len(o2)
             assert got.orders == o1 + o2
-            assert got.qdiag == q1 + q2
-            assert got.bmat == (
+            assert qdiag(got) == q1 + q2
+            assert bmat(got) == (
                 tuple(row + (F(0),) * n2 for row in b1)
                 + tuple((F(0),) * n1 + row for row in b2))
 
@@ -614,7 +648,7 @@ class TestAgainstFractionModel:
     def test_direct_sum_of_many(self, seed):
         # The n-ary sum equals the pairwise fold, for zero to five forms.
         rng, forms = random_model_forms(f"direct_sum_many:{seed}", 40)
-        forms = [FiniteQuadraticForm(*f) for f in forms]
+        forms = [form_from_fractions(*f) for f in forms]
         for _ in range(20):
             parts = rng.sample(forms, rng.randint(0, 5))
             got = direct_sum(*parts)
@@ -625,7 +659,7 @@ class TestAgainstFractionModel:
 
     def test_direct_sum_of_none_and_one(self):
         assert direct_sum() == TRIVIAL_FORM
-        form = FiniteQuadraticForm(*random_model_forms("one", 1)[1][0])
+        form = form_from_fractions(*random_model_forms("one", 1)[1][0])
         got = direct_sum(form)
         assert (got.orders, got.exp, got.qs, got.bs) == (
             form.orders, form.exp, form.qs, form.bs)
@@ -634,21 +668,21 @@ class TestAgainstFractionModel:
     def test_form_on_generators(self, seed):
         rng, forms = random_model_forms(f"generators:{seed}", 40)
         for orders, q, b in forms:
-            form = FiniteQuadraticForm(orders, q, b)
+            form = form_from_fractions(orders, q, b)
             rows = [x for x in small_elements(rng, orders, 6)
                     if model_order(orders, x) > 1][:rng.randint(1, 4)]
             got = form_on_generators(form, rows)
             assert got.orders == tuple(model_order(orders, x) for x in rows)
-            assert got.qdiag == tuple(model_q(q, b, x) for x in rows)
-            assert got.bmat == tuple(tuple(model_b(b, x, y) for y in rows)
-                                     for x in rows)
+            assert qdiag(got) == tuple(model_q(q, b, x) for x in rows)
+            assert bmat(got) == tuple(tuple(model_b(b, x, y) for y in rows)
+                                      for x in rows)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_subquotient(self, seed):
         rng, forms = random_model_forms(f"subquotient:{seed}", 200)
         checked = 0
         for orders, q, b in forms:
-            form = FiniteQuadraticForm(orders, q, b)
+            form = form_from_fractions(orders, q, b)
             elts = list(elements(form))
             if len(elts) > 400 or not is_nondegenerate(form):
                 continue
@@ -699,23 +733,31 @@ class TestValidation:
     ])
     def test_rule(self, orders, qdiag, bmat, qs, bs, message):
         with pytest.raises(ValueError, match=message):
-            FiniteQuadraticForm(orders, qdiag, bmat)
+            form_from_fractions(orders, qdiag, bmat)
         with pytest.raises(ValueError, match=message):
-            FiniteQuadraticForm.from_scaled(orders, qs, bs)
+            FiniteQuadraticForm(orders, qs, bs)
+
+    def test_fraction_values_are_refused(self):
+        # F(1) == 1, so read as a scaled value each would give a valid
+        # form (q = 1/2 on Z/2, or a hyperbolic plane).
+        with pytest.raises(ValueError, match="must be ints"):
+            FiniteQuadraticForm((2,), (F(1),), ((F(1),),))
+        with pytest.raises(ValueError, match="must be ints"):
+            FiniteQuadraticForm((2, 2), (0, 0), ((0, F(1)), (1, 0)))
 
     def test_value_off_the_exponent_grid(self):
         with pytest.raises(ValueError, match="divide the exponent"):
-            FiniteQuadraticForm((2,), (F(1, 4),), ((F(1, 4),),))
+            form_from_fractions((2,), (F(1, 4),), ((F(1, 4),),))
 
     @pytest.mark.parametrize("seed", range(2))
     def test_both_constructors_agree(self, seed):
         _, forms = random_model_forms(f"constructors:{seed}", 50)
         for orders, q, b in forms:
             e = lcm(*orders)
-            scaled = FiniteQuadraticForm.from_scaled(
+            scaled = FiniteQuadraticForm(
                 orders, [int(x * e) for x in q],
                 [[int(x * e) for x in row] for row in b])
-            fractional = FiniteQuadraticForm(orders, q, b)
+            fractional = form_from_fractions(orders, q, b)
             assert scaled == fractional
             assert hash(scaled) == hash(fractional)
             assert pickle.loads(pickle.dumps(scaled)) == fractional
@@ -725,7 +767,7 @@ class TestValidation:
         # p_part, direct_sum and form_on_generators without orders skip
         # the checks; what they build must pass them all the same.
         rng, forms = random_model_forms(f"derived:{seed}", 60)
-        built = [FiniteQuadraticForm(*f) for f in forms]
+        built = [form_from_fractions(*f) for f in forms]
         derived = []
         for form, other in zip(built, built[1:]):
             derived += [p_part(form, p) for p in (2, 3, 5, 7)]
@@ -734,7 +776,7 @@ class TestValidation:
                     if element_order(form, x) > 1][:rng.randint(1, 4)]
             derived.append(form_on_generators(form, rows))
         for f in derived:
-            checked = FiniteQuadraticForm.from_scaled(f.orders, f.qs, f.bs)
+            checked = FiniteQuadraticForm(f.orders, f.qs, f.bs)
             assert checked == f
             assert (checked.exp, hash(checked)) == (f.exp, hash(f))
 
@@ -744,13 +786,11 @@ class TestValidation:
             form_on_generators(form, [(1,), (0,)])
 
     def test_equality_sees_values(self):
-        a1 = FiniteQuadraticForm((2,), (F(1, 2),), ((F(1, 2),),))
-        e7 = FiniteQuadraticForm.from_scaled((2,), (3,), ((1,),))
+        a1 = form_from_fractions((2,), (F(1, 2),), ((F(1, 2),),))
+        e7 = FiniteQuadraticForm((2,), (3,), ((1,),))
         assert a1 != e7
-        two_a1 = FiniteQuadraticForm.from_scaled((2, 2), (1, 1),
-                                                 ((1, 0), (0, 1)))
-        glued = FiniteQuadraticForm.from_scaled((2, 2), (1, 1),
-                                                ((1, 1), (1, 1)))
+        two_a1 = FiniteQuadraticForm((2, 2), (1, 1), ((1, 0), (0, 1)))
+        glued = FiniteQuadraticForm((2, 2), (1, 1), ((1, 1), (1, 1)))
         assert two_a1 != glued
 
     def test_immutable(self):

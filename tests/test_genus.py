@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fraction_views import make_form
 import split_oracle
 from jordan_oracle import gauss_signature, signature
 from k3ade import classifier, genus, local_invariants
@@ -16,7 +17,6 @@ from k3ade.fqf import (
     form_on_generators,
     group_order,
     is_nondegenerate,
-    make_form,
     p_part,
 )
 from k3ade.genus import _convolve8, exists_even_lattice

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
+from fraction_views import eval_b, eval_q, form_from_fractions
 from k3ade.ade_types import (closed_form, disc_form_closed,
                              enumerate_candidates, parse_type)
-from k3ade.fqf import (TRIVIAL_FORM, FiniteQuadraticForm, elements, eval_b,
-                       eval_q)
+from k3ade.fqf import TRIVIAL_FORM, FiniteQuadraticForm, elements
 from k3ade.kernels import (backend, isotropic_list, orthogonal_filter,
                            orthogonal_mask)
 from test_fqf import random_presentation
@@ -73,7 +73,7 @@ class TestAgainstGenericEvaluators:
 
 def random_forms(seed, count, max_rank):
     rng = random.Random(seed)
-    return [FiniteQuadraticForm(*random_presentation(
+    return [form_from_fractions(*random_presentation(
         rng, [2, 3, 4, 5, 6, 8, 9, 25], max_rank)) for _ in range(count)]
 
 
@@ -112,7 +112,7 @@ class TestNumpyScan:
         # give the one-line scan, in odometer order.
         rng = random.Random(200 + seed)
         for _ in range(60):
-            form = FiniteQuadraticForm(*random_presentation(
+            form = form_from_fractions(*random_presentation(
                 rng, [2, 3, 4, 5, 6, 8, 9, 12], 5))
             assert isotropic_list(form) == [
                 x for x in elements(form) if eval_q(form, x) == 0]
@@ -122,8 +122,7 @@ class TestNumpyScan:
         # = 1.8 * 10^19 is past int64, and so are the products of the
         # largest coefficients; the mask is still exact.
         d = 3 * 10 ** 9
-        form = FiniteQuadraticForm.from_scaled((d, d), (0, 0),
-                                               ((0, 1), (1, 0)))
+        form = FiniteQuadraticForm((d, d), (0, 0), ((0, 1), (1, 0)))
         vs = [(0, 1), (d - 1, d - 1), (d - 1, 1)]
         pool = [(1, 0), (0, d - 1), (d - 1, 1), (1, d - 1), (d - 1, d - 1)]
         got = orthogonal_mask(form, vs, pool)

@@ -9,10 +9,11 @@ from math import floor, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3ade.ade_types import cartan_gram, disc_form_closed, parse_type
+from fraction_views import eval_b, eval_q
+from k3ade.ade_types import (cartan_gram, disc_form_closed,
+                             enumerate_candidates, parse_type)
 from k3ade.exact_linalg import rat_inverse
-from k3ade.fqf import (discriminant_form, elements, eval_b, eval_q,
-                       group_order, subquotient)
+from k3ade.fqf import discriminant_form, elements, group_order, subquotient
 from k3ade.lattice_ops import (GramLattice, overlattice, root_type,
                                short_vectors)
 
@@ -205,6 +206,22 @@ class TestShortVectors:
             short_vectors(GramLattice([[0, 1], [1, 0]]))
         with pytest.raises(ValueError, match="positive definite"):
             short_vectors(GramLattice([[-2]]))
+        # Only the second pivot, the minor 2 * 2 - 3 * 3 < 0, fails.
+        with pytest.raises(ValueError, match="positive definite"):
+            short_vectors(GramLattice([[2, 3], [3, 2]]))
+
+    def test_root_counts_of_candidate_types(self):
+        # The root lattice of every 10th candidate type, up to rank 18,
+        # has the sum of the closed counts of its components.
+        closed = {"A": lambda n: n * (n + 1), "D": lambda n: 2 * n * (n - 1),
+                  "E": {6: 72, 7: 126, 8: 240}.get}
+        sample = enumerate_candidates()[::10]
+        assert len(sample) == 394
+        for sigma in sample:
+            roots = short_vectors(GramLattice(cartan_gram(sigma)), 2,
+                                  both_signs=True)
+            assert len(roots) == sum(closed[kind](n)
+                                     for kind, n in sigma.components)
 
     @pytest.mark.parametrize("text", [
         "A1", "A2", "A3", "2A1", "3A1", "D4", "D5", "A2+A1", "D4+A2",

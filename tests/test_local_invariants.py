@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fraction_views import make_form
 from jordan_oracle import (
     U_BLOCK,
     UNIT,
@@ -26,7 +27,6 @@ from k3ade.fqf import (
     form_on_generators,
     group_order,
     is_nondegenerate,
-    make_form,
     p_part,
 )
 from k3ade.local_invariants import (
