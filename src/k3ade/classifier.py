@@ -17,15 +17,18 @@ closed forms, held as integers scaled by the exponent E of the
 discriminant group D.  A nonzero class whose sum is exactly 2E is a
 root class, and a subgroup gains roots exactly when it holds one.
 The test is asked only of isotropic classes, since the glue subgroup
-H is totally isotropic: each type context reads the minima of a
-class's component pieces by their codes, and the isotropic classes
-that are not root classes form the root-free pool.
+H is totally isotropic: each type context reads the minima of the
+component pieces by their codes, one column of codes per component
+over all the isotropic classes at once, and the isotropic classes that
+are not root classes form the root-free pool.
 
 There are two routes.  The fast one works on integers in D alone.
 _pair_stream walks b w, b < m, until m w lands in <v>; the walk gives
 the invariant factors of H = <v, w>, and a skip hook passes over the
-pair on them before H is built from the cosets of <v>.  classify_type
-is one lazy loop over the stream on the reduced pairs of the pool
+pair on them before H is built from the cosets of <v>.  The coset
+b = 0 is <v> itself, built once per v; and once <v> has been listed,
+every w in <v>, which gives H = <v> again, is marked done before its
+walk.  classify_type is one lazy loop over the stream on the reduced pairs of the pool
 (below): it skips factors already accepted or failing the p-rank prune,
 requires H inside the pool, then asks for the partner of the glued form
 H^perp / H from fqf.subquotient.  check_pair runs the same tests on one
@@ -47,8 +50,8 @@ Stab'(v), the product of the per-component stabilisers of the pieces
 of v with the permutations of equal components whose pieces of v
 agree.  Stab'(v) fixes v, so every <v, w'> has an image <v, w>
 with a kept w.  Both choices AND one bit mask per class, made once
-from the codes of its component pieces, with one mask per v (see
-_candidates).
+per pool from the columns of piece codes of the transposed pool, with
+one mask per v (see _candidates).
 
 Most partner questions are decided by a length count.  By Nikulin's
 Cor. 1.10.2, an even lattice of signature (r, s) with form q exists
@@ -172,6 +175,31 @@ class _TypeContext:
         return (sum(map(getitem, self.minima, self.codes(x)))
                 == 2 * self.form.exp)
 
+    def code_columns(self, xs: list[FqfElement]) -> list:
+        """The codes of the pieces of the classes xs by column: one
+        column per component, in self.comps order, with one code per
+        class, as codes gives them."""
+        cols = list(zip(*xs))
+        return [cols[i] if not d else
+                [a * d + b for a, b in zip(cols[i], cols[j])]
+                for i, d, j in self.layout]
+
+    def root_free(self, xs: list[FqfElement]) -> list[FqfElement]:
+        """The classes of xs that are not root classes (see is_root),
+        with the sums of the minima taken column by column."""
+        sums = _column_sum(self.minima, self.code_columns(xs), len(xs))
+        two = 2 * self.form.exp
+        return [x for x, total in zip(xs, sums) if total != two]
+
+
+def _column_sum(tables, columns, size: int) -> list[int]:
+    """Entry by entry, the sum over the columns of table[code] for the
+    codes down each column, with one table per column."""
+    total = [0] * size
+    for table, column in zip(tables, columns):
+        total = list(map(add, total, map(table.__getitem__, column)))
+    return total
+
 
 @lru_cache(maxsize=None)
 def _context(sigma: ADEType) -> _TypeContext:
@@ -233,6 +261,17 @@ def _component_pair_min(comp: Component) -> tuple[tuple[int, ...], ...]:
                        for b in range(size)) for a in range(size))
 
 
+@lru_cache(maxsize=None)
+def _component_fail_bits(comp: Component) -> tuple[int, ...]:
+    """For each code b of a single component, the mask with bit a set
+    when pairmin[a][b] != b, pairmin being _component_pair_min(comp):
+    the codes a of a piece of v under whose stabiliser b is not least
+    (see _candidates)."""
+    pairmin = _component_pair_min(comp)
+    return tuple(sum(1 << a for a, row in enumerate(pairmin) if row[b] != b)
+                 for b in range(len(pairmin)))
+
+
 def _candidates(ctx: _TypeContext,
                 pool: list[FqfElement]) -> list[tuple]:
     """(v, ws) for each canonical representative v of the symmetry
@@ -254,39 +293,41 @@ def _candidates(ctx: _TypeContext,
     pairmin[a][x_c] != x_c and bit r set when x's pieces decrease at
     the r-th repeated component; v asks for the bits (c, v_c) and for
     the r at which its own pieces agree.
+
+    The masks are read by column (_TypeContext.code_columns): the pool
+    is transposed once, the bits (c, a) of every class are the sum over
+    the components of their _component_fail_bits, shifted to the
+    component's place, and the bit r compares two columns.  The ws
+    keep the w in <v>, which all give H = <v>; _pair_stream walks them
+    only until <v> is listed.
     """
     if len(pool) == 1:
         # A pool of one class holds only 0.
         return [(pool[0], pool)]
     comps = ctx.comps
     repeats = [c for c in range(1, len(comps)) if comps[c] == comps[c - 1]]
-    pairmins = [_component_pair_min(comp) for comp in comps]
+    fail_bits = list(map(_component_fail_bits, comps))
     # Bit offsets[c] + a stands for (c, a), bit top + r for repeat r.
-    offsets = [0, *accumulate(map(len, pairmins))]
+    offsets = [0, *accumulate(map(len, fail_bits))]
     top = offsets.pop()
-    fail_bits = [[sum(1 << (offset + a) for a, row in enumerate(pairmin)
-                      if row[b] != b) for b in range(len(pairmin))]
-                 for offset, pairmin in zip(offsets, pairmins)]
+    columns = ctx.code_columns(pool)
+    masks = _column_sum([[bits << offset for bits in table] for offset, table
+                         in zip(offsets, fail_bits)], columns, len(pool))
+    for r, c in enumerate(repeats):
+        bit = 1 << (top + r)
+        masks = [bits | bit if a > b else bits for bits, a, b
+                 in zip(masks, columns[c - 1], columns[c])]
 
-    def fails(xc: list[int]) -> int:
-        bits = sum(map(getitem, fail_bits, xc))
-        for r, c in enumerate(repeats):
-            if xc[c - 1] > xc[c]:
-                bits |= 1 << (top + r)
-        return bits
-
-    def asks(vc: list[int]) -> int:
+    def asks(vc: tuple[int, ...]) -> int:
         bits = sum(1 << (offset + a) for offset, a in zip(offsets, vc))
         for r, c in enumerate(repeats):
             if vc[c - 1] == vc[c]:
                 bits |= 1 << (top + r)
         return bits
 
-    codes = list(map(ctx.codes, pool))
-    masks = list(map(fails, codes))
-    whole = asks([0] * len(comps))
+    whole = asks((0,) * len(comps))
     out = []
-    for x, xc, bits in zip(pool, codes, masks):
+    for x, xc, bits in zip(pool, zip(*columns), masks):
         if bits & whole:
             continue
         ask = asks(xc)
@@ -309,7 +350,9 @@ def _pair_stream(form: FiniteQuadraticForm, candidates: Iterable[tuple],
     m w = k v; then H has order m ord(v) and exponent lcm(ord(v),
     ord(w)), with ord(w) = m ord(v) / gcd(k, ord(v)).  Every element
     of a coset with gcd(b, m) = 1 generates H together with v, so those
-    cosets are marked done and H is built once per v.
+    cosets are marked done and H is built once per v.  The coset b = 0
+    is <v>, listed once per v, and when <v> itself was listed by an
+    earlier v, its elements are marked done before any walk.
     """
     orders = form.orders
     zero = (0,) * len(orders)
@@ -322,7 +365,11 @@ def _pair_stream(form: FiniteQuadraticForm, candidates: Iterable[tuple],
             multiples[u] = len(multiples)
             u = tuple(map(mod, map(add, u, v), orders))
         ord_v = len(multiples)
-        done: set[FqfElement] = set()
+        cyclic = list(multiples)
+        # Every w in <v> gives H = <v>; once <v> is listed, none of them
+        # is walked.  A skipped <v> is never listed.
+        done: set[FqfElement] = (set(cyclic) if frozenset(cyclic) in seen
+                                 else set())
         for w in ws:
             if w in done:
                 continue
@@ -337,8 +384,12 @@ def _pair_stream(form: FiniteQuadraticForm, candidates: Iterable[tuple],
             factors = (small, exp) if small > 1 else (exp,) if exp > 1 else ()
             if skip is not None and skip(factors):
                 continue
-            cosets = [[tuple(map(mod, map(add, shift, u), orders))
-                       for u in multiples] for shift in shifts]
+            if ord_v == 1:
+                cosets = [[shift] for shift in shifts]
+            else:
+                cosets = [cyclic] + [
+                    [tuple(map(mod, map(add, shift, u), orders))
+                     for u in cyclic] for shift in shifts[1:]]
             for b, coset in enumerate(cosets):
                 if gcd(b, m) == 1:
                     done.update(coset)
@@ -379,7 +430,7 @@ def clear_caches() -> None:
     one way to drop them, e.g. between runs that must not share work.
     """
     for memo in (_context, _scaled_minima, _component_pair_min,
-                 _exists_cached, genus._local_data,
+                 _component_fail_bits, _exists_cached, genus._local_data,
                  local_invariants.unimodular_set, ade_types._component_gram,
                  ade_types._component_form, ade_types._component_group,
                  ade_types._allowed_replacements):
@@ -462,8 +513,7 @@ def classify_type(sigma: ADEType) -> set[FactorTuple]:
     """All torsion groups realizable together with the given type, by
     one lazy loop over the root-free pool (see the module docstring)."""
     ctx = _context(sigma)
-    iso = isotropic_list(ctx.form)
-    pool = [x for x in iso if not ctx.is_root(x)]
+    pool = ctx.root_free(isotropic_list(ctx.form))
     root_free = set(pool)
     out: set[FactorTuple] = set()
 

@@ -475,12 +475,23 @@ def _fmt(x: int, e: int) -> str:
 
 _ORDER = re.compile(r"[0-9]+")
 _VALUE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+#: Most digits in one number of a form file: the interpreter's default
+#: bound on reading an int from text, refused here as bad input.
+_MAX_DIGITS = 4300
+
+
+def _token_int(digits: str, token: str) -> int:
+    """The int written by the digits, a part of the form-file token."""
+    if len(digits.lstrip("-")) > _MAX_DIGITS:
+        raise ValueError(f"form-file token of {len(token)} characters has "
+                         f"a number of more than {_MAX_DIGITS} digits")
+    return int(digits)
 
 
 def _parse_order(token: str) -> int:
     if not _ORDER.fullmatch(token):
         raise ValueError(f"{token!r} is not a generator order")
-    return int(token)
+    return _token_int(token, token)
 
 
 def _scaled_value(token: str, e: int) -> int:
@@ -490,10 +501,10 @@ def _scaled_value(token: str, e: int) -> int:
         raise ValueError(f"{token!r} is neither an integer nor a fraction "
                          "a/b")
     num, den = match.groups()
-    den = int(den or 1)
+    den = _token_int(den or "1", token)
     if den == 0:
         raise ValueError(f"zero denominator in {token!r}")
-    x, r = divmod(int(num) * e, den)
+    x, r = divmod(_token_int(num, token) * e, den)
     if r:
         raise ValueError("value denominators must divide the exponent")
     return x

@@ -24,12 +24,13 @@ def backend() -> str:
     return "python"
 
 
-def _cuts(form: FiniteQuadraticForm, lo: int, hi: int) -> list[int]:
-    """The points lo <= c <= hi at which no generator of lo, ..., c - 1
-    pairs with one of c, ..., hi - 1; lo and hi are always among them."""
-    cuts, reach = [lo], lo
-    for i in range(lo, hi):
-        tail = form.bs[i][i + 1:hi]
+def _cuts(form: FiniteQuadraticForm) -> list[int]:
+    """The points 0 <= c <= n at which no generator of 0, ..., c - 1
+    pairs with one of c, ..., n - 1; 0 and n are always among them."""
+    n = len(form.orders)
+    cuts, reach = [0], 0
+    for i in range(n):
+        tail = form.bs[i][i + 1:]
         if any(tail):
             reach = max(reach, i + 1 + max(t for t, b in enumerate(tail) if b))
         if reach <= i:
@@ -37,17 +38,17 @@ def _cuts(form: FiniteQuadraticForm, lo: int, hi: int) -> list[int]:
     return cuts
 
 
-def _scaled_q(form: FiniteQuadraticForm, lo: int, hi: int) -> list[int]:
+def _scaled_q(form: FiniteQuadraticForm, cuts: list[int]) -> list[int]:
     """E q(x), correct mod 2E but not reduced, for the elements x of the
-    subgroup on the generators lo, ..., hi - 1, in odometer order.
+    subgroup on the generators cuts[0], ..., cuts[-1] - 1, in odometer
+    order; cuts are the _cuts of that range.
 
-    q is the sum of its values on the segments between the _cuts, each
+    q is the sum of its values on the segments between the cuts, each
     evaluated element by element; the segments are combined with one
     addition per element.
     """
     bs, qs, orders = form.bs, form.qs, form.orders
     values = [0]
-    cuts = _cuts(form, lo, hi)
     for start, stop in zip(cuts, cuts[1:]):
         if stop == start + 1:
             q = qs[start]
@@ -63,14 +64,13 @@ def _scaled_q(form: FiniteQuadraticForm, lo: int, hi: int) -> list[int]:
     return values
 
 
-def _best_cut(form: FiniteQuadraticForm) -> int:
+def _best_cut(form: FiniteQuadraticForm, cuts: list[int]) -> int:
     """The k at which isotropic_list cuts the generators into F and S:
-    among the _cuts, where no generator of F pairs with one of S, the
-    one with the least work |F| + |S|.  k = 0 is always a cut, so the
-    scan is exact on any presentation."""
+    among the _cuts of all the generators, where no generator of F pairs
+    with one of S, the one with the least work |F| + |S|.  k = 0 is
+    always a cut, so the scan is exact on any presentation."""
     orders = form.orders
-    return min(_cuts(form, 0, len(orders)),
-               key=lambda k: prod(orders[:k]) + prod(orders[k:]))
+    return min(cuts, key=lambda k: prod(orders[:k]) + prod(orders[k:]))
 
 
 def isotropic_list(form: FiniteQuadraticForm) -> list[FqfElement]:
@@ -83,17 +83,21 @@ def isotropic_list(form: FiniteQuadraticForm) -> list[FqfElement]:
     once, value -> elements in odometer order, and each f, in odometer
     order, looks up -E q(f) mod 2E.  The closed forms of the candidate
     types are direct sums, so their cut falls between components.
+
+    The cuts are found once.  No pairing crosses k, so the cuts of F and
+    of S are the cuts of all the generators that fall in their ranges.
     """
     orders, m = form.orders, 2 * form.exp
-    k = _best_cut(form)
+    cuts = _cuts(form)
+    k = _best_cut(form, cuts)
     table: dict[int, list[FqfElement]] = {}
     for s, value in zip(product(*map(range, orders[k:])),
-                        _scaled_q(form, k, len(orders))):
+                        _scaled_q(form, [c for c in cuts if c >= k])):
         table.setdefault(value % m, []).append(s)
     hits_at = table.get
     found: list[FqfElement] = []
     for f, value in zip(product(*map(range, orders[:k])),
-                        _scaled_q(form, 0, k)):
+                        _scaled_q(form, [c for c in cuts if c <= k])):
         hits = hits_at(-value % m)
         if hits:
             found += [f + s for s in hits]

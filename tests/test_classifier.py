@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
@@ -326,13 +327,16 @@ class TestOrbitReps:
     def test_matches_per_class_loop(self):
         # On the isotropic classes and the root-free pool of every 10th
         # type, the representatives read off the least-element mask are
-        # those of the per-class loop, in the same order.
+        # those of the per-class loop, in the same order, and the masks
+        # read by column give the (v, ws) of the per-class mask loop.
         for sigma in enumerate_candidates(18, 24)[::10]:
             ctx = _context(sigma)
             iso = isotropic_list(ctx.form)
             for xs in (iso, [x for x in iso if not ctx.is_root(x)]):
-                assert [v for v, _ in _candidates(ctx, xs)] \
+                cands = _candidates(ctx, xs)
+                assert [v for v, _ in cands] \
                     == _model_orbit_reps(sigma, xs), sigma
+                assert cands == _model_candidates(ctx, xs), sigma
 
 
 class TestComponentPairMin:
@@ -382,6 +386,50 @@ def _model_orbit_reps(sigma, xs):
                 out.extend(piece)
         reps.add(tuple(out))
     return sorted(reps)
+
+
+def _model_candidates(ctx, pool):
+    """The per-class mask loop of _candidates: each class's piece codes
+    read one class at a time, its mask summed from the K x K pair-minimum
+    table of each component."""
+    if len(pool) == 1:
+        return [(pool[0], pool)]
+    comps = ctx.comps
+    repeats = [c for c in range(1, len(comps)) if comps[c] == comps[c - 1]]
+    pairmins = [_component_pair_min(comp) for comp in comps]
+    offsets = [0]
+    for pairmin in pairmins:
+        offsets.append(offsets[-1] + len(pairmin))
+    top = offsets.pop()
+    fail_bits = [[sum(1 << (offset + a) for a, row in enumerate(pairmin)
+                      if row[b] != b) for b in range(len(pairmin))]
+                 for offset, pairmin in zip(offsets, pairmins)]
+
+    def fails(xc):
+        bits = sum(table[code] for table, code in zip(fail_bits, xc))
+        for r, c in enumerate(repeats):
+            if xc[c - 1] > xc[c]:
+                bits |= 1 << (top + r)
+        return bits
+
+    def asks(vc):
+        bits = sum(1 << (offset + a) for offset, a in zip(offsets, vc))
+        for r, c in enumerate(repeats):
+            if vc[c - 1] == vc[c]:
+                bits |= 1 << (top + r)
+        return bits
+
+    codes = [ctx.codes(x) for x in pool]
+    masks = [fails(xc) for xc in codes]
+    whole = asks([0] * len(comps))
+    out = []
+    for x, xc, bits in zip(pool, codes, masks):
+        if bits & whole:
+            continue
+        ask = asks(xc)
+        ws = [w for w, w_bits in zip(pool, masks) if not w_bits & ask]
+        out.append((x, orthogonal_filter(ctx.form, ws, x)))
+    return out
 
 
 def _symmetry_moves(sigma):
@@ -526,6 +574,80 @@ class TestCosetStream:
             images |= _span_orbit(moves, span(_context(sigma).form,
                                               [p.v, p.w]))
         assert set(_spans_by_pair_loop(sigma)) <= images
+
+
+def _model_pair_stream(form, candidates, skip=None):
+    """The subgroup stream with <v> rebuilt for every walk: each coset
+    b w + <v>, b = 0 among them, made by addition, and every w of ws
+    walked unless a coset of an earlier w of the same v marked it."""
+    orders = form.orders
+    zero = (0,) * len(orders)
+    seen = set()
+    for v, ws in candidates:
+        multiples = {}
+        u = zero
+        while u not in multiples:
+            multiples[u] = len(multiples)
+            u = tuple((a + b) % d for a, b, d in zip(u, v, orders))
+        ord_v = len(multiples)
+        done = set()
+        for w in ws:
+            if w in done:
+                continue
+            shifts = [zero]
+            bw = w
+            while bw not in multiples:
+                shifts.append(bw)
+                bw = tuple((a + b) % d for a, b, d in zip(bw, w, orders))
+            m = len(shifts)
+            exp = lcm(ord_v, m * ord_v // gcd(multiples[bw], ord_v))
+            small = m * ord_v // exp
+            factors = (small, exp) if small > 1 else (exp,) if exp > 1 else ()
+            if skip is not None and skip(factors):
+                continue
+            cosets = [[tuple((a + b) % d for a, b, d
+                             in zip(shift, u, orders)) for u in multiples]
+                      for shift in shifts]
+            for b, coset in enumerate(cosets):
+                if gcd(b, m) == 1:
+                    done.update(coset)
+            sub = frozenset(x for coset in cosets for x in coset)
+            if sub in seen:
+                continue
+            seen.add(sub)
+            yield v, w, sub, factors
+
+
+class TestStreamAgainstModel:
+    # Every 37th candidate type, on the candidates of the isotropic
+    # classes and of the root-free pool.
+    TYPES = enumerate_candidates(18, 24)[::37]
+
+    @pytest.mark.parametrize("skips", [False, True],
+                             ids=["no-skip", "skip-2-and-prank"])
+    def test_same_yields_as_the_rebuilding_loop(self, skips):
+        # With the skip hook, (2,) and the p-rank prune are passed over,
+        # so <v> of order 2 is never listed and the w in it are walked
+        # again for each v; without it, <v> is listed early and the w
+        # in it are marked before their walk.
+        covered = 0
+        for sigma in self.TYPES:
+            ctx = _context(sigma)
+            iso = isotropic_list(ctx.form)
+
+            def skip(factors):
+                return factors == (2,) or classifier._prank_fails(ctx,
+                                                                  factors)
+
+            hook = skip if skips else None
+            for xs in (iso, ctx.root_free(iso)):
+                cands = _candidates(ctx, xs)
+                got = list(_pair_stream(ctx.form, cands, hook))
+                assert got == list(_model_pair_stream(ctx.form, cands,
+                                                      hook)), sigma
+                covered += len(got)
+        assert len(self.TYPES) == 107
+        assert covered > 0
 
 
 def _refuse(*args, **kwargs):
@@ -723,6 +845,8 @@ class TestRootFreePool:
             mask = [not ctx.is_root(x) for x in iso]
             assert mask == [enumerated_norm(sigma, x) != 2 for x in iso], \
                 sigma
+            assert ctx.root_free(iso) == [x for x, keep in zip(iso, mask)
+                                          if keep], sigma
             dropped += mask.count(False)
         assert len(types) == 563 + 36
         assert dropped > 0

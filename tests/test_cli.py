@@ -460,6 +460,21 @@ def test_exponent_token_exits_2_at_once(tmp_path):
                            "a fraction a/b\n")
 
 
+def test_overlong_token_exits_2_with_a_form_file_message(tmp_path):
+    # A q value of 5 000 ones over 2: a number past the interpreter's
+    # 4 300-digit bound on reading ints is refused as a form-file token,
+    # not with the interpreter's own message.
+    token = "1" * 5000 + "/2"
+    path = tmp_path / "form.txt"
+    path.write_text(f"2\n{token}\n1/2\n")
+    proc = run_checkout("-m", "k3ade.cli", "exists-lattice", "--signature",
+                        "1,0", "--form", str(path), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: form-file token of 5002 characters has "
+                           "a number of more than 4300 digits\n")
+    assert "set_int_max_str_digits" not in proc.stderr
+
+
 #: Tokens of a random form file: integers, fractions (a zero or negative
 #: denominator among them) and words that are neither.
 TOKENS = st.one_of(

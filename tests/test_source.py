@@ -174,14 +174,30 @@ def test_oracle_lifts_stay_on_integers():
 def test_split_builds_no_form():
     # The genus decision reads each p-part's scaled integers and splits
     # them in place: no FiniteQuadraticForm is built per prime or per
-    # split step.
-    banned = {"form_on_generators", "p_part", "from_scaled", "_derived"}
+    # split step, neither by a helper that makes one nor by a call of
+    # the constructor, by its name or as an attribute.
+    banned = {"form_on_generators", "p_part", "_derived"}
     checked = {"genus._local_data": _body("genus.py", "_local_data"),
                "local_invariants.split_masks": _body("local_invariants.py",
                                                      "split_masks")}
     assert {where: sorted(banned & _identifiers(node))
             for where, node in checked.items()} == {where: []
                                                     for where in checked}
+    assert {where: [call.lineno for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and _callee_name(call.func) == "FiniteQuadraticForm"]
+            for where, node in checked.items()} == {where: []
+                                                    for where in checked}
+
+
+def _callee_name(func):
+    """The name a call is made by: a plain name, or the last attribute
+    of a dotted one."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
 
 
 def _identifiers(node):
