@@ -32,10 +32,12 @@ walk.  classify_type is one lazy loop over the stream on the reduced pairs of th
 (below): it skips factors already accepted or failing the p-rank prune,
 requires H inside the pool, then asks for the partner of the glued form
 H^perp / H from fqf.subquotient.  check_pair runs the same tests on one
-pair.  The oracle, slow_check_pair, builds the explicit overlattice,
-takes the glued form from its Gram matrix, finds its roots by vector
-enumeration and takes the invariant factors from the Smith form of the
-relations of fqf.span; the tests compare the two routes.
+pair.  The oracle, slow_check_pair, builds the explicit overlattice M,
+takes the glued form from its Gram matrix and finds its roots by vector
+enumeration.  It reads the invariant factors of H off M itself, since
+M/L is H (Nikulin 1979, Prop. 1.4.1): lattice_ops.overlattice takes
+them from the Smith form of the Hermite basis it builds M on, so the
+oracle walks no subgroup of D.  The tests compare the two routes.
 
 The stream is reduced by the stable symmetries on both generators; a
 symmetry maps H to an isomorphic glue, with the same verdict and
@@ -72,20 +74,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm, prod
-from operator import add, getitem, mod, mul
+from operator import add, mod, mul
 from typing import Iterable, Iterator, Optional
 
 from . import ade_types, genus, lattice_ops, local_invariants
 from .ade_types import (ADEType, Component, _component_form,
                         _component_group, cartan_gram, closed_form,
                         disc_form_closed, disc_order, enumerate_candidates)
-from .exact_linalg import prime_factors, smith_normal_form
+from .exact_linalg import prime_factors
 from .fqf import (FiniteQuadraticForm, FqfElement, _b_scaled, _q_scaled,
-                  _reduce, discriminant_form, element_order, group_order,
-                  span, subquotient)
+                  _reduce, discriminant_form, group_order, subquotient)
 from .genus import exists_even_lattice
 from .kernels import isotropic_list, orthogonal_mask
-from .lattice_ops import GramLattice, overlattice, root_type
+from .lattice_ops import overlattice, root_type
 
 FactorTuple = tuple[int, ...]
 
@@ -165,28 +166,19 @@ class _TypeContext:
             raise RuntimeError(f"discriminant group of {sigma} exceeds "
                                f"{MAX_DISC_ORDER}")
 
-    def codes(self, x: FqfElement) -> list[int]:
-        """The code of each piece of the class x, in self.comps order."""
-        return [x[i] * d + x[j] for i, d, j in self.layout]
-
-    def is_root(self, x: FqfElement) -> bool:
-        """Whether the class x is a root class: the sum of the coset
-        minima of its pieces is 2, i.e. 2E scaled."""
-        return (sum(map(getitem, self.minima, self.codes(x)))
-                == 2 * self.form.exp)
-
     def code_columns(self, xs: list[FqfElement]) -> list:
         """The codes of the pieces of the classes xs by column: one
         column per component, in self.comps order, with one code per
-        class, as codes gives them."""
+        class, x_i d + x_j for each (i, d, j) of self.layout."""
         cols = list(zip(*xs))
         return [cols[i] if not d else
                 [a * d + b for a, b in zip(cols[i], cols[j])]
                 for i, d, j in self.layout]
 
     def root_free(self, xs: list[FqfElement]) -> list[FqfElement]:
-        """The classes of xs that are not root classes (see is_root),
-        with the sums of the minima taken column by column."""
+        """The classes of xs that are not root classes: a root class is
+        one whose sum of the coset minima of its pieces is 2, i.e. 2E
+        scaled.  The sums are taken column by column."""
         sums = _column_sum(self.minima, self.code_columns(xs), len(xs))
         two = 2 * self.form.exp
         return [x for x, total in zip(xs, sums) if total != two]
@@ -440,31 +432,6 @@ def clear_caches() -> None:
         table.clear()
 
 
-def _invariant_factors(form: FiniteQuadraticForm, v: FqfElement,
-                       w: FqfElement) -> FactorTuple:
-    """Invariant factors of the subgroup generated by v and w, via the
-    Smith form of its relation lattice."""
-    gens = [g for g in (v, w) if any(g)]
-    if not gens:
-        return ()
-    if len(gens) == 1:
-        return (element_order(form, gens[0]),)
-    ev = element_order(form, v)
-    ew = element_order(form, w)
-    rels = [[ev, 0], [0, ew]]
-    for a in range(ev):
-        for b in range(ew):
-            if (a or b) and all(
-                    (a * x + b * y) % d == 0
-                    for x, y, d in zip(v, w, form.orders)):
-                rels.append([a, b])
-    diag, _ = smith_normal_form(rels)
-    factors = tuple(d for d in (diag[0][0], diag[1][1]) if d > 1)
-    if prod(factors) != len(span(form, gens)):
-        raise RuntimeError("invariant factors disagree with the span")
-    return factors
-
-
 def _glue_lift(lifts: list[list[int]], x: FqfElement) -> list[int]:
     """The dual coordinates of the class x: x times the generator lifts."""
     return [sum(map(mul, x, col)) for col in zip(*lifts)]
@@ -503,7 +470,8 @@ def check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:
     if _b_scaled(form, v, w):
         raise ValueError("glue classes do not pair to zero")
     _, _, sub, factors = next(_pair_stream(form, [(v, [w])]))
-    if (_prank_fails(ctx, factors) or any(map(ctx.is_root, sub))
+    if (_prank_fails(ctx, factors)
+            or len(ctx.root_free(list(sub))) < len(sub)
             or not _partner_exists(ctx, v, w, sub)):
         return None
     return ClassEntry(sigma, factors)
@@ -578,20 +546,21 @@ def verify_reference(results: Iterable[ClassEntry],
 
 def slow_check_pair(sigma: ADEType, pair: GluePair) -> Optional[ClassEntry]:
     """Reference implementation of check_pair that builds the glued
-    overlattice explicitly, takes the glued form from its Gram matrix and
-    re-derives the root type by vector enumeration.  It shares no code
-    that builds the glued form with the fast path; used to cross-validate
-    it."""
+    overlattice explicitly, takes the glued form from its Gram matrix,
+    re-derives the root type by vector enumeration and reads the
+    invariant factors of the glue group off the overlattice.  It shares
+    no code that builds the glued form or the subgroup with the fast
+    path; used to cross-validate it."""
     form, lifts = disc_form_closed(sigma)
-    gens = [g for g in (pair.v, pair.w) if any(g)]
-    lattice, index = overlattice(GramLattice(cartan_gram(sigma)),
+    # Reduced first, so that a class of the wrong length is refused
+    # rather than cut short by the lift.
+    gens = [g for g in (_reduce(form, pair.v), _reduce(form, pair.w))
+            if any(g)]
+    glued, factors = overlattice(cartan_gram(sigma),
                                  [_glue_lift(lifts, g) for g in gens])
-    expected = len(span(form, gens)) if gens else 1
-    if index != expected:
-        raise RuntimeError("overlattice index disagrees with the subgroup")
-    glued = discriminant_form(lattice.gram)[0]
-    if not exists_even_lattice(2, 18 - sigma.rank, glued):
+    if not exists_even_lattice(2, 18 - sigma.rank,
+                               discriminant_form(glued)[0]):
         return None
-    if root_type(lattice) != sigma:
+    if root_type(glued) != sigma:
         return None
-    return ClassEntry(sigma, _invariant_factors(form, pair.v, pair.w))
+    return ClassEntry(sigma, factors)

@@ -331,7 +331,13 @@ def element_order(form: FiniteQuadraticForm, x: Sequence[int]) -> int:
 
 def span(form: FiniteQuadraticForm,
          gens: Iterable[Sequence[int]]) -> frozenset[FqfElement]:
-    """The subgroup generated by the given elements."""
+    """The subgroup generated by the given elements.
+
+    Nothing in the package calls it: the classifier builds subgroups
+    from the cosets of its glue stream, and the oracle reads the glue
+    group off the overlattice.  It stays because BENCHMARK.json names it
+    as a per-layer metric (fqf.span.*); the tests still call it.
+    """
     gens = [_reduce(form, g) for g in gens]
     seen = {tuple([0] * len(form.orders))}
     frontier = list(seen)

@@ -1,90 +1,79 @@
 """Operations on explicit even integral lattices.
 
-A lattice is presented by its Gram matrix on a fixed basis.  The
-module builds even overlattices from isotropic glue vectors in the
-dual, enumerates short vectors by a Fincke-Pohst descent on integers
-(its quadratic form split by one fraction-free Bareiss elimination),
-and identifies the ADE type of the sublattice generated by the norm-2
-vectors.
+A lattice is presented by its Gram matrix on a fixed basis, and each
+operation checks the matrix once on entry: it must be square, integral,
+symmetric with even diagonal and nondegenerate.  The module builds even
+overlattices from isotropic glue vectors in the dual, together with the
+invariant factors of the glue group M/L, enumerates short vectors by a
+Fincke-Pohst descent on integers (its quadratic form split by one
+fraction-free Bareiss elimination), and identifies the ADE type of the
+sublattice generated by the norm-2 vectors, block by block on the
+Gram matrix.
 """
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import lcm, prod
 from operator import mul
 from typing import Sequence
 
 from .ade_types import ADEType, Component
 from .exact_linalg import (_scaled_inverse, hermite_normal_form, int_det,
-                           int_rank)
+                           int_rank, smith_normal_form)
+
+Gram = tuple[tuple[int, ...], ...]
 
 
-class GramLattice:
-    """An even integral lattice of nonzero determinant.
+def _checked(gram: Sequence[Sequence[int]]) -> Gram:
+    """The rows of an even symmetric integral Gram matrix as int tuples.
 
-    The Gram matrix must be symmetric with even diagonal.  Positive
-    definiteness is only required (and checked) by the operations that
-    need it.
+    Raises ValueError for an empty, ragged, non-integral, nonsymmetric
+    or odd-diagonal matrix; nondegeneracy is left to the elimination
+    each caller runs anyway.
     """
-
-    __slots__ = ("gram", "det")
-
-    def __init__(self, gram: Sequence[Sequence[int]]):
-        n = len(gram)
-        if n == 0:
-            raise ValueError("empty Gram matrix")
-        rows = []
-        for i in range(n):
-            row = list(gram[i])
-            if len(row) != n:
-                raise ValueError("Gram matrix must be square")
-            for x in row:
-                if x % 1 != 0:
-                    raise ValueError("Gram entries must be integers")
-            rows.append(tuple(int(x) for x in row))
-        for i in range(n):
-            if rows[i][i] % 2 != 0:
-                raise ValueError("diagonal must be even")
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-        self.gram = tuple(rows)
-        self.det = int_det(rows)
-        if self.det == 0:
-            raise ValueError("Gram matrix is degenerate")
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
-
-    def __eq__(self, other):
-        return isinstance(other, GramLattice) and self.gram == other.gram
-
-    def __hash__(self):
-        return hash(self.gram)
-
-    def __repr__(self):
-        return f"GramLattice(rank={self.rank}, det={self.det})"
+    n = len(gram)
+    if n == 0:
+        raise ValueError("empty Gram matrix")
+    rows = []
+    for row in gram:
+        if len(row) != n:
+            raise ValueError("Gram matrix must be square")
+        if any(x % 1 for x in row):
+            raise ValueError("Gram entries must be integers")
+        rows.append(tuple(map(int, row)))
+    for i, row in enumerate(rows):
+        if row[i] % 2:
+            raise ValueError("diagonal must be even")
+        if any(row[j] != rows[j][i] for j in range(i)):
+            raise ValueError("Gram matrix must be symmetric")
+    return tuple(rows)
 
 
-def overlattice(lat: GramLattice,
-                glue: Sequence[Sequence[int]]) -> tuple[GramLattice, int]:
-    """Even overlattice generated by the lattice and dual glue vectors.
+def overlattice(gram: Sequence[Sequence[int]],
+                glue: Sequence[Sequence[int]]
+                ) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Even overlattice M generated by the lattice L of the Gram matrix
+    and dual glue vectors.
 
     Each glue vector y is given by its integer dual coordinates z = G y
     (see fqf), and the glue classes must be totally isotropic for the
-    discriminant form.  Returns the overlattice on a new basis together
-    with the index, which satisfies det(L) = det(M) * index**2.
-    Evenness of the result is checked, as it follows from isotropy.
+    discriminant form.  Returns the Gram matrix of M on a new basis
+    together with the ascending invariant factors of the glue group
+    M/L, which satisfy det(L) = det(M) * prod(factors)**2.  Evenness of
+    the result is checked, as it follows from isotropy.
     """
-    n = lat.rank
+    gram = _checked(gram)
+    n = len(gram)
     for z in glue:
         if len(z) != n:
             raise ValueError("lift has wrong length")
         if any(x % 1 for x in z):
             raise ValueError("dual coordinates must be integers")
     # With d = det(G), d y = adj(G) z and (y, y') = z adj(G) z' / d.
-    adj, d = _scaled_inverse(lat.gram)
+    try:
+        adj, d = _scaled_inverse(gram)
+    except ValueError:
+        raise ValueError("Gram matrix is degenerate") from None
     scaled = [[sum(map(mul, row, z)) for row in adj] for z in glue]
     for i, y in enumerate(scaled):
         if sum(map(mul, glue[i], y)) % (2 * d):
@@ -99,7 +88,7 @@ def overlattice(lat: GramLattice,
     hnf = hermite_normal_form(rows + scaled)
     if len(hnf) != n:
         raise RuntimeError("overlattice basis must have full rank")
-    half = [[sum(map(mul, h, row)) for row in lat.gram] for h in hnf]
+    half = [[sum(map(mul, h, row)) for row in gram] for h in hnf]
     new_gram = []
     for a in half:
         row = []
@@ -111,18 +100,17 @@ def overlattice(lat: GramLattice,
         new_gram.append(row)
     if any(new_gram[i][i] % 2 for i in range(n)):
         raise RuntimeError("overlattice must be even")
+    # |d| M / |d| L is M/L, and |d| L = |d| Z^n: a Smith diagonal s_1 |
+    # ... | s_n of the Hermite basis gives the factors |d| / s_i.
+    diag, _ = smith_normal_form(hnf)
+    factors = tuple(abs(d) // diag[i][i] for i in reversed(range(n))
+                    if diag[i][i] < abs(d))
+    if int_det(new_gram) * prod(factors) ** 2 != d:
+        raise RuntimeError("det ratio must be the squared glue order")
+    return new_gram, factors
 
-    over = GramLattice(new_gram)
-    ratio, r = divmod(d, over.det)
-    if r or ratio <= 0:
-        raise RuntimeError("det ratio must be a positive integer")
-    index = isqrt(ratio)
-    if index * index != ratio:
-        raise RuntimeError("index must square to det ratio")
-    return over, index
 
-
-def short_vectors(lat: GramLattice, norm_bound: int = 2,
+def short_vectors(gram: Sequence[Sequence[int]], norm_bound: int = 2,
                   both_signs: bool = False) -> list[tuple[int, ...]]:
     """All nonzero vectors of norm at most norm_bound, sorted, by a
     Fincke-Pohst descent in integers.
@@ -132,18 +120,22 @@ def short_vectors(lat: GramLattice, norm_bound: int = 2,
     full list is returned.  Raises ValueError unless the lattice is
     positive definite.
     """
-    n = lat.rank
+    gram = _checked(gram)
+    n = len(gram)
     # One forward fraction-free (Bareiss) elimination of G: row i ends as
     # B_i with B_ii = D_{i+1}, the leading principal minor of size i + 1
     # (D_0 = 1), and x G x = sum_i U_i^2 / (D_i D_{i+1}) with U_i = B_i x.
     # G is positive definite exactly when every pivot D_{i+1} is positive.
-    b = [list(row) for row in lat.gram]
+    b = [list(row) for row in gram]
     minors = [1]
     for k in range(n):
         rk = b[k]
         p = rk[k]
         if p <= 0:
-            raise ValueError("lattice is not positive definite")
+            # A positive definite matrix is nondegenerate, so only a
+            # failed one needs its determinant.
+            raise ValueError("Gram matrix is degenerate" if not int_det(gram)
+                             else "lattice is not positive definite")
         for ri in b[k + 1:]:
             f = ri[k]
             for j in range(k + 1, n):
@@ -188,32 +180,27 @@ def short_vectors(lat: GramLattice, norm_bound: int = 2,
 _EXCEPTIONAL_COUNTS = {(6, 72): ("E", 6), (7, 126): ("E", 7),
                        (8, 240): ("E", 8)}
 
-_ROOT_TYPE_CACHE: dict[tuple, tuple[Component, ...]] = {}
+_ROOT_TYPE_CACHE: dict[Gram, tuple[Component, ...]] = {}
 
 
-def root_type(lat: GramLattice) -> ADEType:
+def root_type(gram: Sequence[Sequence[int]]) -> ADEType:
     """ADE type of the sublattice generated by the norm-2 vectors.
 
     Roots are grouped into components by the nonorthogonality relation;
-    each component is identified from its rank and root count.  A Gram
-    matrix that splits into orthogonal blocks is classified block by
-    block: in an even positive-definite lattice every norm-2 vector is
-    supported on a single block.
+    each component is identified from its rank and root count.  The
+    Gram matrix is split into orthogonal blocks and each block's
+    sub-matrix is classified on its own: in an even positive-definite
+    lattice every norm-2 vector is supported on a single block.
     """
-    blocks = _gram_blocks(lat.gram)
-    if len(blocks) > 1:
-        comps: list[Component] = []
-        for block in blocks:
-            sub = GramLattice([[lat.gram[i][j] for j in block]
-                               for i in block])
-            comps.extend(root_type(sub).components)
-        return ADEType(tuple(comps))
-    cached = _ROOT_TYPE_CACHE.get(lat.gram)
-    if cached is not None:
-        return ADEType(cached)
-    result = _connected_root_type(lat)
-    _ROOT_TYPE_CACHE[lat.gram] = result.components
-    return result
+    gram = _checked(gram)
+    comps: list[Component] = []
+    for block in _gram_blocks(gram):
+        sub = tuple(tuple(gram[i][j] for j in block) for i in block)
+        cached = _ROOT_TYPE_CACHE.get(sub)
+        if cached is None:
+            cached = _ROOT_TYPE_CACHE[sub] = _connected_root_type(sub)
+        comps.extend(cached)
+    return ADEType(tuple(comps))
 
 
 def _gram_blocks(gram) -> list[list[int]]:
@@ -241,17 +228,19 @@ def _gram_blocks(gram) -> list[list[int]]:
     return list(blocks.values())
 
 
-def _pairwise_gram(lat: GramLattice, reps) -> list[list[int]]:
+def _pairwise_gram(gram: Gram, reps) -> list[list[int]]:
     """All pairwise products of the given vectors: the Gram matrix is
     multiplied into each vector once, then one dot product per pair."""
-    images = [[sum(map(mul, v, col)) for col in lat.gram] for v in reps]
+    images = [[sum(map(mul, v, col)) for col in gram] for v in reps]
     return [[sum(map(mul, image, v)) for v in reps] for image in images]
 
 
-def _connected_root_type(lat: GramLattice) -> ADEType:
-    reps = short_vectors(lat, 2)
+def _connected_root_type(gram: Gram) -> tuple[Component, ...]:
+    """The root components of one orthogonal block, as root_type
+    caches them."""
+    reps = short_vectors(gram, 2)
     comps: list[Component] = []
-    for block in _gram_blocks(_pairwise_gram(lat, reps)):
+    for block in _gram_blocks(_pairwise_gram(gram, reps)):
         vectors = [reps[i] for i in block]
         r = int_rank(vectors)
         count = 2 * len(vectors)
@@ -265,4 +254,4 @@ def _connected_root_type(lat: GramLattice) -> ADEType:
             raise RuntimeError(
                 f"root component with rank {r} and {count} roots "
                 "matches no ADE type")
-    return ADEType(tuple(comps))
+    return tuple(comps)

@@ -47,7 +47,7 @@ from k3ade.fqf import (
 )
 from k3ade.genus import exists_even_lattice
 from k3ade.kernels import isotropic_list, orthogonal_filter
-from k3ade.lattice_ops import GramLattice, overlattice, root_type
+from k3ade.lattice_ops import overlattice, root_type
 from k3ade.refdata import (
     CANDIDATES_PER_RANK,
     GROUP_COUNTS,
@@ -209,7 +209,7 @@ def test_partner_length_rule(classification, partner_questions):
 
 def test_criterion_09a_root_type_round_trip():
     for sigma in enumerate_candidates(18, 24):
-        assert root_type(GramLattice(cartan_gram(sigma))) == sigma
+        assert root_type(cartan_gram(sigma)) == sigma
 
 
 def _unit(n, i):
@@ -381,7 +381,7 @@ def test_criterion_09e_degenerate_rejections():
 
     sigma = parse_type("12A1")
     form, lifts = disc_form_closed(sigma)
-    base = GramLattice(cartan_gram(sigma))
+    base = cartan_gram(sigma)
     weight8 = [v for v in isotropic_list(form) if sum(v) == 8]
     triples = []
     for a, b, c in combinations(sorted(weight8), 3):
@@ -401,8 +401,8 @@ def test_criterion_09e_degenerate_rejections():
     for gens in triples:
         glued = subquotient(form, list(gens))
         ok_genus = exists_even_lattice(2, 6, glued)
-        over, index = overlattice(base, [lift(g) for g in gens])
-        assert index == 8
+        over, factors = overlattice(base, [lift(g) for g in gens])
+        assert factors == (2, 2, 2)
         assert not (ok_genus and root_type(over) == sigma)
 
 

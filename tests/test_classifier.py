@@ -9,31 +9,29 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, lcm
-from operator import mul
+from math import gcd, lcm, prod
+from operator import getitem, mul
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraction_views import eval_b, eval_q
-from k3ade import ade_types, classifier, lattice_ops, refdata
+from k3ade import ade_types, classifier, fqf, lattice_ops, refdata
 from k3ade.ade_types import (ADEType, _component_form, cartan_gram,
                              disc_form_closed, enumerate_candidates,
                              parse_type)
 from k3ade.classifier import (ClassEntry, GluePair, _candidates,
-                              _component_pair_min, _context,
-                              _invariant_factors, _pair_stream,
+                              _component_pair_min, _context, _pair_stream,
                               _scaled_minima, check_pair, classify_all,
                               classify_type, glue_candidates,
                               slow_check_pair, verify_reference)
-from k3ade.exact_linalg import prime_factors, rat_inverse
+from k3ade.exact_linalg import prime_factors, rat_inverse, smith_normal_form
 from k3ade.fqf import (discriminant_form, element_order, elements, group_order,
                        p_part, span, subquotient)
 from k3ade.genus import exists_even_lattice
 from k3ade.kernels import isotropic_list, orthogonal_filter
-from k3ade.lattice_ops import (GramLattice, overlattice, root_type,
-                               short_vectors)
+from k3ade.lattice_ops import overlattice, root_type, short_vectors
 from k3ade.local_invariants import local_invariant_set
 from symmetry_oracle import (ALL_COMPONENTS, act, blocks, component_gamma,
                              generated_group, layout, pieces)
@@ -135,8 +133,7 @@ def enumerated_minima(comp):
     n = len(ginv)
     d = max(form.orders)
     scaled = [[int(2 * d * ginv[i][j]) for j in range(n)] for i in range(n)]
-    vectors = short_vectors(GramLattice(scaled), norm_bound=4 * d,
-                            both_signs=True)
+    vectors = short_vectors(scaled, norm_bound=4 * d, both_signs=True)
     zs = np.array(vectors, dtype=np.int64).reshape(-1, n)
     nums = np.einsum("ki,ij,kj->k", zs, np.array(scaled, dtype=np.int64),
                      zs).tolist()
@@ -294,6 +291,18 @@ class TestThetaClosedForms:
                 assert mu % 2 == eval_q(form, cls)
 
 
+def _codes(ctx, x):
+    """The per-class model of _TypeContext.code_columns: the code of
+    each piece of the class x, in ctx.comps order."""
+    return [x[i] * d + x[j] for i, d, j in ctx.layout]
+
+
+def _is_root(ctx, x):
+    """The per-class model of the root test of _TypeContext.root_free:
+    the coset minima of the pieces of x sum to 2, i.e. 2E scaled."""
+    return sum(map(getitem, ctx.minima, _codes(ctx, x))) == 2 * ctx.form.exp
+
+
 def orbit_reps(sigma):
     """The canonical representatives of the symmetry orbits of the
     isotropic classes, as _candidates lists them; always contains 0."""
@@ -332,7 +341,7 @@ class TestOrbitReps:
         for sigma in enumerate_candidates(18, 24)[::10]:
             ctx = _context(sigma)
             iso = isotropic_list(ctx.form)
-            for xs in (iso, [x for x in iso if not ctx.is_root(x)]):
+            for xs in (iso, [x for x in iso if not _is_root(ctx, x)]):
                 cands = _candidates(ctx, xs)
                 assert [v for v, _ in cands] \
                     == _model_orbit_reps(sigma, xs), sigma
@@ -419,7 +428,7 @@ def _model_candidates(ctx, pool):
                 bits |= 1 << (top + r)
         return bits
 
-    codes = [ctx.codes(x) for x in pool]
+    codes = [_codes(ctx, x) for x in pool]
     masks = [fails(xc) for xc in codes]
     whole = asks([0] * len(comps))
     out = []
@@ -519,6 +528,30 @@ class TestGlueCandidates:
         for sub in _all_isotropic_spans(form):
             assert _span_orbit(moves, sub) & listed
         assert listed <= _all_isotropic_spans(form)
+
+
+def _invariant_factors(form, v, w):
+    """Invariant factors of the subgroup generated by v and w, via the
+    Smith form of its relation lattice."""
+    gens = [g for g in (v, w) if any(g)]
+    if not gens:
+        return ()
+    if len(gens) == 1:
+        return (element_order(form, gens[0]),)
+    ev = element_order(form, v)
+    ew = element_order(form, w)
+    rels = [[ev, 0], [0, ew]]
+    for a in range(ev):
+        for b in range(ew):
+            if (a or b) and all(
+                    (a * x + b * y) % d == 0
+                    for x, y, d in zip(v, w, form.orders)):
+                rels.append([a, b])
+    diag, _ = smith_normal_form(rels)
+    factors = tuple(d for d in (diag[0][0], diag[1][1]) if d > 1)
+    if prod(factors) != len(span(form, gens)):
+        raise RuntimeError("invariant factors disagree with the span")
+    return factors
 
 
 def _spans_by_pair_loop(sigma):
@@ -705,8 +738,7 @@ class TestOnePairStream:
         sigma = T(text)
         pairs = glue_candidates(sigma)
         want = [check_pair(sigma, p) for p in pairs]
-        monkeypatch.setattr(classifier, "span", _refuse)
-        monkeypatch.setattr(classifier, "_invariant_factors", _refuse)
+        monkeypatch.setattr(fqf, "span", _refuse)
         assert [check_pair(sigma, p) for p in pairs] == want
         assert {e.group for e in want if e is not None} \
             == CLASSIFY_ORACLES[text]
@@ -745,6 +777,16 @@ class TestCheckPair:
             check_pair(T("A1"), pair((1,), (0,)))
         with pytest.raises(ValueError, match="not isotropic"):
             check_pair(T("4A1"), pair((1, 1, 1, 1), (1, 0, 0, 0)))
+
+    @pytest.mark.parametrize("v,w", [((1, 1, 1, 1), (0,)),
+                                     ((1,) * 6, (0,) * 4)])
+    def test_wrong_length_rejected_by_both_routes(self, v, w):
+        # A short all-zero class, and a long nonzero one that a lift
+        # would cut short: both routes refuse the pair rather than
+        # answer for another.
+        for check in (check_pair, slow_check_pair):
+            with pytest.raises(ValueError, match="wrong number"):
+                check(T("4A1"), pair(v, w))
 
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError, match="pair to zero"):
@@ -842,7 +884,7 @@ class TestRootFreePool:
         for sigma in types:
             ctx = _context(sigma)
             iso = isotropic_list(ctx.form)
-            mask = [not ctx.is_root(x) for x in iso]
+            mask = [not _is_root(ctx, x) for x in iso]
             assert mask == [enumerated_norm(sigma, x) != 2 for x in iso], \
                 sigma
             assert ctx.root_free(iso) == [x for x, keep in zip(iso, mask)
@@ -858,7 +900,7 @@ class TestRootFreePool:
         sigma = T("A7+A1")
         ctx = _context(sigma)
         iso = isotropic_list(ctx.form)
-        root = next(x for x in iso if ctx.is_root(x))
+        root = next(x for x in iso if _is_root(ctx, x))
         zero = (0,) * len(ctx.form.orders)
         assert check_pair(sigma, pair(root, zero)) is None
         monkeypatch.setattr(ctx, "minima",
@@ -945,7 +987,7 @@ class TestLatticeFreeFastPath:
         # With the explicit-lattice routines made to fail, fresh type
         # contexts and the whole decision still give the published groups.
         monkeypatch.setattr(classifier, "overlattice", _refuse)
-        monkeypatch.setattr(classifier, "GramLattice", _refuse)
+        monkeypatch.setattr(classifier, "root_type", _refuse)
         monkeypatch.setattr(lattice_ops, "short_vectors", _refuse)
         classifier.clear_caches()
         try:
@@ -1053,12 +1095,13 @@ class TestGluedFormRoutes:
                 return [sum(c * z[j] for c, z in zip(x, lifts))
                         for j in range(sigma.rank)]
 
-            over, index = overlattice(GramLattice(cartan_gram(sigma)),
-                                      [lift(g) for g in gens])
-            slow = discriminant_form(over.gram)[0]
-            assert index == len(span(form, gens))
+            over, factors = overlattice(cartan_gram(sigma),
+                                        [lift(g) for g in gens])
+            slow = discriminant_form(over)[0]
+            assert factors == _invariant_factors(form, v, w)
+            assert prod(factors) == len(span(form, gens))
             assert group_order(fast) == group_order(slow)
-            assert group_order(fast) * index ** 2 == group_order(form)
+            assert group_order(fast) * prod(factors) ** 2 == group_order(form)
             for p in prime_factors(group_order(fast)):
                 for n in (len(fast.orders), 20 - sigma.rank):
                     assert (local_invariant_set(p, n, p_part(fast, p))
@@ -1140,7 +1183,7 @@ class TestLengthThreeSubgroups:
         # occur.
         sigma = T("12A1")
         form, lifts = disc_form_closed(sigma)
-        base = GramLattice(cartan_gram(sigma))
+        base = cartan_gram(sigma)
         weight8 = [v for v in isotropic_list(form)
                    if sum(v) == 8]
         triples = []
@@ -1162,8 +1205,8 @@ class TestLengthThreeSubgroups:
         for gens in triples:
             glued = subquotient(form, list(gens))
             ok_genus = exists_even_lattice(2, 6, glued)
-            over, index = overlattice(base, [lift(g) for g in gens])
-            assert index == 8
+            over, factors = overlattice(base, [lift(g) for g in gens])
+            assert factors == (2, 2, 2)
             assert not (ok_genus and root_type(over) == sigma)
 
 

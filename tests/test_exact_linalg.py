@@ -130,8 +130,9 @@ class TestSmithNormalForm:
 
 
 class TestTupleRows:
-    # GramLattice.gram and the classes of a form hold tuples, so both
-    # normal forms take tuple rows and give what list rows give.
+    # The short vectors of lattice_ops and the classes of a form are
+    # tuples, so both normal forms take tuple rows and give what list
+    # rows give.
     @given(small_matrices)
     @example([[2, 1], [1, 2]])
     @settings(max_examples=100, deadline=None)

@@ -136,7 +136,7 @@ class TestDiscriminantForm:
         assert not all((3 * c).denominator == 1 for c in y)
 
     def test_tuple_rows(self):
-        # A Gram matrix with tuple rows, as GramLattice.gram holds it,
+        # A Gram matrix with tuple rows, as lattice_ops checks it into,
         # gives the same form and lifts as one with list rows.
         for gram in (A2, A5, D4, U):
             assert discriminant_form(tuple(map(tuple, gram))) == \

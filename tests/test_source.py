@@ -190,6 +190,35 @@ def test_split_builds_no_form():
                                                     for where in checked}
 
 
+#: Fast-path names: the subgroup walk, the per-type context and the
+#: brute-force subgroup and factor routines.  The shared partner test
+#: exists_even_lattice is not listed: genus is not walked, and it stays
+#: shared until the oracle gets its own partner test from Nikulin's
+#: Thm 1.10.1 (ROADMAP.md, direction 4).
+FAST_PATH_NAMES = {"span", "subquotient", "_invariant_factors", "_pair_stream",
+                   "_candidates", "isotropic_list", "element_order",
+                   "_context"}
+
+
+def test_oracle_reads_no_fast_path():
+    # slow_check_pair reads the glue group off the overlattice, so
+    # neither it nor any function of classifier or lattice_ops that it
+    # calls, directly or in turn, names a fast-path routine.
+    defs = {node.name: node for name in ("classifier.py", "lattice_ops.py")
+            for node in _parse(name).body if isinstance(node, ast.FunctionDef)}
+    todo, walked = ["slow_check_pair"], {}
+    while todo:
+        fn = todo.pop()
+        if fn in walked or fn not in defs:
+            continue
+        node = defs[fn]
+        walked[fn] = sorted(FAST_PATH_NAMES & _identifiers(node))
+        todo += [_callee_name(call.func) for call in ast.walk(node)
+                 if isinstance(call, ast.Call)]
+    assert {"overlattice", "root_type", "short_vectors"} <= set(walked)
+    assert {fn: found for fn, found in walked.items() if found} == {}
+
+
 def _callee_name(func):
     """The name a call is made by: a plain name, or the last attribute
     of a dotted one."""
