@@ -294,7 +294,6 @@ def disc_form_closed(sigma: ADEType) -> tuple[FiniteQuadraticForm, IntMatrix]:
 # ---------------------------------------------------------------------------
 # Stable automorphisms of the discriminant form
 
-@lru_cache(maxsize=None)
 def _component_group(comp: Component) -> tuple[tuple[int, ...], ...]:
     """The stable symmetries of one component's discriminant form, each
     the permutation of its class codes that it induces, identity first.

@@ -85,7 +85,7 @@ from .exact_linalg import prime_factors
 from .fqf import (FiniteQuadraticForm, FqfElement, _b_scaled, _q_scaled,
                   _reduce, discriminant_form, group_order, subquotient)
 from .genus import exists_even_lattice
-from .kernels import isotropic_list, orthogonal_mask
+from .kernels import isotropic_list, orthogonal_filter
 from .lattice_ops import overlattice, root_type
 
 FactorTuple = tuple[int, ...]
@@ -241,7 +241,6 @@ def _scaled_minima(comp: Component, e: int) -> tuple[int, ...]:
     return tuple(scaled)
 
 
-@lru_cache(maxsize=None)
 def _component_pair_min(comp: Component) -> tuple[tuple[int, ...], ...]:
     """The K x K table of a single component whose entry [a, b] is the
     least code of g b over its stable symmetries g with g a = a (see
@@ -324,8 +323,7 @@ def _candidates(ctx: _TypeContext,
             continue
         ask = asks(xc)
         ws = [w for w, w_bits in zip(pool, masks) if not w_bits & ask]
-        row = orthogonal_mask(ctx.form, [x], ws)[0]
-        out.append((x, [w for w, ok in zip(ws, row) if ok]))
+        out.append((x, orthogonal_filter(ctx.form, ws, x)))
     return out
 
 
@@ -421,11 +419,10 @@ def clear_caches() -> None:
     The tables are unbounded and live as long as the process; this is the
     one way to drop them, e.g. between runs that must not share work.
     """
-    for memo in (_context, _scaled_minima, _component_pair_min,
-                 _component_fail_bits, _exists_cached, genus._local_data,
+    for memo in (_context, _scaled_minima, _component_fail_bits,
+                 _exists_cached, genus._local_data,
                  local_invariants.unimodular_set, ade_types._component_gram,
-                 ade_types._component_form, ade_types._component_group,
-                 ade_types._allowed_replacements):
+                 ade_types._component_form, ade_types._allowed_replacements):
         memo.cache_clear()
     for table in (local_invariants._SET_CACHE, local_invariants._REC_CACHE,
                   lattice_ops._ROOT_TYPE_CACHE):
@@ -499,13 +496,20 @@ def classify_all(max_rank: int = 18,
                  max_euler: int = 24) -> list[ClassEntry]:
     """Classify every candidate type; sorted by (rank, type order,
     group order, invariant factors)."""
-    entries: list[ClassEntry] = []
-    for sigma in enumerate_candidates(max_rank, max_euler):
-        for factors in sorted(classify_type(sigma),
-                              key=lambda f: (prod(f), f)):
-            entries.append(ClassEntry(sigma, factors))
+    entries = [ClassEntry(sigma, factors)
+               for sigma in enumerate_candidates(max_rank, max_euler)
+               for factors in classify_type(sigma)]
     entries.sort(key=lambda e: (e.type.sort_key(), e.group_order, e.group))
     return entries
+
+
+def group_sets(pairs: Iterable[tuple[ADEType, FactorTuple]]
+               ) -> dict[ADEType, set[FactorTuple]]:
+    """The set of groups of each type among (type, group) pairs."""
+    by_type: dict[ADEType, set[FactorTuple]] = {}
+    for t, g in pairs:
+        by_type.setdefault(t, set()).add(g)
+    return by_type
 
 
 def verify_reference(results: Iterable[ClassEntry],
@@ -529,12 +533,7 @@ def verify_reference(results: Iterable[ClassEntry],
         diff.append(("missing", t, g))
     for t, g in sorted(got - ref, key=order):
         diff.append(("extra", t, g))
-    got_by_type: dict[ADEType, set] = {}
-    for t, g in got:
-        got_by_type.setdefault(t, set()).add(g)
-    ref_by_type: dict[ADEType, set] = {}
-    for t, g in ref:
-        ref_by_type.setdefault(t, set()).add(g)
+    got_by_type, ref_by_type = group_sets(got), group_sets(ref)
     for t in sorted(set(got_by_type) & set(ref_by_type),
                     key=ADEType.sort_key):
         if got_by_type[t] != ref_by_type[t]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from contextlib import ExitStack
@@ -20,12 +21,16 @@ from contextlib import ExitStack
 from . import refdata
 from .ade_types import (ADEType, RULESETS, closure, enumerate_candidates,
                         parse_type)
-from .classifier import classify_all, classify_type, verify_reference
+from .classifier import (classify_all, classify_type, group_sets,
+                         verify_reference)
 from .fqf import is_nondegenerate, parse_form
 from .genus import exists_even_lattice
 
 _CLI_RULESETS = {"trivial": "trivial", "2": "[2]", "3": "[3]",
                  "4": "[4]", "22": "[2,2]"}
+
+#: Types per task handed to a worker of classify --jobs.
+_CHUNK = 16
 
 
 def _parse_max_euler(value: str) -> int | None:
@@ -71,12 +76,11 @@ def _ordered_groups(factor_sets) -> list:
     return sorted(factor_sets, key=refdata.group_sort_key, reverse=True)
 
 
-def _emit_classified(sigma: ADEType, groups, fmt: str) -> None:
+def _emit_classified(sigma: ADEType, found, fmt: str) -> None:
     if fmt == "tsv":
-        cell = refdata.format_group_list(groups) if groups else ""
-        print(f"{sigma.rank}\t{sigma}\t{cell}")
+        print(f"{sigma.rank}\t{sigma}\t{refdata.format_group_list(found)}")
     else:
-        print(_type_row_json(sigma, groups))
+        print(_type_row_json(sigma, _ordered_groups(found)))
 
 
 def cmd_classify(args) -> int:
@@ -87,11 +91,11 @@ def cmd_classify(args) -> int:
     if args.type is not None:
         try:
             sigma = parse_type(args.type)
-            groups = _ordered_groups(classify_type(sigma))
+            found = classify_type(sigma)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        _emit_classified(sigma, groups, args.format)
+        _emit_classified(sigma, found, args.format)
         return 0
 
     if not 1 <= args.max_rank <= 18:
@@ -101,21 +105,23 @@ def cmd_classify(args) -> int:
     if _bound_below_one(args):
         return 2
     types = enumerate_candidates(args.max_rank, args.max_euler)
+    # A pool starts all its workers before the first task, so it gets no
+    # more than there are cores or chunks of types.
+    workers = min(args.jobs, os.cpu_count() or 1, -(-len(types) // _CHUNK))
     if args.format == "tsv":
         print("rank\ttype\tgroups")
     with ExitStack() as stack:
         results = map(classify_type, types)
-        if args.jobs > 1:
+        if workers > 1:
             # Imported here: it costs set-up time that a one-process
             # run never needs.
             import multiprocessing
             pool = stack.enter_context(
-                multiprocessing.get_context("fork").Pool(args.jobs))
-            results = pool.imap(classify_type, types, chunksize=16)
+                multiprocessing.get_context("fork").Pool(workers))
+            results = pool.imap(classify_type, types, chunksize=_CHUNK)
         for sigma, found in zip(types, results):
-            groups = _ordered_groups(found)
-            if groups:
-                _emit_classified(sigma, groups, args.format)
+            if found:
+                _emit_classified(sigma, found, args.format)
     return 0
 
 
@@ -170,15 +176,7 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _computed_group_sets(entries) -> dict[ADEType, set]:
-    by_type: dict[ADEType, set] = {}
-    for e in entries:
-        by_type.setdefault(e.type, set()).add(e.group)
-    return by_type
-
-
-def _verify_counts(entries, failures: list[str]) -> None:
-    by_type = _computed_group_sets(entries)
+def _verify_counts(entries, by_type, failures: list[str]) -> None:
     group_counts = Counter(e.group for e in entries)
     if dict(group_counts) != refdata.GROUP_COUNTS:
         failures.append(
@@ -213,14 +211,13 @@ def _verify_counts(entries, failures: list[str]) -> None:
             failures.append(f"{label} types per rank: {got} != {row}")
 
 
-def _verify_tables(entries, failures: list[str]) -> None:
+def _verify_tables(entries, by_type, failures: list[str]) -> None:
     diff = verify_reference(entries, refdata.load_reference_pairs())
     for kind, sigma, detail in diff[:10]:
         failures.append(f"classification table: {kind} {sigma} {detail}")
     if len(diff) > 10:
         failures.append(f"classification table: {len(diff) - 10} more rows")
 
-    by_type = _computed_group_sets(entries)
     computed_nt = {(g, t) for t, gs in by_type.items() for g in gs
                    if g not in ((), (2,))}
     reference_nt = set(refdata.load_nontrivial_pairs())
@@ -254,10 +251,11 @@ def _verify_tables(entries, failures: list[str]) -> None:
 
 def cmd_verify(args) -> int:
     entries = classify_all()
+    by_type = group_sets((e.type, e.group) for e in entries)
     failures: list[str] = []
-    _verify_counts(entries, failures)
+    _verify_counts(entries, by_type, failures)
     if args.only != "counts":
-        _verify_tables(entries, failures)
+        _verify_tables(entries, by_type, failures)
     if failures:
         for line in failures:
             print(f"FAIL {line}")
@@ -287,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute realizable torsion groups per type")
     p.add_argument("--type", default=None,
                    help="single ADE type string; omit for the full run")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes; at most the number of cores "
+                        f"and of chunks of {_CHUNK} types are started")
     p.add_argument("--max-rank", type=int, default=18)
     p.add_argument("--max-euler", type=_parse_max_euler, default=24)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")

@@ -8,8 +8,8 @@ is read off the Hermite normal form.  The Smith normal form returns D
 and the right transform V only; the left transform U lives only in the
 test oracle tests/smith_oracle.py.  The output of rat_inverse is the only
 Fraction in the package, and no package code reads it: it stays because
-the benchmark names it as a per-layer metric, as it does
-kernels.orthogonal_filter.  No floating point anywhere.
+the benchmark names it as a per-layer metric.  No floating point
+anywhere.
 
 A square class of Z_p^x / (Z_p^x)^2 is a plain int, a residue mod 8: the
 unit itself mod 8 at p = 2, and 1 (squares) or 7 = -1 (non-squares) at

@@ -5,8 +5,8 @@ stores: with E = lcm(orders), form.qs[i] = q(g_i) * E mod 2E and
 form.bs[i][j] = b(g_i, g_j) * E mod E, so isotropy and orthogonality
 tests are exact integer arithmetic in plain Python, with no bound on
 the size of the values.  The isotropy scan meets in the middle (see
-isotropic_list); the orthogonality test of many classes against a pool
-reduces each class to one row of pairings and takes one dot product per
+isotropic_list); the orthogonality test of one class against a pool
+reduces the class to one row of pairings and takes one dot product per
 element of the pool.
 """
 
@@ -104,32 +104,15 @@ def isotropic_list(form: FiniteQuadraticForm) -> list[FqfElement]:
     return found
 
 
-def orthogonal_mask(form: FiniteQuadraticForm, vs, pool) -> list[list[bool]]:
-    """The rows of b(v, w) = 0 in Q/Z, one row per v in vs with one
-    entry per w in the pool; vs and pool are sequences of reduced
-    elements.
-
-    E b(v, w) = (v^T bs mod E) w mod E: each row of pairings is taken
-    once per v, then one dot product per w.
-    """
-    e = form.exp
-    out = []
-    for v in vs:
-        row = [sum(map(mul, v, col)) % e for col in form.bs]
-        out.append([sum(map(mul, row, w)) % e == 0 for w in pool])
-    return out
-
-
 def orthogonal_filter(form: FiniteQuadraticForm,
                       pool: list[FqfElement],
                       v: FqfElement) -> list[FqfElement]:
     """The elements w of the pool with b(v, w) = 0 in Q/Z, in pool
-    order.
+    order; v and the pool are reduced elements.
 
-    Nothing in the package calls it: the classifier tests orthogonality
-    with orthogonal_mask.  It stays because BENCHMARK.json names it as a
-    per-layer metric (kernels.orthogonal_filter.self_s); the tests still
-    call it.
+    E b(v, w) = (v^T bs mod E) w mod E: the row of pairings of v is
+    taken once, then one dot product per w.
     """
-    return [w for w, ok in zip(pool, orthogonal_mask(form, [v], pool)[0])
-            if ok]
+    e = form.exp
+    row = [sum(map(mul, v, col)) % e for col in form.bs]
+    return [w for w in pool if not sum(map(mul, row, w)) % e]

@@ -110,15 +110,12 @@ def overlattice(gram: Sequence[Sequence[int]],
     return new_gram, factors
 
 
-def short_vectors(gram: Sequence[Sequence[int]], norm_bound: int = 2,
-                  both_signs: bool = False) -> list[tuple[int, ...]]:
-    """All nonzero vectors of norm at most norm_bound, sorted, by a
-    Fincke-Pohst descent in integers.
-
-    By default one representative per {v, -v} pair is returned, chosen
-    with positive leading nonzero coordinate; with both_signs=True the
-    full list is returned.  Raises ValueError unless the lattice is
-    positive definite.
+def short_vectors(gram: Sequence[Sequence[int]],
+                  norm_bound: int = 2) -> list[tuple[int, ...]]:
+    """The nonzero vectors of norm at most norm_bound, one per {v, -v}
+    pair, the one with positive leading nonzero coordinate, sorted; by a
+    Fincke-Pohst descent in integers.  Raises ValueError unless the
+    lattice is positive definite.
     """
     gram = _checked(gram)
     n = len(gram)
@@ -171,10 +168,7 @@ def short_vectors(gram: Sequence[Sequence[int]], norm_bound: int = 2,
         x[i] = 0
 
     descend(n - 1, norm_bound * scale)
-    if not both_signs:
-        neg = {tuple(-c for c in v) for v in found}
-        found = [v for v in found if v not in neg or v > tuple(-c for c in v)]
-    return sorted(found)
+    return sorted(v for v in found if v > tuple(-c for c in v))
 
 
 _EXCEPTIONAL_COUNTS = {(6, 72): ("E", 6), (7, 126): ("E", 7),

@@ -35,6 +35,7 @@ from k3ade.classifier import (
     check_pair,
     classify_all,
     classify_type,
+    slow_check_pair,
     verify_reference,
 )
 from k3ade.exact_linalg import int_det, prime_factors, rat_inverse
@@ -205,6 +206,19 @@ def test_partner_length_rule(classification, partner_questions):
     assert len(partner_questions) == 4017
     assert by_length == 2110
     assert gauss_checked == 188
+
+
+def test_both_routes_refuse_partner_no(classification, partner_questions):
+    # Each "no" of the full run's partner test is a root-free glue pair
+    # that passes the p-rank prune, so only the partner test refuses it:
+    # the oracle must refuse it too, by its own partner test.
+    refused = [(sigma, GluePair(v, w))
+               for sigma, _, v, w, answer in partner_questions if not answer]
+    assert len(refused) == 324
+    assert sum(1 for _, pair in refused if any(pair.v + pair.w)) == 161
+    for sigma, pair in refused:
+        assert check_pair(sigma, pair) is None, (sigma, pair)
+        assert slow_check_pair(sigma, pair) is None, (sigma, pair)
 
 
 def test_criterion_09a_root_type_round_trip():

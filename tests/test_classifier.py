@@ -35,6 +35,7 @@ from k3ade.lattice_ops import overlattice, root_type, short_vectors
 from k3ade.local_invariants import local_invariant_set
 from symmetry_oracle import (ALL_COMPONENTS, act, blocks, component_gamma,
                              generated_group, layout, pieces)
+from test_lattice_ops import both_signs
 
 
 def T(text):
@@ -133,7 +134,7 @@ def enumerated_minima(comp):
     n = len(ginv)
     d = max(form.orders)
     scaled = [[int(2 * d * ginv[i][j]) for j in range(n)] for i in range(n)]
-    vectors = short_vectors(scaled, norm_bound=4 * d, both_signs=True)
+    vectors = both_signs(short_vectors(scaled, norm_bound=4 * d))
     zs = np.array(vectors, dtype=np.int64).reshape(-1, n)
     nums = np.einsum("ki,ij,kj->k", zs, np.array(scaled, dtype=np.int64),
                      zs).tolist()
@@ -1047,8 +1048,7 @@ class TestClearCaches:
         classifier.clear_caches()
         try:
             run(T(text))
-            assert _component_pair_min.cache_info().currsize == 0
-            assert ade_types._component_group.cache_info().currsize == 0
+            assert classifier._component_fail_bits.cache_info().currsize == 0
         finally:
             classifier.clear_caches()
 

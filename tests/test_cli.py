@@ -158,6 +158,43 @@ class TestClassifyFull:
         assert code == 0
         assert len(out.strip().splitlines()) - 1 == 6
 
+    @pytest.mark.parametrize("max_rank,cores,workers", [
+        ("5", 8, 2),     # 21 types: two chunks of 16
+        ("9", 8, 8),     # 157 types: ten chunks, eight cores
+        ("9", None, 0),  # no core count: one process, no pool
+    ])
+    def test_jobs_bounded_by_cores_and_chunks(self, capsys, monkeypatch,
+                                              max_rank, cores, workers):
+        # No process is started: the fake pool records the worker count
+        # it is asked for and maps in this process.
+        asked = []
+
+        class FakePool:
+            def __init__(self, n):
+                asked.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize):
+                return map(fn, items)
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr("multiprocessing.get_context",
+                            lambda method: FakeContext)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        argv = ["classify", "--max-rank", max_rank]
+        code1, serial, _ = run_cli(capsys, argv + ["--jobs", "1"])
+        code, out, _ = run_cli(capsys, argv + ["--jobs", "1000000"])
+        assert code1 == code == 0
+        assert out == serial
+        assert asked == ([workers] if workers else [])
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("bound", ["19", "0", "-3"])
     def test_max_rank_out_of_range_exits_2(self, capsys, bound, jobs):

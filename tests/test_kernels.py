@@ -10,8 +10,7 @@ from fraction_views import eval_b, eval_q, form_from_fractions
 from k3ade.ade_types import (closed_form, disc_form_closed,
                              enumerate_candidates, parse_type)
 from k3ade.fqf import TRIVIAL_FORM, FiniteQuadraticForm, elements
-from k3ade.kernels import (backend, isotropic_list, orthogonal_filter,
-                           orthogonal_mask)
+from k3ade.kernels import backend, isotropic_list, orthogonal_filter
 from test_fqf import random_presentation
 
 
@@ -57,13 +56,13 @@ class TestAgainstGenericEvaluators:
     @pytest.mark.parametrize("text", ["8A1", "4A2", "D4+2A1",
                                       "A5+A2+A1", "D5+A3"])
     def test_orthogonal_mask(self, text):
+        # The whole orthogonality mask of the isotropic classes, read
+        # row by row through the filter.
         form = form_of(text)
         iso = isotropic_list(form)
-        vs = iso[:5] + iso[-4:]
-        got = orthogonal_mask(form, vs, iso)
-        assert len(got) == len(vs)
-        assert all(len(row) == len(iso) for row in got)
-        assert got == [[eval_b(form, v, w) == 0 for w in iso] for v in vs]
+        got = [orthogonal_filter(form, iso, v) for v in iso]
+        assert got == [[w for w in iso if eval_b(form, v, w) == 0]
+                       for v in iso]
 
     def test_trivial_form(self):
         form = form_of("2E8+A2")
@@ -93,17 +92,12 @@ class TestNumpyScan:
             for v in pool[:: max(1, len(pool) // 7)]:
                 got = orthogonal_filter(form, pool, v)
                 assert got == [w for w in pool if eval_b(form, v, w) == 0]
-            vs = pool[:: max(1, len(pool) // 5)]
-            assert orthogonal_mask(form, vs, pool) == [
-                [eval_b(form, v, w) == 0 for w in pool] for v in vs]
 
     def test_no_generators(self):
         assert isotropic_list(TRIVIAL_FORM) == [()]
         assert orthogonal_filter(TRIVIAL_FORM, [()], ()) == [()]
+        assert orthogonal_filter(TRIVIAL_FORM, [(), ()], ()) == [(), ()]
         assert orthogonal_filter(form_of("8A1"), [], (1,) * 8) == []
-        assert orthogonal_mask(TRIVIAL_FORM, [(), ()], [()]) == [
-            [True], [True]]
-        assert orthogonal_mask(form_of("8A1"), [(1,) * 8], []) == [[]]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_paired_cut(self, seed):
@@ -120,13 +114,13 @@ class TestNumpyScan:
     def test_orthogonal_past_int64(self):
         # The hyperbolic plane over Z/d, d = 3 * 10^9: n E max(orders)
         # = 1.8 * 10^19 is past int64, and so are the products of the
-        # largest coefficients; the mask is still exact.
+        # largest coefficients; the filter is still exact.
         d = 3 * 10 ** 9
         form = FiniteQuadraticForm((d, d), (0, 0), ((0, 1), (1, 0)))
         vs = [(0, 1), (d - 1, d - 1), (d - 1, 1)]
         pool = [(1, 0), (0, d - 1), (d - 1, 1), (1, d - 1), (d - 1, d - 1)]
-        got = orthogonal_mask(form, vs, pool)
-        assert got == [[eval_b(form, v, w) == 0 for w in pool] for v in vs]
-        assert got == [[False, True, False, False, False],
-                       [False, False, True, True, False],
-                       [False, False, False, False, True]]
+        got = [orthogonal_filter(form, pool, v) for v in vs]
+        assert got == [[w for w in pool if eval_b(form, v, w) == 0]
+                       for v in vs]
+        assert got == [[(0, d - 1)], [(d - 1, 1), (1, d - 1)],
+                       [(d - 1, d - 1)]]

@@ -28,6 +28,12 @@ def n_copies(gram2, k):
     return [[gram2 * (i == j) for j in range(k)] for i in range(k)]
 
 
+def both_signs(vectors):
+    """The short_vectors representatives together with their negatives,
+    sorted."""
+    return sorted([*vectors, *(tuple(-c for c in v) for v in vectors)])
+
+
 def box_roots(gram, bound=2):
     """Independent oracle: all nonzero vectors of norm <= bound found
     by scanning the coordinate box |x_i| <= sqrt(bound * (G^-1)_ii)."""
@@ -59,6 +65,7 @@ class TestGramLattice:
         [[2, 2], [2, 2]],        # degenerate
         [],                      # empty
         [[2, 1, 0], [1, 2, 1]],  # not square
+        [[2, HALF], [HALF, 2]],  # not integral
     ])
     def test_rejects(self, gram):
         # Each operation checks the Gram matrix on entry, and all three
@@ -126,6 +133,8 @@ class TestOverlattice:
         # The dual basis vector of node 2, with q = 2/3.
         (cartan_gram(parse_type("A2")), [0, 1], "not isotropic"),
         (cartan_gram(parse_type("D4")), None, "not isotropic"),
+        # One coordinate short.
+        (n_copies(2, 4), [1, 1, 1], "wrong length"),
     ])
     def test_rejects(self, gram, lift, message):
         if lift is None:
@@ -186,24 +195,19 @@ class TestShortVectors:
     @pytest.mark.parametrize("text,count", SHORT_SAMPLE)
     def test_root_counts(self, text, count):
         L = lat(text)
-        full = short_vectors(L, 2, both_signs=True)
-        reps = short_vectors(L, 2)
-        assert len(full) == count
-        assert len(reps) * 2 == count
+        assert len(short_vectors(L, 2)) * 2 == count
 
     def test_reps_cover_sign_pairs(self):
         L = lat("D4")
         reps = short_vectors(L)
-        full = set(short_vectors(L, both_signs=True))
-        assert {tuple(-c for c in v) for v in reps} | set(reps) == full
+        assert both_signs(reps) == box_roots(L)
         assert all(v > tuple(-c for c in v) for v in reps)
 
     def test_minimum_above_bound(self):
-        assert short_vectors([[4]], 2, both_signs=True) == []
+        assert short_vectors([[4]], 2) == []
 
     def test_larger_bound(self):
-        got = short_vectors([[4]], 4, both_signs=True)
-        assert got == [(-1,), (1,)]
+        assert short_vectors([[4]], 4) == [(1,)]
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -222,10 +226,9 @@ class TestShortVectors:
         sample = enumerate_candidates()[::10]
         assert len(sample) == 394
         for sigma in sample:
-            roots = short_vectors(cartan_gram(sigma), 2,
-                                  both_signs=True)
-            assert len(roots) == sum(closed[kind](n)
-                                     for kind, n in sigma.components)
+            roots = short_vectors(cartan_gram(sigma), 2)
+            assert 2 * len(roots) == sum(closed[kind](n)
+                                         for kind, n in sigma.components)
 
     @pytest.mark.parametrize("text", [
         "A1", "A2", "A3", "2A1", "3A1", "D4", "D5", "A2+A1", "D4+A2",
@@ -233,11 +236,11 @@ class TestShortVectors:
     ])
     def test_against_box_oracle(self, text):
         L = lat(text)
-        assert short_vectors(L, both_signs=True) == box_roots(L)
+        assert both_signs(short_vectors(L)) == box_roots(L)
 
     def test_box_oracle_on_overlattice(self):
         M, _ = overlattice(n_copies(2, 4), [[1] * 4])
-        assert short_vectors(M, both_signs=True) == box_roots(M)
+        assert both_signs(short_vectors(M)) == box_roots(M)
 
     def test_sorted_deterministic(self):
         L = lat("D5")
@@ -270,9 +273,9 @@ class TestShortVectorsAgainstBox:
             gram = random_definite_gram(rng, rng.randint(1, 4))
             for bound in (2, 5, 8):
                 box = box_roots(gram, bound)
-                assert short_vectors(gram, bound, both_signs=True) == box
                 assert short_vectors(gram, bound) == [
                     v for v in box if v > tuple(-c for c in v)]
+                assert both_signs(short_vectors(gram, bound)) == box
 
 
 class TestRootType:
