@@ -26,6 +26,8 @@ import threading
 from pathlib import Path
 from types import CodeType
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
@@ -128,8 +130,6 @@ def main(argv=None) -> int:
     parser.add_argument("pytest_args", nargs="*", default=["tests", "-q"])
     args = parser.parse_args(argv)
 
-    import pytest
-
     os.chdir(ROOT)
     sys.path.insert(0, str(SRC))
     # Child processes import the package from the same checkout.
@@ -147,10 +147,9 @@ def main(argv=None) -> int:
         tracer.stop()
 
     missed, total = unrun(sorted(SRC.rglob("*.py")), tracer.hits)
-    report = []
-    for path, line in missed:
-        text = path.read_text().splitlines()[line - 1].strip()
-        report.append(f"{path.relative_to(ROOT)}:{line}: {text}")
+    sources = {path: path.read_text().splitlines() for path, _ in missed}
+    report = [f"{path.relative_to(ROOT)}:{line}: "
+              f"{sources[path][line - 1].strip()}" for path, line in missed]
     report.append(f"{len(missed)} of {total} executable src/ lines never ran")
     report.append(f"{len(watch.tests)} tests started a child process, "
                   "which was not traced:")
