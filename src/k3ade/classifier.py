@@ -31,13 +31,16 @@ every w in <v>, which gives H = <v> again, is marked done before its
 walk.  classify_type is one lazy loop over the stream on the reduced pairs of the pool
 (below): it skips factors already accepted or failing the p-rank prune,
 requires H inside the pool, then asks for the partner of the glued form
-H^perp / H from fqf.subquotient.  check_pair runs the same tests on one
-pair.  The oracle, slow_check_pair, builds the explicit overlattice M,
-takes the glued form from its Gram matrix and finds its roots by vector
-enumeration.  It reads the invariant factors of H off M itself, since
-M/L is H (Nikulin 1979, Prop. 1.4.1): lattice_ops.overlattice takes
-them from the Smith form of the Hermite basis it builds M on, so the
-oracle walks no subgroup of D.  The tests compare the two routes.
+H^perp / H from fqf.subquotient.  That form comes from two Smith
+eliminations on integers, which build their inverse transforms step by
+step, so the fast route inverts no matrix.  check_pair runs the same
+tests on one pair.  The oracle, slow_check_pair, builds the explicit
+overlattice M, takes the glued form from its Gram matrix and finds its
+roots by vector enumeration.  It reads the invariant factors of H off
+M itself, since M/L is H (Nikulin 1979, Prop. 1.4.1):
+lattice_ops.overlattice takes them from the Smith form of the Hermite
+basis it builds M on, so the oracle walks no subgroup of D.  The tests
+compare the two routes.
 
 The stream is reduced by the stable symmetries on both generators; a
 symmetry maps H to an isomorphic glue, with the same verdict and

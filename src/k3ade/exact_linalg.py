@@ -4,12 +4,14 @@ Matrices are dense lists of rows of Python ints (arbitrary precision);
 the rows may be tuples, since each function copies them with list().
 One fraction-free elimination, _scaled_inverse, gives the determinant,
 both inverses and the adjugate that lattice_ops.overlattice reads; rank
-is read off the Hermite normal form.  The Smith normal form returns D
-and the right transform V only; the left transform U lives only in the
-test oracle tests/smith_oracle.py.  The output of rat_inverse is the only
-Fraction in the package, and no package code reads it: it stays because
-the benchmark names it as a per-layer metric.  No floating point
-anywhere.
+is read off the Hermite normal form.  One Smith elimination, _smith,
+builds D and, as its caller asks, the right transform V, its inverse
+V^-1, both or neither: smith_normal_form returns D and V, and
+fqf.subquotient reads V^-1 from it rather than invert V.  The left
+transform U lives only in the test oracle tests/smith_oracle.py.  No
+package code calls int_inverse or rat_inverse; the output of rat_inverse
+is the only Fraction in the package.  Both stay because the benchmark
+names them as per-layer metrics.  No floating point anywhere.
 
 A square class of Z_p^x / (Z_p^x)^2 is a plain int, a residue mod 8: the
 unit itself mod 8 at p = 2, and 1 (squares) or 7 = -1 (non-squares) at
@@ -34,14 +36,29 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     unimodular U and V.
 
     Only V is built: no caller reads U, which only the test oracle
-    tests/smith_oracle.py builds.  Each pivot is the smallest
+    tests/smith_oracle.py builds, and V^-1 is left to the callers of
+    _smith that read it.  Each pivot is the smallest
     nonzero |entry| of the trailing block, the first in row-major order,
     so the output is deterministic.
+    """
+    d, v, _ = _smith(a)
+    return d, v
+
+
+def _smith(a: IntMatrix, right: bool = True, inverse: bool = False
+           ) -> tuple[IntMatrix, IntMatrix | None, IntMatrix | None]:
+    """The elimination of smith_normal_form: (D, V, V^-1), with V only
+    when right is set and V^-1 only when inverse is set, None otherwise.
+
+    Each step on V is a column step, V -> V E, so V^-1 -> E^-1 V^-1 takes
+    the inverse row step: a swap of columns t and j of V swaps rows t and
+    j of V^-1, and column j -= q column t makes row t += q row j.
     """
     r = len(a)
     c = len(a[0]) if r else 0
     d = [list(row) for row in a]
-    v = mat_identity(c)
+    v = mat_identity(c) if right else None
+    vinv = mat_identity(c) if inverse else None
     t = 0
     # Rows and columns before t are zero off the diagonal, so every step
     # on pivot t touches only the trailing block.
@@ -64,8 +81,11 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if pj != t:
             for row in d[t:]:
                 row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
+            if v is not None:
+                for row in v:
+                    row[t], row[pj] = row[pj], row[t]
+            if vinv is not None:
+                vinv[t], vinv[pj] = vinv[pj], vinv[t]
         top = d[t]
         p = top[t]
         # Euclidean steps on column t, then on row t.  A column step
@@ -89,8 +109,11 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 top[j] = x - q * p
                 for row in rest:
                     row[j] -= q * row[t]
-                for row in v:
-                    row[j] -= q * row[t]
+                if v is not None:
+                    for row in v:
+                        row[j] -= q * row[t]
+                if vinv is not None:
+                    vinv[t] = [y + q * z for y, z in zip(vinv[t], vinv[j])]
                 if top[j]:
                     dirty = True
         if dirty:
@@ -107,7 +130,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if p < 0:
             top[t] = -p
         t += 1
-    return d, v
+    return d, v, vinv
 
 
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:
@@ -332,7 +355,13 @@ def int_rank(a: IntMatrix) -> int:
 
 
 def int_inverse(a: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, again with integer entries."""
+    """Inverse of a unimodular integer matrix, again with integer entries.
+
+    Nothing in the package calls it: fqf.subquotient reads its inverse
+    transforms off the Smith elimination.  It stays because
+    BENCHMARK.json names it as a per-layer metric
+    (exact_linalg.int_inverse.self_s); the tests still call it.
+    """
     inv, d = _scaled_inverse(a)
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")

@@ -35,8 +35,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .exact_linalg import (
     IntMatrix,
+    _smith,
     hermite_normal_form,
-    int_inverse,
     prime_factors,
     smith_normal_form,
 )
@@ -374,7 +374,10 @@ def subquotient(form: FiniteQuadraticForm,
     the generators.  One Smith step U P V = S turns this into
     s_i z_i = 0 mod E for z = V^-1 y, so H^perp is spanned by the columns
     of V scaled by E / gcd(s_i, E).  H + diag(orders) is then written in
-    that basis, and the Smith form of the result presents H^perp / H.
+    that basis, and the Smith form W of the result presents H^perp / H,
+    its generators the rows of W^-1 times that basis.  The elimination
+    builds V^-1 and W^-1 next to its steps (exact_linalg._smith), so no
+    matrix is inverted.
     """
     gens = [h for h in (_reduce(form, g) for g in subgroup) if any(h)]
     for h in gens:
@@ -387,34 +390,35 @@ def subquotient(form: FiniteQuadraticForm,
         return form
     n = len(form.orders)
     e = form.exp
-    pairings = [[sum(c * form.bs[i][j] for i, c in enumerate(h) if c) % e
-                 for j in range(n)] for h in gens]
-    s, v = smith_normal_form(pairings)
+    # b is symmetric, so the pairings of h are h times the rows of bs.
+    pairings = [[sum(map(mul, h, row)) % e for row in form.bs]
+                for h in gens]
+    s, v, vinv = _smith(pairings, inverse=True)
     # A zero or missing s_i leaves z_i free; ord(gamma_j) kills
     # b(., gamma_j), so the relations diag(orders) lie in the span.
     scale = [e // gcd(s[i][i], e) if i < len(gens) else 1 for i in range(n)]
-    basis_a = [[c * v[j][i] for j in range(n)] for i, c in enumerate(scale)]
-    vinv = int_inverse(v)
     basis_b = hermite_normal_form(gens + _relation_rows(form))
     rel = []
     for row in basis_b:
         coords = []
         for vrow, c in zip(vinv, scale):
-            x, r = divmod(sum(a * b for a, b in zip(vrow, row)), c)
+            x, r = divmod(sum(map(mul, vrow, row)), c)
             if r:
                 raise RuntimeError("H is not contained in its orthogonal "
                                    "complement")
             coords.append(x)
         rel.append(coords)
-    d, w = smith_normal_form(rel)
-    winv = int_inverse(w)
+    d, _, winv = _smith(rel, right=False, inverse=True)
+    # Basis vector i of H^perp is column i of V times scale[i]; entry j of
+    # every basis vector is row j of V scaled entrywise.
+    basis_cols = [[x * c for x, c in zip(vrow, scale)] for vrow in v]
     new_gens = []
     new_orders = []
     for k in range(n):
         if d[k][k] > 1:
-            coords = [sum(winv[k][t] * basis_a[t][j] for t in range(n))
-                      for j in range(n)]
-            new_gens.append(_reduce(form, coords))
+            wrow = winv[k]
+            new_gens.append(_reduce(form, [sum(map(mul, wrow, col))
+                                           for col in basis_cols]))
             new_orders.append(d[k][k])
     result = form_on_generators(form, new_gens, new_orders)
     order_h = group_order(form) // prod(r[i] for i, r in enumerate(basis_b))

@@ -18,8 +18,8 @@ from operator import mul
 from typing import Sequence
 
 from .ade_types import ADEType, Component
-from .exact_linalg import (_scaled_inverse, hermite_normal_form, int_det,
-                           int_rank, smith_normal_form)
+from .exact_linalg import (_scaled_inverse, _smith, hermite_normal_form,
+                           int_det, int_rank)
 
 Gram = tuple[tuple[int, ...], ...]
 
@@ -102,7 +102,7 @@ def overlattice(gram: Sequence[Sequence[int]],
         raise RuntimeError("overlattice must be even")
     # |d| M / |d| L is M/L, and |d| L = |d| Z^n: a Smith diagonal s_1 |
     # ... | s_n of the Hermite basis gives the factors |d| / s_i.
-    diag, _ = smith_normal_form(hnf)
+    diag, _, _ = _smith(hnf, right=False)
     factors = tuple(abs(d) // diag[i][i] for i in reversed(range(n))
                     if diag[i][i] < abs(d))
     if int_det(new_gram) * prod(factors) ** 2 != d:
@@ -146,29 +146,39 @@ def short_vectors(gram: Sequence[Sequence[int]],
     found: list[tuple[int, ...]] = []
     x = [0] * n
 
-    def descend(i: int, budget: int) -> None:
+    def descend(i: int, budget: int, zero_above: bool) -> None:
+        # zero_above: every coordinate above i is 0.  Then only x_i >= 0
+        # is walked, so of each pair {v, -v} only the one whose last
+        # nonzero coordinate is positive is reached, and the zero vector
+        # is the one leaf still zero_above.
         if i < 0:
-            if any(x):
+            if not zero_above:
                 found.append(tuple(x))
             return
         row = b[i]
-        u = sum(row[j] * x[j] for j in range(i + 1, n))
         piv, c = row[i], weight[i]
-        # U_i = piv x_i + u is at most 0 from start down and positive
-        # from start + 1 up, so each walk stops at its first overrun.
-        start = -u // piv
-        for xi, step in ((start, -1), (start + 1, 1)):
+        if zero_above:
+            u, walks = 0, ((0, 1),)
+        else:
+            u = sum(row[j] * x[j] for j in range(i + 1, n))
+            # U_i = piv x_i + u is at most 0 from start down and positive
+            # from start + 1 up, so each walk stops at its first overrun.
+            start = -u // piv
+            walks = ((start, -1), (start + 1, 1))
+        for xi, step in walks:
             while True:
                 used = c * (piv * xi + u) ** 2
                 if used > budget:
                     break
                 x[i] = xi
-                descend(i - 1, budget - used)
+                descend(i - 1, budget - used, zero_above and not xi)
                 xi += step
         x[i] = 0
 
-    descend(n - 1, norm_bound * scale)
-    return sorted(v for v in found if v > tuple(-c for c in v))
+    descend(n - 1, norm_bound * scale, True)
+    # Flip each vector so that its leading nonzero coordinate is positive.
+    return sorted(v if next(filter(None, v)) > 0 else tuple(-c for c in v)
+                  for v in found)
 
 
 _EXCEPTIONAL_COUNTS = {(6, 72): ("E", 6), (7, 126): ("E", 7),

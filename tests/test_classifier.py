@@ -4,6 +4,7 @@ agreement between the fast path and the vector-enumeration reference
 path."""
 
 import cmath
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraction_views import eval_b, eval_q
-from k3ade import ade_types, classifier, fqf, lattice_ops, refdata
+from k3ade import (ade_types, classifier, exact_linalg, fqf, lattice_ops,
+                   refdata)
 from k3ade.ade_types import (ADEType, _component_form, cartan_gram,
                              disc_form_closed, enumerate_candidates,
                              parse_type)
@@ -1076,6 +1078,36 @@ SMALL_DISC_TYPES = [t for t in enumerate_candidates(18, 24)
                     if group_order(disc_form_closed(t)[0]) <= 1024]
 
 
+def _assert_matches_overlattice(sigma, v, w, fast):
+    """The glued form fast of H = <v, w> against the discriminant form of
+    the explicit overlattice: the same order, local invariant sets and
+    Gauss sum, and invariant factors of H that agree with the fast
+    route's."""
+    form, lifts = disc_form_closed(sigma)
+    gens = [g for g in (v, w) if any(g)]
+
+    def lift(x):
+        # The dual coordinates of the class x.
+        return [sum(c * z[j] for c, z in zip(x, lifts))
+                for j in range(sigma.rank)]
+
+    over, factors = overlattice(cartan_gram(sigma), [lift(g) for g in gens])
+    slow = discriminant_form(over)[0]
+    assert factors == _invariant_factors(form, v, w)
+    assert prod(factors) == len(span(form, gens))
+    assert group_order(fast) == group_order(slow)
+    assert group_order(fast) * prod(factors) ** 2 == group_order(form)
+    for p in prime_factors(group_order(fast)):
+        for n in (len(fast.orders), 20 - sigma.rank):
+            assert (local_invariant_set(p, n, p_part(fast, p))
+                    == local_invariant_set(p, n, p_part(slow, p)))
+    assert abs(_gauss_sum(fast) - _gauss_sum(slow)) < 1e-6
+
+
+def _refuse_inverse(*args, **kwargs):
+    raise AssertionError("subquotient inverted a matrix")
+
+
 class TestGluedFormRoutes:
     @pytest.mark.parametrize("seed", range(3))
     def test_subquotient_matches_overlattice(self, seed):
@@ -1086,29 +1118,45 @@ class TestGluedFormRoutes:
         types = rng.sample(SMALL_DISC_TYPES, 40)
         checked = 0
         for sigma, v, w in _glued_form_cases(seed, types):
-            form, lifts = disc_form_closed(sigma)
-            gens = [g for g in (v, w) if any(g)]
-            fast = subquotient(form, gens)
-
-            def lift(x):
-                # The dual coordinates of the class x.
-                return [sum(c * z[j] for c, z in zip(x, lifts))
-                        for j in range(sigma.rank)]
-
-            over, factors = overlattice(cartan_gram(sigma),
-                                        [lift(g) for g in gens])
-            slow = discriminant_form(over)[0]
-            assert factors == _invariant_factors(form, v, w)
-            assert prod(factors) == len(span(form, gens))
-            assert group_order(fast) == group_order(slow)
-            assert group_order(fast) * prod(factors) ** 2 == group_order(form)
-            for p in prime_factors(group_order(fast)):
-                for n in (len(fast.orders), 20 - sigma.rank):
-                    assert (local_invariant_set(p, n, p_part(fast, p))
-                            == local_invariant_set(p, n, p_part(slow, p)))
-            assert abs(_gauss_sum(fast) - _gauss_sum(slow)) < 1e-6
+            form, _ = disc_form_closed(sigma)
+            fast = subquotient(form, [g for g in (v, w) if any(g)])
+            _assert_matches_overlattice(sigma, v, w, fast)
             checked += 1
         assert checked == 120
+
+    #: sha256 of the (orders, qs, bs) of the 45 glued forms below, frozen
+    #: from the subquotient that inverted V and W with int_inverse.  The
+    #: presentation keys the genus memo, so it must not move.
+    TABLE_GLUED_SHA256 = ("b5b92890fb9d3f969d9ae522266e18b7"
+                          "982a0ffe062432979225fa62128a9751")
+
+    def test_subquotient_inverts_nothing(self, monkeypatch):
+        # The partner questions about H != 0 of every 20th type, answered
+        # with every matrix inverse of the package made to fail: the
+        # Smith elimination gives subquotient its inverse transforms.
+        asked = []
+        decide = classifier._partner_exists
+
+        def recorded(ctx, v, w, sub):
+            if any(v) or any(w):
+                asked.append((ctx.sigma, ctx.form, v, w))
+            return decide(ctx, v, w, sub)
+
+        monkeypatch.setattr(classifier, "_partner_exists", recorded)
+        for sigma in enumerate_candidates(18, 24)[::20]:
+            classify_type(sigma)
+        assert len(asked) == 45
+        for module in (exact_linalg, fqf, lattice_ops):
+            for name in ("int_inverse", "_scaled_inverse"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, _refuse_inverse)
+        glued = [subquotient(form, (v, w)) for _, form, v, w in asked]
+        monkeypatch.undo()
+        digest = hashlib.sha256(repr([(g.orders, g.qs, g.bs)
+                                      for g in glued]).encode())
+        assert digest.hexdigest() == self.TABLE_GLUED_SHA256
+        for (sigma, _, v, w), fast in zip(asked, glued):
+            _assert_matches_overlattice(sigma, v, w, fast)
 
     def test_rejects_non_isotropic_subgroup(self):
         form, _ = disc_form_closed(T("6A3"))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from k3ade.ade_types import ADEType, cartan_gram
 from k3ade.exact_linalg import (
+    _smith,
     hermite_normal_form,
     int_det,
     int_inverse,
@@ -127,6 +128,31 @@ class TestSmithNormalForm:
         for i in range(len(a)):
             prod *= d[i][i]
         assert prod == abs(det)
+
+
+# The shapes of the pairing matrices of fqf.subquotient: one or two rows
+# of scaled pairings, each entry reduced mod the exponent.
+pairing_matrices = st.integers(1, 2).flatmap(
+    lambda r: st.integers(1, 8).flatmap(
+        lambda c: matrices(r, c, st.integers(0, 23))))
+
+
+class TestInverseTransform:
+    # The elimination builds V^-1 step by step for fqf.subquotient, which
+    # inverts no matrix; smith_normal_form builds V alone.
+    @given(st.one_of(small_matrices, no_unit_matrices, singular_matrices,
+                     pairing_matrices))
+    @example([[0, 0, 0], [4, 6, 10]])
+    @example([[6, 4], [0, 0], [3, 9]])
+    @example([[0, 12, 8, 18]])
+    @settings(max_examples=300, deadline=None)
+    def test_inverse_of_v(self, a):
+        d, v, vinv = _smith(a, inverse=True)
+        assert (d, v) == smith_normal_form(a)
+        assert (exact(vinv) @ exact(v)).tolist() == mat_identity(len(v))
+        assert _smith(a) == (d, v, None)
+        assert _smith(a, right=False, inverse=True) == (d, None, vinv)
+        assert _smith(a, right=False) == (d, None, None)
 
 
 class TestTupleRows:
